@@ -115,14 +115,9 @@ def _conv_tables(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
     """
     pts = lat.as_array()
     n = lat.n
-    size = lat.size
     diff_k = (pts[:, None, 0] - pts[None, :, 0]) % n
     diff_l = (pts[:, None, 1] - pts[None, :, 1]) % n
-    lookup = {(int(p[0]), int(p[1])): i for i, p in enumerate(pts)}
-    sub = np.empty((size, size), dtype=np.int64)
-    for i in range(size):
-        for j in range(size):
-            sub[i, j] = lookup[(int(diff_k[i, j]), int(diff_l[i, j]))]
+    sub = lat.indices(diff_k, diff_l)
     coc = np.exp(-2j * np.pi * ((pts[None, :, 0] * diff_l) % n) / n)
     return sub, coc
 
@@ -132,16 +127,13 @@ def _involution_tables(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
     """Negation-index table and diagonal cocycle values."""
     pts = lat.as_array()
     n = lat.n
-    lookup = {(int(p[0]), int(p[1])): i for i, p in enumerate(pts)}
-    neg = np.array(
-        [lookup[(int(-p[0] % n), int(-p[1] % n))] for p in pts], dtype=np.int64
-    )
+    neg = lat.indices(-pts[:, 0], -pts[:, 1])
     diag = np.exp(-2j * np.pi * ((pts[:, 0] * pts[:, 1]) % n) / n)
     return neg, diag
 
 
 def _require_same_lattice(a: CoeffSeq, b: CoeffSeq) -> Lattice:
-    if a.lattice.n != b.lattice.n or a.lattice.points != b.lattice.points:
+    if a.lattice != b.lattice:
         raise DimensionMismatch("coefficient sequences live on different lattices")
     return a.lattice
 

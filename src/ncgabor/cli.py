@@ -165,6 +165,8 @@ def _cmd_figa(args) -> int:
         residual = figa_check(*sigs, lat, reference=args.reference)
         _emit_json(args, {"residual": residual})
         return 0
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.trials):

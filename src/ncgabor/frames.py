@@ -149,6 +149,8 @@ def analysis_coefficients(
     f: Signal, g: Signal, lat: Lattice, reference: bool = False
 ) -> np.ndarray:
     """Samples <f, pi(lam) g> over the lattice, in canonical order."""
+    if f.n != lat.n or g.n != lat.n:
+        raise DimensionMismatch("signal length does not match lattice order")
     if reference:
         return np.array([stft_sample(f, g, p) for p in lat.points])
     table = stft(f, g).values

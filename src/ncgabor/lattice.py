@@ -1,18 +1,26 @@
 """Subgroups of the finite phase space Z_N x Z_N and their adjoints.
 
-A lattice is an arbitrary subgroup of Z_N x Z_N, stored with a canonical
-lexicographic enumeration of its points; every summation in the toolkit runs
-in that order so serial residuals are reproducible.  The adjoint lattice
-collects the phase-space points whose shifts commute with every shift from
-the lattice; the pairing is perfect, so |L| * |adjoint(L)| = N^2 and the
-adjoint of the adjoint returns the original subgroup.  The covolume is the
+Every subgroup L has a unique Hermite normal form: the basis (a, s), (0, b)
+with a | N, b | N and 0 <= s < b, where a generates the time shifts that
+occur in L and b the frequency shifts at time 0.  The points are
+i*(a, s) + j*(0, b) for 0 <= i < N/a and 0 <= j < N/b, and a lattice is
+identified by N and that basis, so two generator lists for one subgroup give
+equal lattices.  The points are stored in lexicographic order; every
+summation in the toolkit runs in that order so serial residuals are
+reproducible.
+
+The adjoint lattice collects the phase-space points whose shifts commute
+with every shift from the lattice; the pairing is perfect, so
+|L| * |adjoint(L)| = N^2 and the adjoint of the adjoint returns the original
+subgroup.  Its normal form follows from the basis alone.  The covolume is the
 rational N / |L|; critical density is covolume 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -29,74 +37,98 @@ __all__ = [
 ]
 
 
-def _closure(n: int, gens: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    points = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        base = frontier.pop()
-        for gk, gl in gens:
-            nxt = ((base[0] + gk) % n, (base[1] + gl) % n)
-            if nxt not in points:
-                points.add(nxt)
-                frontier.append(nxt)
-    return sorted(points)
-
-
-def _minimal_generators(n: int, points: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Greedy small generating set, scanned in canonical order."""
-    gens: list[tuple[int, int]] = []
-    span = {(0, 0)}
-    for p in points:
-        if p in span:
-            continue
-        gens.append(p)
-        span = set(_closure(n, gens))
-        if len(span) == len(points):
-            break
-    return gens
-
-
 @dataclass(frozen=True)
 class Lattice:
-    """A subgroup of Z_N x Z_N with canonical (lexicographic) point order."""
+    """A subgroup of Z_N x Z_N, identified by N and its normal-form basis.
+
+    basis is (a, s, b) for the basis vectors (a, s) and (0, b).  generators
+    records how the lattice was given and takes no part in equality.
+    """
 
     n: int
-    points: tuple[TFPoint, ...]
-    generators: tuple[TFPoint, ...]
-    _index: dict = field(repr=False, compare=False, hash=False, default=None)
+    basis: tuple[int, int, int]
+    generators: tuple[TFPoint, ...] = field(compare=False)
+    _points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        index = {(p.k, p.l): i for i, p in enumerate(self.points)}
-        object.__setattr__(self, "_index", index)
+        n, (a, s, b) = self.n, self.basis
+        if min(a, b) < 1 or n % a or n % b or not 0 <= s < b or (s * (n // a)) % b:
+            raise ValueError(f"({a}, {s}, {b}) is not a normal-form basis mod {n}")
+        # row i holds k = i*a with l = (i*s mod b) + j*b: lexicographic as built
+        i = np.arange(n // a, dtype=np.int64)[:, None]
+        j = np.arange(n // b, dtype=np.int64)[None, :]
+        k = np.broadcast_to(i * a, (n // a, n // b))
+        pts = np.stack([k.ravel(), ((i * s) % b + j * b).ravel()], axis=1)
+        pts.setflags(write=False)
+        object.__setattr__(self, "_points", pts)
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return self._points.shape[0]
+
+    @cached_property
+    def points(self) -> tuple[TFPoint, ...]:
+        return tuple(TFPoint(self.n, k, l) for k, l in self._points.tolist())
+
+    def indices(self, k, l) -> np.ndarray:
+        """Canonical indices of the points (k, l) mod N, elementwise; -1 off the lattice."""
+        a, s, b = self.basis
+        k, l = np.mod(k, self.n), np.mod(l, self.n)
+        i = k // a
+        member = (k % a == 0) & ((l - i * s) % b == 0)
+        return np.where(member, i * (self.n // b) + l // b, -1)
 
     def index_of(self, p: TFPoint) -> int:
-        try:
-            return self._index[(p.k % self.n, p.l % self.n)]
-        except KeyError:
-            raise KeyError(f"point ({p.k},{p.l}) not in lattice") from None
+        i = int(self.indices(p.k, p.l))
+        if i < 0:
+            raise KeyError(f"point ({p.k},{p.l}) not in lattice")
+        return i
 
     def __contains__(self, p: TFPoint) -> bool:
-        return (p.k % self.n, p.l % self.n) in self._index
+        return bool(self.indices(p.k, p.l) >= 0)
 
     def as_array(self) -> np.ndarray:
-        """Points as an integer array of shape (|L|, 2) in canonical order."""
-        return np.array([(p.k, p.l) for p in self.points], dtype=np.int64)
+        """Points as a read-only integer array of shape (|L|, 2) in canonical order."""
+        return self._points
 
 
-def _build(n: int, point_tuples: list[tuple[int, int]], gens: list[tuple[int, int]]) -> Lattice:
-    points = tuple(TFPoint(n, k, l) for k, l in point_tuples)
-    generators = tuple(TFPoint(n, k, l) for k, l in gens)
-    return Lattice(n, points, generators)
+def _ext_gcd(x: int, y: int) -> tuple[int, int, int]:
+    """(g, u, v) with g = gcd(x, y) = u*x + v*y."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while y:
+        q, x, y = x // y, y, x % y
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    return x, u0, v0
+
+
+def _normal_form(n: int, pairs) -> tuple[int, int, int]:
+    """Normal-form basis (a, s, b) of the subgroup the pairs generate.
+
+    Row reduction of the integer lattice spanned by the pairs, (N, 0) and
+    (0, N): each pair is merged into the top row (a, s) by an extended-gcd
+    step, and the part it leaves at time 0 joins b.
+    """
+    a, s, b = n, 0, n
+    for k, l in pairs:
+        g, u, v = _ext_gcd(a, k)
+        b = math.gcd(b, (k // g) * s - (a // g) * l)
+        a, s = g, (u * s + v * l) % b
+    return a, s % b, b
+
+
+def _from_basis(n: int, basis: tuple[int, int, int]) -> Lattice:
+    """The lattice with its nonzero basis vectors as generators."""
+    a, s, b = basis
+    gens = [(a, s)] * (a < n) + [(0, b)] * (b < n)
+    return Lattice(n, basis, tuple(TFPoint(n, k, l) for k, l in gens))
 
 
 def lattice_from_generators(n: int, gens) -> Lattice:
     """Subgroup generated by the given points (closure under addition mod N).
 
-    An empty generator list yields the trivial lattice {(0, 0)}.
+    An empty generator list yields the trivial lattice {(0, 0)}.  The
+    generators are kept as given, reduced mod N.
     """
     if n < 2:
         raise ValueError(f"group order must be >= 2, got {n}")
@@ -109,7 +141,8 @@ def lattice_from_generators(n: int, gens) -> Lattice:
         else:
             k, l = g
             pairs.append((int(k) % n, int(l) % n))
-    return _build(n, _closure(n, pairs), pairs)
+    generators = tuple(TFPoint(n, k, l) for k, l in pairs)
+    return Lattice(n, _normal_form(n, pairs), generators)
 
 
 def full_lattice(n: int) -> Lattice:
@@ -124,18 +157,13 @@ def trivial_lattice(n: int) -> Lattice:
 def adjoint_lattice(lat: Lattice) -> Lattice:
     """All points whose shifts commute with every shift from the lattice.
 
-    Exact integer criterion: (m, n') is adjoint iff m*l - k*n' = 0 mod N for
-    every (k, l) in the lattice.
+    (m, n') is adjoint iff m*l - k*n' = 0 mod N for (k, l) = (a, s) and
+    (0, b).  The second condition gives m in (N/b)Z; the first then fixes n'
+    modulo N/a, so the adjoint has basis (N/b, (N/b)*s/a mod N/a), (0, N/a).
+    (a divides (N/b)*s because (N/a)*(a, s) lies in L at time 0.)
     """
-    n = lat.n
-    pts = lat.as_array()
-    kk, ll = pts[:, 0], pts[:, 1]
-    adjoint_pts = []
-    for m in range(n):
-        for nn in range(n):
-            if np.all((m * ll - kk * nn) % n == 0):
-                adjoint_pts.append((m, nn))
-    return _build(n, adjoint_pts, _minimal_generators(n, adjoint_pts))
+    n, (a, s, b) = lat.n, lat.basis
+    return _from_basis(n, (n // b, (n // b) * s // a % (n // a), n // a))
 
 
 def volume(lat: Lattice) -> Fraction:
@@ -144,20 +172,14 @@ def volume(lat: Lattice) -> Fraction:
 
 
 def enumerate_subgroups(n: int) -> list[Lattice]:
-    """Every subgroup of Z_N x Z_N (each needs at most two generators)."""
-    single: dict[frozenset, tuple] = {}
-    for k in range(n):
-        for l in range(n):
-            pts = frozenset(_closure(n, [(k, l)]))
-            single.setdefault(pts, (k, l))
-    seen: dict[frozenset, list] = {frozenset({(0, 0)}): []}
-    for pts_a, gen_a in single.items():
-        seen.setdefault(pts_a, [gen_a])
-        for pts_b, gen_b in single.items():
-            merged = frozenset(_closure(n, [gen_a, gen_b]))
-            seen.setdefault(merged, [gen_a, gen_b])
-    lattices = []
-    for pts, gens in seen.items():
-        lattices.append(_build(n, sorted(pts), gens))
-    lattices.sort(key=lambda lat: (lat.size, tuple((p.k, p.l) for p in lat.points)))
+    """Every subgroup of Z_N x Z_N, one per normal form, by size then points."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    lattices = [
+        _from_basis(n, (a, s, b))
+        for a in divisors
+        for b in divisors
+        for s in range(b)
+        if (s * (n // a)) % b == 0
+    ]
+    lattices.sort(key=lambda lat: (lat.size, lat.as_array().tolist()))
     return lattices

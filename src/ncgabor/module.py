@@ -107,7 +107,7 @@ def act_right(g: Signal, b: CoeffSeq, lat: Lattice | None = None) -> Signal:
     """Right action: vol^{-1} sum b(mu) pi(mu)^H g over the adjoint lattice."""
     if g.n != b.lattice.n:
         raise DimensionMismatch("signal length does not match lattice order")
-    if lat is not None and adjoint_lattice(lat).points != b.lattice.points:
+    if lat is not None and adjoint_lattice(lat) != b.lattice:
         raise DimensionMismatch("coefficients do not live on the adjoint lattice")
     out = np.zeros(g.n, dtype=complex)
     for c, p in zip(b.coeffs, b.lattice.points):

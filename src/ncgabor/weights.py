@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -79,7 +80,11 @@ class Weight:
                 sym.setdefault((-int(x), -int(y)), float(val))
             if sym.get((0, 0), 1.0) < 1.0:
                 raise ValueError("weight at the origin must be >= 1")
-            object.__setattr__(self, "table", sym)
+            object.__setattr__(self, "table", MappingProxyType(sym))
+
+    def __hash__(self) -> int:
+        table = None if self.table is None else frozenset(self.table.items())
+        return hash((self.family, self.s, self.b, self.beta, table, self.outer_power))
 
     @staticmethod
     def polynomial(s: float) -> "Weight":

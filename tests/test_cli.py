@@ -224,3 +224,12 @@ def test_selftest_smoke(capsys):
     assert code == 0
     assert "checks passed" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("trials", ["-5", "0"])
+def test_figa_rejects_no_trials(capsys, trials):
+    code, out, err = run(capsys, "figa", "--n", "8", "--gens", "(2,0),(0,2)", "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--trials" in err
+    assert len(err.strip().splitlines()) == 1

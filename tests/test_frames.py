@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from ncgabor import (
+    DimensionMismatch,
     GaborSystem,
     NotAFrame,
     Signal,
@@ -319,3 +320,16 @@ def test_multiwindow_frame_bounds(rng):
     g1, g2 = random_signal(8, rng), random_signal(8, rng)
     assert not frame_bounds(GaborSystem((g1,), lat)).is_frame
     assert frame_bounds(GaborSystem((g1, g2), lat)).is_frame
+
+
+def test_signals_of_another_order_rejected(rng):
+    lat = lattice_from_generators(6, [(2, 0), (0, 2)])
+    sigs = [random_signal(12, rng) for _ in range(4)]
+    with pytest.raises(DimensionMismatch):
+        figa_check(*sigs, lat)
+    with pytest.raises(DimensionMismatch):
+        figa_check(*sigs, lat, reference=True)
+    with pytest.raises(DimensionMismatch):
+        analysis_coefficients(sigs[0], sigs[1], lat)
+    with pytest.raises(DimensionMismatch):
+        analysis_coefficients(random_signal(6, rng), sigs[1], lat)

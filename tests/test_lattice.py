@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from ncgabor import (
+    CoeffSeq,
+    Lattice,
     TFPoint,
     adjoint_lattice,
     enumerate_subgroups,
@@ -15,6 +17,7 @@ from ncgabor import (
     trivial_lattice,
     volume,
 )
+from ncgabor.algebra import _conv_tables, _involution_tables
 
 
 def brute_force_closure(n, gens):
@@ -153,3 +156,153 @@ def test_enumerate_subgroups_structural():
         assert 16 % lat.size == 0
         regenerated = lattice_from_generators(4, [(p.k, p.l) for p in lat.generators])
         assert regenerated.points == lat.points
+
+
+# ---- brute-force oracles for what the library computes from the normal-form
+# basis: adjoints, subgroup enumeration, normal forms and index tables.
+
+def adjoint_oracle(lat):
+    """Scan all of Z_n x Z_n for the symplectic commutation criterion."""
+    n = lat.n
+    pts = lat.as_array()
+    kk, ll = pts[:, 0], pts[:, 1]
+    return [
+        (m, nn)
+        for m in range(n)
+        for nn in range(n)
+        if np.all((m * ll - kk * nn) % n == 0)
+    ]
+
+
+def subgroups_oracle(n):
+    """Point sets of every subgroup, as closures of all pairs of cyclic subgroups."""
+    single = {}
+    for k in range(n):
+        for l in range(n):
+            single.setdefault(frozenset(brute_force_closure(n, [(k, l)])), (k, l))
+    found = set(single)
+    for gen_a in single.values():
+        for gen_b in single.values():
+            found.add(frozenset(brute_force_closure(n, [gen_a, gen_b])))
+    return found
+
+
+def normal_form_oracle(n, points):
+    """(a, s, b) read off the sorted points: least time shift, its least
+    frequency, and the least frequency at time 0 (N where there is none)."""
+    a = min((k for k, _ in points if k), default=n)
+    b = min((l for k, l in points if k == 0 and l), default=n)
+    s = min((l for k, l in points if k == a), default=0) if a < n else 0
+    return a, s, b
+
+
+def conv_tables_oracle(lat):
+    """Difference indices by dict lookup and cocycles by direct evaluation."""
+    n, pts = lat.n, [(p.k, p.l) for p in lat.points]
+    lookup = {p: i for i, p in enumerate(pts)}
+    sub = np.array(
+        [[lookup[((pi[0] - pj[0]) % n, (pi[1] - pj[1]) % n)] for pj in pts] for pi in pts],
+        dtype=np.int64,
+    ).reshape(len(pts), len(pts))
+    arr = np.array(pts, dtype=np.int64)
+    diff_l = (arr[:, None, 1] - arr[None, :, 1]) % n
+    coc = np.exp(-2j * np.pi * ((arr[None, :, 0] * diff_l) % n) / n)
+    return sub, coc
+
+
+def involution_tables_oracle(lat):
+    n, pts = lat.n, [(p.k, p.l) for p in lat.points]
+    lookup = {p: i for i, p in enumerate(pts)}
+    neg = np.array([lookup[(-k % n, -l % n)] for k, l in pts], dtype=np.int64)
+    arr = np.array(pts, dtype=np.int64)
+    diag = np.exp(-2j * np.pi * ((arr[:, 0] * arr[:, 1]) % n) / n)
+    return neg, diag
+
+
+SHEARED = (
+    (48, [(4, 1), (0, 12)]),
+    (48, [(6, 5)]),
+    (48, [(8, 2), (12, 30), (0, 16)]),
+    (96, [(8, 3), (0, 6)]),
+    (96, [(3, 5)]),
+    (96, [(12, 7), (0, 48)]),
+)
+
+
+def oracle_cases():
+    for n in (4, 6, 8, 9, 12):
+        yield from enumerate_subgroups(n)
+    for n, gens in SHEARED:
+        yield lattice_from_generators(n, gens)
+
+
+def _pairs(points):
+    return [(p.k, p.l) for p in points]
+
+
+@pytest.mark.parametrize("n", (4, 6, 8, 9, 12))
+def test_enumerate_subgroups_matches_pairwise_closures(n):
+    lats = enumerate_subgroups(n)
+    sets = [frozenset(_pairs(lat.points)) for lat in lats]
+    assert len(set(sets)) == len(sets)
+    assert set(sets) == subgroups_oracle(n)
+    keys = [(lat.size, _pairs(lat.points)) for lat in lats]
+    assert keys == sorted(keys)
+
+
+def test_lattice_tables_match_brute_force_oracles():
+    for lat in oracle_cases():
+        n = lat.n
+        pts = _pairs(lat.points)
+        assert pts == brute_force_closure(n, _pairs(lat.generators))
+        assert lat.as_array().tolist() == [list(p) for p in pts]
+        assert lat.basis == normal_form_oracle(n, pts)
+
+        adj = adjoint_lattice(lat)
+        assert _pairs(adj.points) == adjoint_oracle(lat)
+        assert adj.basis == normal_form_oracle(n, _pairs(adj.points))
+        a, s, b = adj.basis
+        assert _pairs(adj.generators) == [(a, s)][: a < n] + [(0, b)][: b < n]
+
+        k, l = np.divmod(np.arange(n * n), n)
+        lookup = {p: i for i, p in enumerate(pts)}
+        expect = [lookup.get(p, -1) for p in zip(k.tolist(), l.tolist())]
+        assert lat.indices(k, l).tolist() == expect
+
+        sub, coc = _conv_tables(lat)
+        sub_o, coc_o = conv_tables_oracle(lat)
+        assert np.array_equal(sub, sub_o) and np.array_equal(coc, coc_o)
+        neg, diag = _involution_tables(lat)
+        neg_o, diag_o = involution_tables_oracle(lat)
+        assert np.array_equal(neg, neg_o) and np.array_equal(diag, diag_o)
+
+
+def test_equal_subgroups_are_one_lattice():
+    lat = lattice_from_generators(12, [(2, 0), (0, 3)])
+    same = lattice_from_generators(12, [(0, 3), (2, 0), (4, 0)])
+    assert lat == same
+    assert hash(lat) == hash(same)
+    assert lat != lattice_from_generators(12, [(2, 0), (0, 6)])
+    assert lat != lattice_from_generators(6, [(2, 0), (0, 3)])
+    adjoint_lattice.cache_clear()
+    assert adjoint_lattice(lat) is adjoint_lattice(same)
+    assert adjoint_lattice.cache_info().currsize == 1
+
+
+def test_index_of_and_membership():
+    lat = lattice_from_generators(12, [(2, 1), (0, 6)])
+    for i, p in enumerate(lat.points):
+        assert lat.index_of(TFPoint(12, p.k - 12, p.l + 24)) == i
+        assert p in lat
+    assert TFPoint(12, 1, 0) not in lat
+    with pytest.raises(KeyError, match="not in lattice"):
+        lat.index_of(TFPoint(12, 2, 0))
+    assert lat.as_array().flags.writeable is False
+    seq = CoeffSeq(lat, np.arange(lat.size) + 0j)
+    assert seq[TFPoint(12, 4, 2)] == lat.index_of(TFPoint(12, 4, 2))
+
+
+def test_invalid_basis_rejected():
+    for basis in ((2, 1, 12), (5, 0, 12), (0, 0, 12), (-2, 0, 12), (2, 0, -6)):
+        with pytest.raises(ValueError, match="normal-form basis"):
+            Lattice(12, basis, ())

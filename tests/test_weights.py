@@ -174,3 +174,12 @@ def test_weight_family_validation():
         Weight.exponential(0.0)
     with pytest.raises(ValueError):
         Weight.subexponential(1.0, 1.0)
+
+
+def test_custom_weight_hashable_and_immutable():
+    v = Weight.custom({(0, 0): 1.0, (1, 0): 2.0})
+    same = Weight.custom({(1, 0): 2.0, (0, 0): 1.0})
+    assert v == same and hash(v) == hash(same)
+    assert len({v, same, Weight.custom({(1, 0): 3.0}), v.power(2.0)}) == 3
+    with pytest.raises(TypeError):
+        v.table[(2, 0)] = 4.0
