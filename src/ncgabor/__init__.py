@@ -13,7 +13,6 @@ from .core import (
     random_signal,
     shift_matrix,
     stft,
-    stft_direct,
     symplectic_bicharacter,
     tf_shift,
 )
@@ -34,7 +33,6 @@ from .weights import (
     check_moderate,
     check_submultiplicative,
     grs_probe,
-    weight_eval,
 )
 from .algebra import (
     CoeffSeq,
@@ -61,7 +59,6 @@ from .frames import (
     figa_check,
     frame_bounds,
     frame_operator,
-    frame_operator_direct,
     hermitian_inverse_sqrt,
     janssen_representation,
     reconstruct,

@@ -66,7 +66,7 @@ class CoeffSeq:
             raise ValueError(
                 f"expected {self.lattice.size} coefficients, got shape {vals.shape}"
             )
-        if not np.all(np.isfinite(vals.view(float))):
+        if not np.all(np.isfinite(vals)):
             raise ValueError("coefficients contain non-finite entries")
         vals.setflags(write=False)
         object.__setattr__(self, "coeffs", vals)
@@ -161,18 +161,24 @@ def weighted_norm(a: CoeffSeq, v: Weight, s: float) -> float:
     return float(sum(abs(c) * vs(p) for c, p in zip(a.coeffs, lifts)))
 
 
+def _band_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the diagonal bands: mat[_band_index(n)][k, t] = mat[t, (t - k) mod N]."""
+    t = np.arange(n)
+    return t[None, :], (t[None, :] - t[:, None]) % n
+
+
 def represent(a: CoeffSeq) -> OperatorMatrix:
-    """Assemble the matrix sum of shift matrices weighted by the coefficients."""
+    """Assemble the matrix sum of shift matrices weighted by the coefficients.
+
+    The band mat[t, (t - k) mod N] of pi(k, l) carries exp(2*pi*i*l*t/N), so
+    each band of the sum is an inverse FFT along l of the coefficients at k.
+    """
     n = a.lattice.n
     pts = a.lattice.as_array()
-    rows = np.arange(n)
-    mat = np.zeros((n, n), dtype=complex)
-    # group lattice points by time shift k: each contributes along one diagonal band
-    for k in np.unique(pts[:, 0]):
-        mask = pts[:, 0] == k
-        ls = pts[mask, 1]
-        phases = np.exp(2j * np.pi * np.outer(rows, ls) / n) @ a.coeffs[mask]
-        mat[rows, (rows - k) % n] += phases
+    mat = np.empty((n, n), dtype=complex)  # before the temporaries, so they free from the heap top
+    grid = np.zeros((n, n), dtype=complex)
+    grid[pts[:, 0], pts[:, 1]] = a.coeffs
+    mat[_band_index(n)] = np.fft.ifft(grid, axis=1) * n
     return OperatorMatrix(n, mat)
 
 
@@ -193,12 +199,9 @@ def coefficients_of(A, lat: Lattice) -> tuple[CoeffSeq, float]:
     n = lat.n
     if mat.shape != (n, n):
         raise DimensionMismatch(f"matrix shape {mat.shape} does not match order {n}")
-    rows = np.arange(n)
-    coeffs = np.empty(lat.size, dtype=complex)
-    for i, p in enumerate(lat.points):
-        band = mat[rows, (rows - p.k) % n]
-        coeffs[i] = np.sum(band * np.exp(-2j * np.pi * p.l * rows / n)) / n
-    seq = CoeffSeq(lat, coeffs)
+    pts = lat.as_array()
+    grid = np.fft.fft(mat[_band_index(n)], axis=1) / n
+    seq = CoeffSeq(lat, grid[pts[:, 0], pts[:, 1]])
     residual = float(np.linalg.norm(mat - represent(seq).entries))
     return seq, residual
 

@@ -3,9 +3,8 @@
 Verbs operate on JSON artifacts (signals, lattices, weights) given inline or
 as file paths, and emit machine-readable JSON or CSV on stdout or to --out.
 Exit codes: 0 success, 2 input validation error, 3 numerical failure (not a
-frame, singular element, failed selftest).  --reference forces serial
-canonical-order summation so residuals are reproducible bit for bit;
---threads only affects the embarrassingly parallel selftest loop.
+frame, singular element, overflow, failed selftest): every ArithmeticError
+a verb raises exits 3 with one error line.
 """
 from __future__ import annotations
 
@@ -18,11 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .algebra import SingularElement
 from .core import DimensionMismatch, Signal, random_signal
 from .frames import (
     GaborSystem,
-    NotAFrame,
     canonical_dual,
     canonical_tight,
     figa_check,
@@ -127,21 +124,21 @@ def _system_from_args(args) -> GaborSystem:
 
 
 def _cmd_bounds(args) -> int:
-    b = frame_bounds(_system_from_args(args), reference=args.reference)
+    b = frame_bounds(_system_from_args(args))
     _emit_json(args, serialize.bounds_to_dict(b))
     return 0
 
 
 def _cmd_dual(args) -> int:
     sys_ = _system_from_args(args)
-    duals = canonical_dual(sys_, reference=args.reference)
+    duals = canonical_dual(sys_)
     _emit_json(args, {"windows": [serialize.signal_to_dict(d) for d in duals]})
     return 0
 
 
 def _cmd_tight(args) -> int:
     sys_ = _system_from_args(args)
-    tight = canonical_tight(sys_, reference=args.reference)
+    tight = canonical_tight(sys_)
     _emit_json(args, {"windows": [serialize.signal_to_dict(t) for t in tight]})
     return 0
 
@@ -162,7 +159,7 @@ def _cmd_figa(args) -> int:
         if any(x is None for x in explicit):
             raise ValueError("figa needs all four of --f1 --f2 --g1 --g2, or none")
         sigs = [_load_signal(x) for x in explicit]
-        residual = figa_check(*sigs, lat, reference=args.reference)
+        residual = figa_check(*sigs, lat)
         _emit_json(args, {"residual": residual})
         return 0
     if args.trials < 1:
@@ -171,7 +168,7 @@ def _cmd_figa(args) -> int:
     worst = 0.0
     for _ in range(args.trials):
         sigs = [random_signal(lat.n, rng) for _ in range(4)]
-        worst = max(worst, figa_check(*sigs, lat, reference=args.reference))
+        worst = max(worst, figa_check(*sigs, lat))
     _emit_json(args, {"max_residual": worst, "trials": args.trials, "seed": args.seed})
     return 0
 
@@ -218,7 +215,7 @@ def _cmd_grs(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    results = run_selftest(seed=args.seed, reference=args.reference, threads=args.threads)
+    results = run_selftest(seed=args.seed)
     width = max(len(r.name) for r in results)
     failed = 0
     lines = []
@@ -248,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--trials", type=int, default=100)
         p.add_argument("--out", type=str, help="write the artifact here instead of stdout")
-        p.add_argument("--reference", action="store_true", help="serial canonical-order summation")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for trial loops")
         return p
 
     add("adjoint", _cmd_adjoint, "adjoint (commutant) lattice")
@@ -280,16 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
-    if args.reference:
-        args.threads = 1
     try:
         return args.fn(args)
-    except NotAFrame as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
-    except SingularElement as exc:
+    except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except (ValueError, KeyError, DimensionMismatch, OSError) as exc:

@@ -14,10 +14,12 @@ and commute up to the antisymmetric symplectic bicharacter
 
     c_symp((k,l), (m,n)) = exp(2*pi*i*(m*l - k*n)/N).
 
-The short-time Fourier transform samples inner products against all N^2
-shifted copies of a window.  Everything here is exact finite linear algebra:
-the direct-summation STFT is the reference, the per-shift FFT is the fast
-path, and the two agree to machine precision.
+Every sum over shifts in the toolkit is built on one kernel, _shifted, which
+returns the shifted copies of a window at a whole array of points with one
+gather and one table of N-th roots of unity.  The short-time Fourier
+transform samples inner products against all N^2 shifted copies of a window,
+one length-N FFT per time shift.  Everything here is exact finite linear
+algebra.
 """
 from __future__ import annotations
 
@@ -35,7 +37,6 @@ __all__ = [
     "cocycle",
     "symplectic_bicharacter",
     "stft",
-    "stft_direct",
     "random_signal",
 ]
 
@@ -65,7 +66,7 @@ class Signal:
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != (self.n,):
             raise ValueError(f"expected {self.n} samples, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals.view(float))):
+        if not np.all(np.isfinite(vals)):
             raise ValueError("signal contains non-finite entries")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -149,11 +150,32 @@ def symplectic_bicharacter(lam: TFPoint, mu: TFPoint) -> complex:
     return complex(np.exp(2j * np.pi * ((mu.k * lam.l - lam.k * mu.l) % n) / n))
 
 
+def _roots(n: int) -> np.ndarray:
+    """The N-th roots of unity exp(2*pi*i*j/N), j = 0 .. N-1."""
+    return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def _shifted(points: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Shifted copies of g at the integer points (k_i, l_i), one row each.
+
+    out[..., i, t] = exp(2*pi*i*l_i*t/N) * g[..., (t - k_i) mod N], with the
+    phases gathered from the roots of unity at (l_i * t) mod N; leading axes
+    of g are further windows.
+    """
+    n = g.shape[-1]
+    t = np.arange(n)
+    idx = (t - points[:, :1]) % n
+    out = g[..., idx]
+    np.multiply(points[:, 1:], t, out=idx)
+    idx %= n
+    out *= _roots(n)[idx]
+    return out
+
+
 def tf_shift(p: TFPoint, f: Signal) -> Signal:
     """Apply the time-frequency shift by p; preserves the 2-norm."""
     n = _check_same_n(p.n, f.n)
-    phases = np.exp(2j * np.pi * p.l * np.arange(n) / n)
-    return Signal(n, phases * np.roll(f.values, p.k))
+    return Signal(n, _shifted(np.array([[p.k, p.l]]), f.values)[0])
 
 
 def shift_matrix(p: TFPoint) -> np.ndarray:
@@ -161,44 +183,24 @@ def shift_matrix(p: TFPoint) -> np.ndarray:
     n = p.n
     rows = np.arange(n)
     mat = np.zeros((n, n), dtype=complex)
-    mat[rows, (rows - p.k) % n] = np.exp(2j * np.pi * p.l * rows / n)
+    mat[rows, (rows - p.k) % n] = _roots(n)[(p.l * rows) % n]
     return mat
 
 
 def _rolled_window(g: np.ndarray) -> np.ndarray:
     """Stack of all cyclic translates: out[k, t] = g[(t - k) mod N]."""
-    n = g.shape[0]
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    return g[idx]
+    return _shifted(np.arange(g.shape[0])[:, None] * [1, 0], g)
 
 
 def stft(f: Signal, g: Signal) -> PhaseSpaceArray:
     """Short-time Fourier transform V_g f(k, l) = <f, pi(k,l) g>.
 
-    Fast path: one length-N FFT of f * conj(translate of g) per time shift k.
+    One length-N FFT of f * conj(translate of g) per time shift k.
     Satisfies the Moyal identity  sum |V_g f|^2 = N ||f||^2 ||g||^2.
     """
     n = _check_same_n(f.n, g.n)
     products = f.values[None, :] * np.conj(_rolled_window(g.values))
     return PhaseSpaceArray(n, np.fft.fft(products, axis=1))
-
-
-def stft_direct(f: Signal, g: Signal) -> PhaseSpaceArray:
-    """Reference STFT by direct summation in canonical (k, l, t) order."""
-    n = _check_same_n(f.n, g.n)
-    t = np.arange(n)
-    kernel = np.exp(-2j * np.pi * np.outer(t, t) / n)  # kernel[l, t]
-    out = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        windowed = f.values * np.conj(np.roll(g.values, k))
-        out[k, :] = kernel @ windowed
-    return PhaseSpaceArray(n, out)
-
-
-def stft_sample(f: Signal, g: Signal, p: TFPoint) -> complex:
-    """Single STFT sample <f, pi(p) g> by direct summation."""
-    _check_same_n(f.n, g.n, p.n)
-    return complex(np.vdot(tf_shift(p, g).values, f.values))
 
 
 def random_signal(n: int, rng: np.random.Generator) -> Signal:

@@ -2,12 +2,13 @@
 
 A Gabor system is the family of all lattice shifts of one or more windows.
 Its frame operator is assembled as G G^H, where the columns of G are the
-shifted windows; the literal shift-by-shift summation is kept as the
-reference route.  The frame operator commutes with every lattice shift,
-which is why it also expands over the adjoint lattice: the coefficients of
-that expansion,  vol^{-1} <h, pi(adjoint point) g>,  reproduce the operator
-exactly in this finite model, and the fundamental identity below is the
-two-sided inner-product form of the same fact.
+shifted windows, all built by one call of the shift kernel.  The dual and
+tight windows come from one eigendecomposition of the frame operator, which
+also gives their frame verdict.  The frame operator commutes with every
+lattice shift, which is why it also expands over the adjoint lattice: the
+coefficients of that expansion,  vol^{-1} <h, pi(adjoint point) g>,
+reproduce the operator exactly in this finite model, and the fundamental
+identity below is the two-sided inner-product form of the same fact.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, Signal, stft, stft_sample, tf_shift
+from .core import DimensionMismatch, Signal, _shifted, stft
 from .lattice import Lattice, adjoint_lattice, volume
 from .algebra import CoeffSeq, OperatorMatrix
 
@@ -24,7 +25,6 @@ __all__ = [
     "FrameBounds",
     "NotAFrame",
     "frame_operator",
-    "frame_operator_direct",
     "frame_bounds",
     "canonical_dual",
     "canonical_tight",
@@ -78,15 +78,14 @@ class FrameBounds:
     is_frame: bool
 
 
+def _windows(sys: GaborSystem) -> np.ndarray:
+    """The windows as the rows of one array."""
+    return np.stack([w.values for w in sys.windows])
+
+
 def _system_columns(sys: GaborSystem) -> np.ndarray:
     """Matrix whose columns are all shifted windows, in canonical order."""
-    cols = np.empty((sys.n, sys.lattice.size * len(sys.windows)), dtype=complex)
-    j = 0
-    for w in sys.windows:
-        for p in sys.lattice.points:
-            cols[:, j] = tf_shift(p, w).values
-            j += 1
-    return cols
+    return _shifted(sys.lattice.as_array(), _windows(sys)).reshape(-1, sys.n).T
 
 
 def frame_operator(sys: GaborSystem) -> OperatorMatrix:
@@ -95,22 +94,15 @@ def frame_operator(sys: GaborSystem) -> OperatorMatrix:
     return OperatorMatrix(sys.n, G @ G.conj().T)
 
 
-def frame_operator_direct(sys: GaborSystem) -> OperatorMatrix:
-    """Reference assembly: rank-one terms accumulated in canonical order."""
-    S = np.zeros((sys.n, sys.n), dtype=complex)
-    for w in sys.windows:
-        for p in sys.lattice.points:
-            col = tf_shift(p, w).values
-            S += np.outer(col, col.conj())
-    return OperatorMatrix(sys.n, S)
-
-
-def frame_bounds(sys: GaborSystem, reference: bool = False) -> FrameBounds:
-    """Extreme eigenvalues of the frame operator and the frame verdict."""
-    op = frame_operator_direct(sys) if reference else frame_operator(sys)
-    eigs = np.linalg.eigvalsh(op.entries)
+def _bounds(eigs: np.ndarray) -> FrameBounds:
+    """Frame bounds and verdict from the ascending eigenvalues of the frame operator."""
     lower, upper = float(eigs[0]), float(eigs[-1])
     return FrameBounds(lower, upper, upper > 0 and lower > FRAME_DECISION_TOL * upper)
+
+
+def frame_bounds(sys: GaborSystem) -> FrameBounds:
+    """Extreme eigenvalues of the frame operator and the frame verdict."""
+    return _bounds(np.linalg.eigvalsh(frame_operator(sys).entries))
 
 
 def hermitian_inverse_sqrt(mat: np.ndarray, floor_rel: float = EIGENVALUE_FLOOR_REL) -> np.ndarray:
@@ -125,34 +117,35 @@ def hermitian_inverse_sqrt(mat: np.ndarray, floor_rel: float = EIGENVALUE_FLOOR_
     return (vecs * inv) @ vecs.conj().T
 
 
-def canonical_dual(sys: GaborSystem, reference: bool = False) -> list[Signal]:
+def _frame_power(sys: GaborSystem, power: float) -> list[Signal]:
+    """S^power applied to every window, S the frame operator of the system.
+
+    One eigendecomposition of S gives both the frame verdict and the power.
+    """
+    eigs, vecs = np.linalg.eigh(frame_operator(sys).entries)
+    bounds = _bounds(eigs)
+    if not bounds.is_frame:
+        del vecs  # the traceback keeps this frame's locals alive as long as the exception
+        raise NotAFrame(bounds.lower)
+    # <w_i, v_j> eigs_j^power, conjugating the windows rather than the N x N vecs
+    coeffs = (_windows(sys).conj() @ vecs).conj() * eigs**power
+    return [Signal(sys.n, row) for row in coeffs @ vecs.T]
+
+
+def canonical_dual(sys: GaborSystem) -> list[Signal]:
     """Apply the inverse frame operator to every window."""
-    bounds = frame_bounds(sys, reference=reference)
-    if not bounds.is_frame:
-        raise NotAFrame(bounds.lower)
-    op = frame_operator_direct(sys) if reference else frame_operator(sys)
-    solved = np.linalg.solve(op.entries, np.stack([w.values for w in sys.windows], axis=1))
-    return [Signal(sys.n, solved[:, i]) for i in range(len(sys.windows))]
+    return _frame_power(sys, -1.0)
 
 
-def canonical_tight(sys: GaborSystem, reference: bool = False) -> list[Signal]:
+def canonical_tight(sys: GaborSystem) -> list[Signal]:
     """Apply the inverse-square-root frame operator; the result is Parseval."""
-    bounds = frame_bounds(sys, reference=reference)
-    if not bounds.is_frame:
-        raise NotAFrame(bounds.lower)
-    op = frame_operator_direct(sys) if reference else frame_operator(sys)
-    inv_sqrt = hermitian_inverse_sqrt(op.entries)
-    return [Signal(sys.n, inv_sqrt @ w.values) for w in sys.windows]
+    return _frame_power(sys, -0.5)
 
 
-def analysis_coefficients(
-    f: Signal, g: Signal, lat: Lattice, reference: bool = False
-) -> np.ndarray:
+def analysis_coefficients(f: Signal, g: Signal, lat: Lattice) -> np.ndarray:
     """Samples <f, pi(lam) g> over the lattice, in canonical order."""
     if f.n != lat.n or g.n != lat.n:
         raise DimensionMismatch("signal length does not match lattice order")
-    if reference:
-        return np.array([stft_sample(f, g, p) for p in lat.points])
     table = stft(f, g).values
     pts = lat.as_array()
     return table[pts[:, 0], pts[:, 1]]
@@ -179,7 +172,6 @@ def figa_check(
     g1: Signal,
     g2: Signal,
     lat: Lattice,
-    reference: bool = False,
 ) -> float:
     """Residual of the fundamental identity relating lattice and adjoint sums.
 
@@ -189,11 +181,11 @@ def figa_check(
     The identity holds for every quadruple in the finite model.
     """
     adj = adjoint_lattice(lat)
-    lhs_terms = analysis_coefficients(f1, g1, lat, reference) * np.conj(
-        analysis_coefficients(f2, g2, lat, reference)
+    lhs_terms = analysis_coefficients(f1, g1, lat) * np.conj(
+        analysis_coefficients(f2, g2, lat)
     )
-    rhs_terms = analysis_coefficients(f1, f2, adj, reference) * np.conj(
-        analysis_coefficients(g1, g2, adj, reference)
+    rhs_terms = analysis_coefficients(f1, f2, adj) * np.conj(
+        analysis_coefficients(g1, g2, adj)
     )
     lhs = complex(np.sum(lhs_terms))
     rhs = complex(np.sum(rhs_terms)) / float(volume(lat))
@@ -206,11 +198,5 @@ def reconstruct(f: Signal, sys: GaborSystem, duals: list[Signal]) -> Signal:
         raise ValueError(
             f"{len(duals)} dual windows for {len(sys.windows)} system windows"
         )
-    out = np.zeros(sys.n, dtype=complex)
-    for w, d in zip(sys.windows, duals):
-        if d.n != sys.n:
-            raise DimensionMismatch("dual window length does not match the system")
-        coeffs = analysis_coefficients(f, d, sys.lattice)
-        for c, p in zip(coeffs, sys.lattice.points):
-            out += c * tf_shift(p, w).values
-    return Signal(sys.n, out)
+    coeffs = np.concatenate([analysis_coefficients(f, d, sys.lattice) for d in duals])
+    return Signal(sys.n, _system_columns(sys) @ coeffs)

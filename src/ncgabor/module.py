@@ -32,23 +32,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (
-    DimensionMismatch,
-    Signal,
-    cocycle,
-    random_signal,
-    shift_matrix,
-    tf_shift,
-)
+from .core import DimensionMismatch, Signal, _shifted, random_signal
 from .lattice import Lattice, adjoint_lattice, volume
-from .algebra import CoeffSeq, OperatorMatrix, represent, twisted_conv
+from .algebra import CoeffSeq, OperatorMatrix, _involution_tables, represent, twisted_conv
 from .frames import (
     GaborSystem,
     NotAFrame,
     analysis_coefficients,
+    canonical_tight,
     frame_bounds,
     frame_operator,
-    hermitian_inverse_sqrt,
 )
 
 __all__ = [
@@ -92,10 +85,7 @@ def act_left(a: CoeffSeq, g: Signal) -> Signal:
     """Left action: sum a(lam) pi(lam) g, equal to represent(a) applied to g."""
     if g.n != a.lattice.n:
         raise DimensionMismatch("signal length does not match lattice order")
-    out = np.zeros(g.n, dtype=complex)
-    for c, p in zip(a.coeffs, a.lattice.points):
-        out += c * tf_shift(p, g).values
-    return Signal(g.n, out)
+    return Signal(g.n, a.coeffs @ _shifted(a.lattice.as_array(), g.values))
 
 
 def _adjoint_volume_scale(b: CoeffSeq) -> float:
@@ -109,20 +99,16 @@ def act_right(g: Signal, b: CoeffSeq, lat: Lattice | None = None) -> Signal:
         raise DimensionMismatch("signal length does not match lattice order")
     if lat is not None and adjoint_lattice(lat) != b.lattice:
         raise DimensionMismatch("coefficients do not live on the adjoint lattice")
-    out = np.zeros(g.n, dtype=complex)
-    for c, p in zip(b.coeffs, b.lattice.points):
-        # pi(p)^H = cocycle(p, p) pi(-p)
-        out += (c * cocycle(p, p)) * tf_shift(-p, g).values
+    # pi(p)^H = cocycle(p, p) pi(-p); diag holds cocycle(p, p)
+    _, diag = _involution_tables(b.lattice)
+    out = (b.coeffs * diag) @ _shifted(-b.lattice.as_array(), g.values)
     return Signal(g.n, _adjoint_volume_scale(b) * out)
 
 
 def right_operator(b: CoeffSeq) -> OperatorMatrix:
     """Matrix of a right-algebra element: vol^{-1} sum b(mu) pi(mu)^H."""
-    n = b.lattice.n
-    out = np.zeros((n, n), dtype=complex)
-    for c, p in zip(b.coeffs, b.lattice.points):
-        out += c * shift_matrix(p).conj().T
-    return OperatorMatrix(n, _adjoint_volume_scale(b) * out)
+    conj_rep = represent(CoeffSeq(b.lattice, np.conj(b.coeffs))).entries
+    return OperatorMatrix(b.lattice.n, _adjoint_volume_scale(b) * conj_rep.conj().T)
 
 
 def frame_type_operator(g: Signal, h: Signal, lat: Lattice, f: Signal) -> Signal:
@@ -145,10 +131,6 @@ class ModuleFrameReport:
     is_module_frame: bool
     window_count: int
     vol: Fraction
-
-
-def _summed_frame_operator(windows: list[Signal], lat: Lattice) -> np.ndarray:
-    return frame_operator(GaborSystem(tuple(windows), lat)).entries
 
 
 def module_frame_identity_residual(windows, lat: Lattice, f: Signal) -> float:
@@ -183,18 +165,17 @@ def module_frame_check(windows, lat: Lattice, seed: int = 0) -> ModuleFrameRepor
     windows = list(windows)
     if not windows:
         raise ValueError("need at least one window")
-    sys = GaborSystem(tuple(windows), lat)
-    bounds = frame_bounds(sys)
     vol = volume(lat)
-    if not bounds.is_frame:
+    try:
+        tight = tight_multiwindow(windows, lat)
+    except NotAFrame:
         return ModuleFrameReport(
             residual=math.inf,
             is_module_frame=False,
             window_count=len(windows),
             vol=vol,
         )
-    tight = tight_multiwindow(windows, lat)
-    s_tight = _summed_frame_operator(tight, lat)
+    s_tight = frame_operator(GaborSystem(tuple(tight), lat)).entries
     residual = float(np.linalg.norm(s_tight - np.eye(lat.n)))
     rng = np.random.default_rng(seed)
     for _ in range(2):
@@ -214,13 +195,7 @@ def module_frame_check(windows, lat: Lattice, seed: int = 0) -> ModuleFrameRepor
 
 def tight_multiwindow(windows, lat: Lattice) -> list[Signal]:
     """Rescale all windows by the inverse square root of the summed frame operator."""
-    windows = list(windows)
-    sys = GaborSystem(tuple(windows), lat)
-    bounds = frame_bounds(sys)
-    if not bounds.is_frame:
-        raise NotAFrame(bounds.lower)
-    inv_sqrt = hermitian_inverse_sqrt(_summed_frame_operator(windows, lat))
-    return [Signal(lat.n, inv_sqrt @ w.values) for w in windows]
+    return canonical_tight(GaborSystem(tuple(windows), lat))
 
 
 @dataclass(frozen=True)

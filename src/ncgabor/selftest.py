@@ -3,12 +3,10 @@
 Each check exercises one structural identity of the toolkit on a small test
 matrix of group orders and lattices, and reports a pass/fail verdict with the
 worst observed residual.  Checks draw their randomness from a seed offset by
-their position, so results are reproducible for a fixed seed regardless of
-the thread count.
+their position, so results are reproducible for a fixed seed.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -22,7 +20,6 @@ from .core import (
     random_signal,
     shift_matrix,
     stft,
-    stft_direct,
     symplectic_bicharacter,
     tf_shift,
 )
@@ -59,7 +56,6 @@ from .frames import (
     figa_check,
     frame_bounds,
     frame_operator,
-    frame_operator_direct,
     hermitian_inverse_sqrt,
     janssen_representation,
     reconstruct,
@@ -106,7 +102,7 @@ def _frame_lattices():
     return [lat for lat in _lattices() if volume(lat) <= 1]
 
 
-def _check_norm_preservation(rng, reference):
+def _check_norm_preservation(rng):
     worst = 0.0
     for n in (5, 8, 12):
         f = random_signal(n, rng)
@@ -116,7 +112,7 @@ def _check_norm_preservation(rng, reference):
     return worst <= 1e-12, f"max rel norm drift {worst:.2e}"
 
 
-def _check_composition(rng, reference):
+def _check_composition(rng):
     worst = 0.0
     for n in (2, 3, 4, 6):
         for lam, mu in product(product(range(n), repeat=2), repeat=2):
@@ -127,7 +123,7 @@ def _check_composition(rng, reference):
     return worst <= 1e-12, f"max residual {worst:.2e}"
 
 
-def _check_commutation(rng, reference):
+def _check_commutation(rng):
     worst = 0.0
     for n in (2, 3, 4, 6):
         for lam, mu in product(product(range(n), repeat=2), repeat=2):
@@ -138,7 +134,7 @@ def _check_commutation(rng, reference):
     return worst <= 1e-12, f"max residual {worst:.2e}"
 
 
-def _check_adjoint_rule(rng, reference):
+def _check_adjoint_rule(rng):
     worst = 0.0
     for n in (4, 6, 9):
         for lam in product(range(n), repeat=2):
@@ -149,17 +145,19 @@ def _check_adjoint_rule(rng, reference):
     return worst <= 1e-12, f"max residual {worst:.2e}"
 
 
-def _check_stft_agreement(rng, reference):
+def _check_stft_agreement(rng):
     worst = 0.0
     for n in (5, 8, 13):
         f, g = random_signal(n, rng), random_signal(n, rng)
-        worst = max(
-            worst, float(np.abs(stft(f, g).values - stft_direct(f, g).values).max())
-        )
+        # direct summation in canonical (k, l, t) order
+        t = np.arange(n)
+        kernel = np.exp(-2j * np.pi * np.outer(t, t) / n)  # kernel[l, t]
+        direct = np.array([kernel @ (f.values * np.conj(np.roll(g.values, k))) for k in t])
+        worst = max(worst, float(np.abs(stft(f, g).values - direct).max()))
     return worst <= 1e-12 * 100, f"max abs gap {worst:.2e}"
 
 
-def _check_moyal(rng, reference):
+def _check_moyal(rng):
     worst = 0.0
     for n in (6, 8, 12):
         f, g = random_signal(n, rng), random_signal(n, rng)
@@ -169,7 +167,7 @@ def _check_moyal(rng, reference):
     return worst <= 1e-10, f"max rel gap {worst:.2e}"
 
 
-def _check_stft_covariance(rng, reference):
+def _check_stft_covariance(rng):
     worst = 0.0
     for n in (6, 10):
         f, g = random_signal(n, rng), random_signal(n, rng)
@@ -181,7 +179,7 @@ def _check_stft_covariance(rng, reference):
     return worst <= 1e-10, f"max abs gap {worst:.2e}"
 
 
-def _check_adjoint_duality(rng, reference):
+def _check_adjoint_duality(rng):
     for lat in _lattices() + enumerate_subgroups(6):
         adj = adjoint_lattice(lat)
         if len(lat.points) * len(adj.points) != lat.n**2:
@@ -191,7 +189,7 @@ def _check_adjoint_duality(rng, reference):
     return True, "pairing and duality exact on the test matrix"
 
 
-def _check_adjoint_commutation(rng, reference):
+def _check_adjoint_commutation(rng):
     worst = 0.0
     for lat in _lattices():
         adj = adjoint_lattice(lat)
@@ -203,7 +201,7 @@ def _check_adjoint_commutation(rng, reference):
     return worst <= 1e-12, f"max residual {worst:.2e}"
 
 
-def _check_weight_axioms(rng, reference):
+def _check_weight_axioms(rng):
     families = [Weight.polynomial(2), Weight.subexponential(1.0, 0.5), Weight.exponential(1.0)]
     for v in families:
         for _ in range(50):
@@ -220,7 +218,7 @@ def _check_weight_axioms(rng, reference):
     return True, "symmetry, normalization and power composition hold"
 
 
-def _check_submultiplicative(rng, reference):
+def _check_submultiplicative(rng):
     for v in (Weight.polynomial(2), Weight.subexponential(1.0, 0.5), Weight.exponential(1.0)):
         report = check_submultiplicative(v, 400, seed=int(rng.integers(2**31)))
         if not report.passed:
@@ -228,7 +226,7 @@ def _check_submultiplicative(rng, reference):
     return True, "all built-in families pass"
 
 
-def _check_grs(rng, reference):
+def _check_grs(rng):
     probes = [(1, 0), (0, 2), (3, 1), (-2, 5)]
     for p in probes:
         if grs_probe(Weight.polynomial(2), p, 4096).verdict != GRS_CONSISTENT:
@@ -244,7 +242,7 @@ def _rand_seq(lat, rng) -> CoeffSeq:
     return CoeffSeq(lat, rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size))
 
 
-def _check_homomorphism(rng, reference):
+def _check_homomorphism(rng):
     worst = 0.0
     for lat in _lattices():
         a, b = _rand_seq(lat, rng), _rand_seq(lat, rng)
@@ -254,7 +252,7 @@ def _check_homomorphism(rng, reference):
     return worst <= 1e-11, f"max rel residual {worst:.2e}"
 
 
-def _check_involution_rep(rng, reference):
+def _check_involution_rep(rng):
     worst = 0.0
     for lat in _lattices():
         a = _rand_seq(lat, rng)
@@ -263,7 +261,7 @@ def _check_involution_rep(rng, reference):
     return worst <= 1e-12, f"max rel residual {worst:.2e}"
 
 
-def _check_norm_submult(rng, reference):
+def _check_norm_submult(rng):
     v = Weight.polynomial(1)
     worst = 0.0
     for lat in _lattices()[:4]:
@@ -279,7 +277,7 @@ def _check_norm_submult(rng, reference):
     return worst <= 1.0 + 1e-12, f"max norm ratio {worst:.6f}"
 
 
-def _check_coefficient_recovery(rng, reference):
+def _check_coefficient_recovery(rng):
     worst = 0.0
     for lat in _lattices():
         a = _rand_seq(lat, rng)
@@ -288,7 +286,7 @@ def _check_coefficient_recovery(rng, reference):
     return worst <= 1e-11, f"max recovery error {worst:.2e}"
 
 
-def _check_inversion_support(rng, reference):
+def _check_inversion_support(rng):
     worst = 0.0
     for lat in _lattices():
         a = unit(lat)
@@ -302,7 +300,7 @@ def _check_inversion_support(rng, reference):
     return worst <= 1e-9, f"max inversion residual {worst:.2e}"
 
 
-def _check_trace(rng, reference):
+def _check_trace(rng):
     worst = 0.0
     for lat in _lattices():
         a = _rand_seq(lat, rng)
@@ -311,7 +309,7 @@ def _check_trace(rng, reference):
     return worst <= 1e-12, f"max gap {worst:.2e}"
 
 
-def _check_spectrum(rng, reference):
+def _check_spectrum(rng):
     worst = 0.0
     for lat in _lattices()[:4]:
         a = _rand_seq(lat, rng)
@@ -320,7 +318,7 @@ def _check_spectrum(rng, reference):
     return worst <= 1e-10, f"max |imag eigenvalue| {worst:.2e}"
 
 
-def _check_frame_commutation(rng, reference):
+def _check_frame_commutation(rng):
     worst = 0.0
     for lat in _frame_lattices():
         g = random_signal(lat.n, rng)
@@ -333,33 +331,31 @@ def _check_frame_commutation(rng, reference):
     return worst <= 1e-10, f"max rel residual {worst:.2e}"
 
 
-def _check_janssen(rng, reference):
+def _check_janssen(rng):
     worst = 0.0
     for lat in _lattices():
         g = random_signal(lat.n, rng)
-        S = (frame_operator_direct if reference else frame_operator)(
-            GaborSystem((g,), lat)
-        ).entries
+        S = frame_operator(GaborSystem((g,), lat)).entries
         J = represent(janssen_representation(g, g, lat)).entries
         worst = max(worst, float(np.linalg.norm(S - J) / np.linalg.norm(S)))
     return worst <= 1e-10, f"max rel residual {worst:.2e}"
 
 
-def _check_figa(rng, reference):
+def _check_figa(rng):
     worst = 0.0
     for lat in _lattices():
         for _ in range(10):
             sigs = [random_signal(lat.n, rng) for _ in range(4)]
-            worst = max(worst, figa_check(*sigs, lat, reference=reference))
+            worst = max(worst, figa_check(*sigs, lat))
     return worst <= 1e-10, f"max residual {worst:.2e}"
 
 
-def _check_dual_reconstruction(rng, reference):
+def _check_dual_reconstruction(rng):
     worst = 0.0
     for lat in _frame_lattices():
         g = random_signal(lat.n, rng)
         sys = GaborSystem((g,), lat)
-        duals = canonical_dual(sys, reference=reference)
+        duals = canonical_dual(sys)
         f = random_signal(lat.n, rng)
         # analyze with the dual, synthesize with the window, and vice versa
         out = reconstruct(f, sys, duals)
@@ -369,17 +365,17 @@ def _check_dual_reconstruction(rng, reference):
     return worst <= 1e-9, f"max rel error {worst:.2e}"
 
 
-def _check_tight_parseval(rng, reference):
+def _check_tight_parseval(rng):
     worst = 0.0
     for lat in _frame_lattices():
         g = random_signal(lat.n, rng)
-        tight = canonical_tight(GaborSystem((g,), lat), reference=reference)
+        tight = canonical_tight(GaborSystem((g,), lat))
         S = frame_operator(GaborSystem(tuple(tight), lat)).entries
         worst = max(worst, float(np.linalg.norm(S - np.eye(lat.n))))
     return worst <= 1e-9, f"max Parseval residual {worst:.2e}"
 
 
-def _check_tight_span(rng, reference):
+def _check_tight_span(rng):
     worst = 0.0
     for lat in _frame_lattices():
         adj = adjoint_lattice(lat)
@@ -390,7 +386,7 @@ def _check_tight_span(rng, reference):
     return worst <= 1e-9, f"max span residual {worst:.2e}"
 
 
-def _check_nonframe_rejection(rng, reference):
+def _check_nonframe_rejection(rng):
     lat = lattice_from_generators(8, [(4, 0), (0, 4)])
     g = random_signal(8, rng)
     sys = GaborSystem((g,), lat)
@@ -403,7 +399,7 @@ def _check_nonframe_rejection(rng, reference):
     return False, "canonical_dual did not reject a non-frame"
 
 
-def _check_left_positivity(rng, reference):
+def _check_left_positivity(rng):
     worst = 0.0
     for lat in _lattices():
         f = random_signal(lat.n, rng)
@@ -412,7 +408,7 @@ def _check_left_positivity(rng, reference):
     return worst >= -1e-10, f"min eigenvalue {worst:.2e}"
 
 
-def _check_right_positivity(rng, reference):
+def _check_right_positivity(rng):
     worst = 0.0
     for lat in _lattices():
         f = random_signal(lat.n, rng)
@@ -425,7 +421,7 @@ def _check_right_positivity(rng, reference):
     return worst >= -1e-10, f"min eigenvalue {worst:.2e}"
 
 
-def _check_module_involution(rng, reference):
+def _check_module_involution(rng):
     worst = 0.0
     for lat in _lattices():
         f, g = random_signal(lat.n, rng), random_signal(lat.n, rng)
@@ -436,7 +432,7 @@ def _check_module_involution(rng, reference):
     return worst <= 1e-12 * 100, f"max coefficient gap {worst:.2e}"
 
 
-def _check_left_compatibility(rng, reference):
+def _check_left_compatibility(rng):
     worst = 0.0
     for lat in _lattices():
         a = _rand_seq(lat, rng)
@@ -447,7 +443,7 @@ def _check_left_compatibility(rng, reference):
     return worst <= 1e-10 * 100, f"max l1 gap {worst:.2e}"
 
 
-def _check_right_compatibility(rng, reference):
+def _check_right_compatibility(rng):
     worst = 0.0
     for lat in _lattices():
         a = _rand_seq(lat, rng)
@@ -458,7 +454,7 @@ def _check_right_compatibility(rng, reference):
     return worst <= 1e-10 * 100, f"max coefficient gap {worst:.2e}"
 
 
-def _check_associativity(rng, reference):
+def _check_associativity(rng):
     worst = 0.0
     for lat in _lattices():
         for _ in range(8):
@@ -467,7 +463,7 @@ def _check_associativity(rng, reference):
     return worst <= 1e-10, f"max residual {worst:.2e}"
 
 
-def _check_adjointness(rng, reference):
+def _check_adjointness(rng):
     worst = 0.0
     for lat in _lattices():
         a = _rand_seq(lat, rng)
@@ -478,7 +474,7 @@ def _check_adjointness(rng, reference):
     return worst <= 1e-10, f"max rel residual {worst:.2e}"
 
 
-def _check_module_vs_multiwindow(rng, reference):
+def _check_module_vs_multiwindow(rng):
     for lat in _lattices():
         need = max(1, int(np.ceil(float(volume(lat)))))
         for count in (need, need + 1):
@@ -490,7 +486,7 @@ def _check_module_vs_multiwindow(rng, reference):
     return True, "verdicts agree on the whole matrix"
 
 
-def _check_trace_bridge(rng, reference):
+def _check_trace_bridge(rng):
     worst = 0.0
     for lat in _frame_lattices():
         ws = [random_signal(lat.n, rng)]
@@ -501,7 +497,7 @@ def _check_trace_bridge(rng, reference):
     return worst <= 1e-10, f"max residual {worst:.2e}"
 
 
-def _check_min_windows(rng, reference):
+def _check_min_windows(rng):
     lat_half = lattice_from_generators(8, [(2, 0), (0, 2)])
     res_half = min_windows(lat_half, trials=20, seed=int(rng.integers(2**31)))
     lat_two = lattice_from_generators(8, [(4, 0), (0, 4)])
@@ -513,7 +509,7 @@ def _check_min_windows(rng, reference):
     return ok, f"vol 1/2 -> {res_half.achieved}, vol 2 -> {res_two.achieved}"
 
 
-def _check_moyal_modnorm(rng, reference):
+def _check_moyal_modnorm(rng):
     worst = 0.0
     for n in (6, 12):
         f, g = random_signal(n, rng), random_signal(n, rng)
@@ -523,7 +519,7 @@ def _check_moyal_modnorm(rng, reference):
     return worst <= 1e-10, f"max rel gap {worst:.2e}"
 
 
-def _check_modnorm_axioms(rng, reference):
+def _check_modnorm_axioms(rng):
     worst = 0.0
     n = 10
     g = random_signal(n, rng)
@@ -540,7 +536,7 @@ def _check_modnorm_axioms(rng, reference):
     return worst <= 1e-10, f"max homogeneity gap {worst:.2e}"
 
 
-def _check_modnorm_covariance(rng, reference):
+def _check_modnorm_covariance(rng):
     worst = 0.0
     n = 12
     g = random_signal(n, rng)
@@ -554,7 +550,7 @@ def _check_modnorm_covariance(rng, reference):
     return worst <= 1.0 + 1e-10, f"max shifted/bound ratio {worst:.6f}"
 
 
-def _check_feichtinger_monotone(rng, reference):
+def _check_feichtinger_monotone(rng):
     n = 10
     g = random_signal(n, rng)
     v = Weight.polynomial(1)
@@ -566,7 +562,7 @@ def _check_feichtinger_monotone(rng, reference):
     return True, "norm grows with the weight power"
 
 
-def _check_serialization(rng, reference):
+def _check_serialization(rng):
     n = 6
     f = random_signal(n, rng)
     if serialize.signal_from_dict(serialize.signal_to_dict(f)).values.tolist() != f.values.tolist():
@@ -629,20 +625,14 @@ CHECKS = (
 )
 
 
-def run_selftest(seed: int = 0, reference: bool = False, threads: int = 1) -> list[CheckResult]:
+def run_selftest(seed: int = 0) -> list[CheckResult]:
     """Run every invariant check; deterministic for a fixed seed."""
-
-    def run_one(item):
-        index, (name, fn) = item
+    results = []
+    for index, (name, fn) in enumerate(CHECKS):
         rng = np.random.default_rng(seed + 1000 * index)
         try:
-            passed, detail = fn(rng, reference)
+            passed, detail = fn(rng)
         except Exception as exc:  # a crash is a failure, not an abort
-            return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
-        return CheckResult(name, bool(passed), detail)
-
-    items = list(enumerate(CHECKS))
-    if threads > 1 and not reference:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_one, items))
-    return [run_one(item) for item in items]
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, bool(passed), detail))
+    return results

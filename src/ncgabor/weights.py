@@ -30,7 +30,6 @@ __all__ = [
     "GrsReport",
     "SubmultiplicativityReport",
     "ModerateReport",
-    "weight_eval",
     "check_submultiplicative",
     "grs_probe",
     "check_moderate",
@@ -136,11 +135,6 @@ class Weight:
 
     def __call__(self, p) -> float:
         return math.exp(self.log_eval(p))
-
-
-def weight_eval(v: Weight, p) -> float:
-    """Evaluate the weight at an integer pair; always >= 1 for valid weights."""
-    return v(p)
 
 
 @dataclass(frozen=True)

@@ -233,3 +233,32 @@ def test_figa_rejects_no_trials(capsys, trials):
     assert out == ""
     assert err.startswith("error:") and "--trials" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_modnorm_weight_overflow_exits_three(capsys, rng, tmp_path):
+    path = tmp_path / "signal.json"
+    path.write_text(json.dumps(signal_to_dict(random_signal(16, rng))))
+    code, out, err = run(
+        capsys,
+        "modnorm", "--signal", str(path), "--window", str(path),
+        "--weight", '{"family":"exponential","b":1000}', "--s", "1",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--n", "4", "--gens", "(1,0)", "--window", delta_json(4), "--reference"],
+        ["selftest", "--threads", "2"],
+    ],
+    ids=["reference", "threads"],
+)
+def test_removed_options_rejected_by_argparse(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

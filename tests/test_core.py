@@ -14,11 +14,10 @@ from ncgabor import (
     random_signal,
     shift_matrix,
     stft,
-    stft_direct,
     symplectic_bicharacter,
     tf_shift,
 )
-from ncgabor.core import stft_sample
+from oracles import stft_direct, stft_sample
 
 
 def test_shift_of_delta_is_translation():
@@ -170,7 +169,7 @@ def test_moyal_identity(rng):
 def test_stft_fast_agrees_with_direct(rng):
     for n in (2, 5, 8, 13):
         f, g = random_signal(n, rng), random_signal(n, rng)
-        fast, direct = stft(f, g).values, stft_direct(f, g).values
+        fast, direct = stft(f, g).values, stft_direct(f, g)
         scale = max(1.0, np.abs(direct).max())
         assert np.abs(fast - direct).max() <= 1e-12 * scale
 
@@ -181,7 +180,7 @@ def test_stft_matches_pointwise_samples(rng):
     arr = stft(f, g).values
     for k in range(n):
         for l in range(n):
-            assert abs(arr[k, l] - stft_sample(f, g, TFPoint(n, k, l))) < 1e-12
+            assert abs(arr[k, l] - stft_sample(f, g, k, l)) < 1e-12
 
 
 def test_stft_covariance_magnitudes(rng):
@@ -201,6 +200,14 @@ def test_signal_validation():
         Signal(3, np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         Signal(2, np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError):
+        Signal(2, np.array([0.0, 1j * np.inf]))
+
+
+def test_signal_from_a_strided_view():
+    # the columns of a solve or matmul result are strided views
+    cols = np.arange(8, dtype=complex).reshape(4, 2)
+    assert Signal(4, cols[:, 1]).values.tolist() == [1, 3, 5, 7]
 
 
 def test_tfpoint_reduction_and_lift():

@@ -18,6 +18,7 @@ from ncgabor import (
     volume,
 )
 from ncgabor.algebra import _conv_tables, _involution_tables
+from oracles import oracle_cases
 
 
 def brute_force_closure(n, gens):
@@ -217,23 +218,6 @@ def involution_tables_oracle(lat):
     arr = np.array(pts, dtype=np.int64)
     diag = np.exp(-2j * np.pi * ((arr[:, 0] * arr[:, 1]) % n) / n)
     return neg, diag
-
-
-SHEARED = (
-    (48, [(4, 1), (0, 12)]),
-    (48, [(6, 5)]),
-    (48, [(8, 2), (12, 30), (0, 16)]),
-    (96, [(8, 3), (0, 6)]),
-    (96, [(3, 5)]),
-    (96, [(12, 7), (0, 48)]),
-)
-
-
-def oracle_cases():
-    for n in (4, 6, 8, 9, 12):
-        yield from enumerate_subgroups(n)
-    for n, gens in SHEARED:
-        yield lattice_from_generators(n, gens)
 
 
 def _pairs(points):
