@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DimensionMismatch, TFPoint
+from .core import DimensionMismatch, TFPoint, _frozen
 from .lattice import Lattice
 from .weights import Weight
 
@@ -61,14 +61,13 @@ class CoeffSeq:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.coeffs, dtype=complex)
+        vals = _frozen(self.coeffs)
         if vals.shape != (self.lattice.size,):
             raise ValueError(
                 f"expected {self.lattice.size} coefficients, got shape {vals.shape}"
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("coefficients contain non-finite entries")
-        vals.setflags(write=False)
         object.__setattr__(self, "coeffs", vals)
 
     def __getitem__(self, p: TFPoint) -> complex:
@@ -84,10 +83,9 @@ class OperatorMatrix:
     is_hermitian: bool = False
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.entries, dtype=complex)
+        mat = _frozen(self.entries)
         if mat.shape != (self.n, self.n):
             raise ValueError(f"expected shape ({self.n}, {self.n}), got {mat.shape}")
-        mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
         scale = np.linalg.norm(mat)
         herm = np.linalg.norm(mat - mat.conj().T) <= HERMITIAN_TOL * max(scale, 1e-300)
@@ -161,24 +159,31 @@ def weighted_norm(a: CoeffSeq, v: Weight, s: float) -> float:
     return float(sum(abs(c) * vs(p) for c, p in zip(a.coeffs, lifts)))
 
 
-def _band_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the diagonal bands: mat[_band_index(n)][k, t] = mat[t, (t - k) mod N]."""
-    t = np.arange(n)
-    return t[None, :], (t[None, :] - t[:, None]) % n
+def _bands(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the diagonal bands at the lattice's time shifts k_i = i*a.
+
+    mat[_bands(lat)][i, t] = mat[t, (t - k_i) mod N]; a point (k, l) of the
+    lattice sits in row k // a.
+    """
+    t = np.arange(lat.n)
+    ks = np.arange(0, lat.n, lat.basis[0])
+    return t[None, :], (t[None, :] - ks[:, None]) % lat.n
 
 
 def represent(a: CoeffSeq) -> OperatorMatrix:
     """Assemble the matrix sum of shift matrices weighted by the coefficients.
 
     The band mat[t, (t - k) mod N] of pi(k, l) carries exp(2*pi*i*l*t/N), so
-    each band of the sum is an inverse FFT along l of the coefficients at k.
+    each band of the sum is an inverse FFT along l of the coefficients at k,
+    one per time shift of the lattice; the other bands are zero.
     """
-    n = a.lattice.n
-    pts = a.lattice.as_array()
-    mat = np.empty((n, n), dtype=complex)  # before the temporaries, so they free from the heap top
-    grid = np.zeros((n, n), dtype=complex)
-    grid[pts[:, 0], pts[:, 1]] = a.coeffs
-    mat[_band_index(n)] = np.fft.ifft(grid, axis=1) * n
+    lat = a.lattice
+    n, pts = lat.n, lat.as_array()
+    mat = np.zeros((n, n), dtype=complex)  # before the temporaries, so they free from the heap top
+    grid = np.zeros((n // lat.basis[0], n), dtype=complex)
+    grid[pts[:, 0] // lat.basis[0], pts[:, 1]] = a.coeffs
+    mat[_bands(lat)] = np.fft.ifft(grid, axis=1) * n
+    mat.setflags(write=False)  # handed over: OperatorMatrix shares it rather than copying
     return OperatorMatrix(n, mat)
 
 
@@ -200,8 +205,8 @@ def coefficients_of(A, lat: Lattice) -> tuple[CoeffSeq, float]:
     if mat.shape != (n, n):
         raise DimensionMismatch(f"matrix shape {mat.shape} does not match order {n}")
     pts = lat.as_array()
-    grid = np.fft.fft(mat[_band_index(n)], axis=1) / n
-    seq = CoeffSeq(lat, grid[pts[:, 0], pts[:, 1]])
+    grid = np.fft.fft(mat[_bands(lat)], axis=1) / n
+    seq = CoeffSeq(lat, grid[pts[:, 0] // lat.basis[0], pts[:, 1]])
     residual = float(np.linalg.norm(mat - represent(seq).entries))
     return seq, residual
 

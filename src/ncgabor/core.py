@@ -53,6 +53,19 @@ def _check_same_n(*ns: int) -> int:
     return first
 
 
+def _frozen(values) -> np.ndarray:
+    """values as a read-only complex array, never freezing the caller's own.
+
+    A writable complex array is the caller's and is copied; a read-only one
+    is shared, and any other input is converted into a fresh array anyway.
+    """
+    arr = np.asarray(values, dtype=complex)
+    if arr is values and arr.flags.writeable:
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class Signal:
     """A complex-valued function on Z_N."""
@@ -63,12 +76,11 @@ class Signal:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"group order must be >= 2, got {self.n}")
-        vals = np.asarray(self.values, dtype=complex)
+        vals = _frozen(self.values)
         if vals.shape != (self.n,):
             raise ValueError(f"expected {self.n} samples, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("signal contains non-finite entries")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     def norm2(self) -> float:
@@ -129,10 +141,9 @@ class PhaseSpaceArray:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=complex)
+        vals = _frozen(self.values)
         if vals.shape != (self.n, self.n):
             raise ValueError(f"expected shape ({self.n}, {self.n}), got {vals.shape}")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
 

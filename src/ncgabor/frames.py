@@ -1,14 +1,31 @@
 """Gabor systems and frame operators on Z_N.
 
 A Gabor system is the family of all lattice shifts of one or more windows.
-Its frame operator is assembled as G G^H, where the columns of G are the
-shifted windows, all built by one call of the shift kernel.  The dual and
-tight windows come from one eigendecomposition of the frame operator, which
-also gives their frame verdict.  The frame operator commutes with every
-lattice shift, which is why it also expands over the adjoint lattice: the
-coefficients of that expansion,  vol^{-1} <h, pi(adjoint point) g>,
-reproduce the operator exactly in this finite model, and the fundamental
-identity below is the two-sided inner-product form of the same fact.
+Every computation here works in the lattice's fibers.  With the normal-form
+basis (a, s), (0, b) of the lattice and m = N/b, the lattice holds every
+modulation by a multiple of b, so the frame operator S links t and t' only
+when t = t' mod m: ordered by t = r + m*q, S is block diagonal, m blocks of
+size b x b,
+
+    block_r[q, q'] = m * sum_i X[i, r + m q] conj(X[i, r + m q']),
+
+where the rows of X are the windows shifted to the lattice's time shifts
+(i a, i s mod b), all built by one call of the shift kernel.  One batched
+matmul builds the blocks in O(N^2 b/a) per window, against O(N^2 |L|) for
+the dense G G^H, which is kept only as a test oracle.  One batched
+eigendecomposition of the blocks (O(N b^2)) gives the frame bounds and
+verdict and applies S^-1 (dual windows) or S^-1/2 (tight windows) to every
+window.  frame_operator scatters the blocks into the N x N matrix.  Analysis
+takes one length-N FFT of f * conj(g(t - i a)) per lattice time shift and
+reads it at that shift's frequencies (O(N^2 log N / a), no N x N STFT).
+Synthesis is one length-m inverse FFT of each time shift's coefficients,
+tiled along t and weighted by X.
+
+The frame operator commutes with every lattice shift, which is why it also
+expands over the adjoint lattice: the coefficients of that expansion,
+vol^{-1} <h, pi(adjoint point) g>, reproduce the operator exactly in this
+finite model, and the fundamental identity below is the two-sided
+inner-product form of the same fact.
 """
 from __future__ import annotations
 
@@ -16,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, Signal, _shifted, stft
+from .core import DimensionMismatch, Signal, _shifted
 from .lattice import Lattice, adjoint_lattice, volume
 from .algebra import CoeffSeq, OperatorMatrix
 
@@ -83,26 +100,47 @@ def _windows(sys: GaborSystem) -> np.ndarray:
     return np.stack([w.values for w in sys.windows])
 
 
-def _system_columns(sys: GaborSystem) -> np.ndarray:
-    """Matrix whose columns are all shifted windows, in canonical order."""
-    return _shifted(sys.lattice.as_array(), _windows(sys)).reshape(-1, sys.n).T
+def _fiber_width(lat: Lattice) -> int:
+    """m = N/b, the number of fibers: t and t' share one when t = t' mod m."""
+    return lat.n // lat.basis[2]
+
+
+def _fibers(lat: Lattice, g: np.ndarray) -> np.ndarray:
+    """Copies of g shifted to the lattice's time shifts (i a, i s mod b), one row each.
+
+    Those are the lattice points with j = 0, every (N/b)-th in canonical
+    order; leading axes of g are further windows.
+    """
+    return _shifted(lat.as_array()[:: _fiber_width(lat)], g)
+
+
+def _frame_blocks(sys: GaborSystem) -> np.ndarray:
+    """The m diagonal blocks (m, b, b) of the frame operator in the order t = r + m*q."""
+    m = _fiber_width(sys.lattice)
+    b = sys.n // m
+    # X[row, t] -> x[r, q, row] with t = r + m*q, contiguous for the batched matmul
+    x = np.ascontiguousarray(_fibers(sys.lattice, _windows(sys)).reshape(-1, b, m).T)
+    return m * (x @ x.conj().transpose(0, 2, 1))
 
 
 def frame_operator(sys: GaborSystem) -> OperatorMatrix:
-    """Hermitian positive semidefinite frame operator, assembled as G G^H."""
-    G = _system_columns(sys)
-    return OperatorMatrix(sys.n, G @ G.conj().T)
+    """Hermitian positive semidefinite frame operator, its fiber blocks scattered into place."""
+    t = np.arange(sys.n).reshape(-1, _fiber_width(sys.lattice)).T  # t[r, q] = r + m*q
+    S = np.zeros((sys.n, sys.n), dtype=complex)
+    S[t[:, :, None], t[:, None, :]] = _frame_blocks(sys)
+    S.setflags(write=False)  # handed over: OperatorMatrix shares it rather than copying
+    return OperatorMatrix(sys.n, S)
 
 
 def _bounds(eigs: np.ndarray) -> FrameBounds:
-    """Frame bounds and verdict from the ascending eigenvalues of the frame operator."""
-    lower, upper = float(eigs[0]), float(eigs[-1])
+    """Frame bounds and verdict from the eigenvalues of every fiber block."""
+    lower, upper = float(eigs.min()), float(eigs.max())
     return FrameBounds(lower, upper, upper > 0 and lower > FRAME_DECISION_TOL * upper)
 
 
 def frame_bounds(sys: GaborSystem) -> FrameBounds:
     """Extreme eigenvalues of the frame operator and the frame verdict."""
-    return _bounds(np.linalg.eigvalsh(frame_operator(sys).entries))
+    return _bounds(np.linalg.eigvalsh(_frame_blocks(sys)))
 
 
 def hermitian_inverse_sqrt(mat: np.ndarray, floor_rel: float = EIGENVALUE_FLOOR_REL) -> np.ndarray:
@@ -120,16 +158,18 @@ def hermitian_inverse_sqrt(mat: np.ndarray, floor_rel: float = EIGENVALUE_FLOOR_
 def _frame_power(sys: GaborSystem, power: float) -> list[Signal]:
     """S^power applied to every window, S the frame operator of the system.
 
-    One eigendecomposition of S gives both the frame verdict and the power.
+    One eigendecomposition of the fiber blocks gives both the frame verdict
+    and the power, applied to each window's fibers block by block.
     """
-    eigs, vecs = np.linalg.eigh(frame_operator(sys).entries)
+    eigs, vecs = np.linalg.eigh(_frame_blocks(sys))
     bounds = _bounds(eigs)
     if not bounds.is_frame:
         del vecs  # the traceback keeps this frame's locals alive as long as the exception
         raise NotAFrame(bounds.lower)
-    # <w_i, v_j> eigs_j^power, conjugating the windows rather than the N x N vecs
-    coeffs = (_windows(sys).conj() @ vecs).conj() * eigs**power
-    return [Signal(sys.n, row) for row in coeffs @ vecs.T]
+    m = _fiber_width(sys.lattice)
+    fibered = _windows(sys).reshape(len(sys.windows), -1, m).T  # [r, q, window]
+    out = vecs @ ((vecs.conj().transpose(0, 2, 1) @ fibered) * eigs[:, :, None] ** power)
+    return [Signal(sys.n, row) for row in out.T.reshape(len(sys.windows), sys.n)]
 
 
 def canonical_dual(sys: GaborSystem) -> list[Signal]:
@@ -142,13 +182,34 @@ def canonical_tight(sys: GaborSystem) -> list[Signal]:
     return _frame_power(sys, -0.5)
 
 
+def _analysis(f: np.ndarray, g: np.ndarray, lat: Lattice) -> np.ndarray:
+    """<f, pi(i a, i s mod b + j b) g> as [..., i, j]; leading axes of g are further windows.
+
+    One length-N FFT of f * conj(g(t - i a)) per time shift of the lattice,
+    read at that shift's frequencies: the same numbers as the STFT's samples.
+    """
+    ks = np.arange(0, lat.n, lat.basis[0])
+    translates = _shifted(np.stack([ks, np.zeros_like(ks)], axis=1), g)
+    spectra = np.fft.fft(f * translates.conj(), axis=-1)
+    freqs = lat.as_array()[:, 1].reshape(len(ks), -1)
+    return spectra[..., np.arange(len(ks))[:, None], freqs]
+
+
+def _synthesis(coeffs: np.ndarray, fibers: np.ndarray) -> np.ndarray:
+    """sum c[..., i, j] pi(i a, i s mod b + j b) g, summed over windows too.
+
+    Row i contributes X[i, t] times a length-m inverse FFT of c[i] at t mod m.
+    """
+    m = coeffs.shape[-1]
+    phases = np.fft.ifft(coeffs, axis=-1).reshape(-1, 1, m) * m
+    return (fibers.reshape(phases.shape[0], -1, m) * phases).sum(axis=0).ravel()
+
+
 def analysis_coefficients(f: Signal, g: Signal, lat: Lattice) -> np.ndarray:
     """Samples <f, pi(lam) g> over the lattice, in canonical order."""
     if f.n != lat.n or g.n != lat.n:
         raise DimensionMismatch("signal length does not match lattice order")
-    table = stft(f, g).values
-    pts = lat.as_array()
-    return table[pts[:, 0], pts[:, 1]]
+    return _analysis(f.values, g.values, lat).ravel()
 
 
 def janssen_representation(g: Signal, h: Signal, lat: Lattice) -> CoeffSeq:
@@ -198,5 +259,5 @@ def reconstruct(f: Signal, sys: GaborSystem, duals: list[Signal]) -> Signal:
         raise ValueError(
             f"{len(duals)} dual windows for {len(sys.windows)} system windows"
         )
-    coeffs = np.concatenate([analysis_coefficients(f, d, sys.lattice) for d in duals])
-    return Signal(sys.n, _system_columns(sys) @ coeffs)
+    coeffs = _analysis(f.values, np.stack([d.values for d in duals]), sys.lattice)
+    return Signal(sys.n, _synthesis(coeffs, _fibers(sys.lattice, _windows(sys))))

@@ -19,6 +19,9 @@ import numpy as np
 from .core import DimensionMismatch, Signal, stft
 from .weights import Weight
 
+# the largest x with exp(x) finite in double precision
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
 __all__ = [
     "ModNormSpec",
     "EquivalenceRatios",
@@ -46,13 +49,13 @@ class ModNormSpec:
 
 
 def _lifted_weight_table(m: Weight, n: int) -> np.ndarray:
-    half = n // 2
-    lift = np.where(np.arange(n) <= half, np.arange(n), np.arange(n) - n)
-    table = np.empty((n, n))
-    for i, k in enumerate(lift):
-        for j, l in enumerate(lift):
-            table[i, j] = m((int(k), int(l)))
-    return table
+    """m at the lifted coordinates of every phase-space point, indexed [k, l]."""
+    lift = np.arange(n)
+    lift[lift > n // 2] -= n
+    logs = m._log_grid(lift[:, None], lift[None, :])
+    if logs.max() > _LOG_FLOAT_MAX:
+        raise OverflowError(f"weight {m.family} exceeds the float range on Z_{n}")
+    return np.exp(logs)
 
 
 def _lp(values: np.ndarray, p: float, axis: int) -> np.ndarray:

@@ -38,6 +38,9 @@ from .algebra import CoeffSeq, OperatorMatrix, _involution_tables, represent, tw
 from .frames import (
     GaborSystem,
     NotAFrame,
+    _fiber_width,
+    _fibers,
+    _synthesis,
     analysis_coefficients,
     canonical_tight,
     frame_bounds,
@@ -85,7 +88,9 @@ def act_left(a: CoeffSeq, g: Signal) -> Signal:
     """Left action: sum a(lam) pi(lam) g, equal to represent(a) applied to g."""
     if g.n != a.lattice.n:
         raise DimensionMismatch("signal length does not match lattice order")
-    return Signal(g.n, a.coeffs @ _shifted(a.lattice.as_array(), g.values))
+    lat = a.lattice
+    coeffs = a.coeffs.reshape(-1, _fiber_width(lat))
+    return Signal(g.n, _synthesis(coeffs, _fibers(lat, g.values)))
 
 
 def _adjoint_volume_scale(b: CoeffSeq) -> float:

@@ -136,6 +136,19 @@ class Weight:
     def __call__(self, p) -> float:
         return math.exp(self.log_eval(p))
 
+    def _log_grid(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """log v at the integer points (x, y), elementwise: log_eval on arrays."""
+        if self.family == "custom":
+            x, y = np.broadcast_arrays(x, y)
+            logs = [self.log_eval(p) for p in zip(x.ravel().tolist(), y.ravel().tolist())]
+            return np.reshape(logs, x.shape)
+        r2 = (x * x + y * y).astype(float)
+        if self.family == "polynomial":
+            return 0.5 * self.s * np.log1p(r2)
+        if self.family == "subexponential":
+            return self.b * r2 ** (self.beta / 2.0)
+        return self.b * np.sqrt(r2)
+
 
 @dataclass(frozen=True)
 class SubmultiplicativityReport:

@@ -32,6 +32,19 @@ def system_columns(sys):
     )
 
 
+def frame_operator(sys):
+    """The dense route: G G^H, the shifted windows as the columns of G."""
+    G = system_columns(sys)
+    return G @ G.conj().T
+
+
+def frame_power(sys, power):
+    """S^power applied to every window (rows), from one eigh of the dense S."""
+    eigs, vecs = np.linalg.eigh(frame_operator(sys))
+    windows = np.stack([w.values for w in sys.windows])
+    return windows @ ((vecs * eigs**power) @ vecs.conj().T).T
+
+
 def frame_operator_direct(sys):
     """Rank-one terms accumulated in canonical order."""
     S = np.zeros((sys.n, sys.n), dtype=complex)

@@ -7,10 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncgabor import (
+    CoeffSeq,
     DimensionMismatch,
+    OperatorMatrix,
+    PhaseSpaceArray,
     Signal,
     TFPoint,
     cocycle,
+    full_lattice,
     random_signal,
     shift_matrix,
     stft,
@@ -208,6 +212,22 @@ def test_signal_from_a_strided_view():
     # the columns of a solve or matmul result are strided views
     cols = np.arange(8, dtype=complex).reshape(4, 2)
     assert Signal(4, cols[:, 1]).values.tolist() == [1, 3, 5, 7]
+
+
+def test_value_types_leave_the_callers_array_writable():
+    # they used to freeze the caller's own complex array in place
+    v = np.zeros(4, dtype=complex)
+    square = np.zeros((2, 2), dtype=complex)
+    stored = (
+        Signal(4, v).values,
+        CoeffSeq(full_lattice(2), v).coeffs,
+        PhaseSpaceArray(2, square).values,
+        OperatorMatrix(2, square).entries,
+    )
+    v[0] = 1
+    square[0, 0] = 1
+    for held in stored:
+        assert not held.any() and not held.flags.writeable
 
 
 def test_tfpoint_reduction_and_lift():

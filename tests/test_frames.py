@@ -342,8 +342,8 @@ def test_signals_of_another_order_rejected(rng):
 )
 def test_design_builds_the_frame_operator_once(monkeypatch, rng, design):
     calls = []
-    build = frames._system_columns
-    monkeypatch.setattr(frames, "_system_columns", lambda sys: calls.append(sys) or build(sys))
+    build = frames._frame_blocks
+    monkeypatch.setattr(frames, "_frame_blocks", lambda sys: calls.append(sys) or build(sys))
     lat = lattice_from_generators(8, [(4, 0), (0, 4)])
     design(GaborSystem((random_signal(8, rng), random_signal(8, rng)), lat))
     assert len(calls) == 1

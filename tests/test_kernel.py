@@ -1,18 +1,28 @@
 """The shift kernel and every shift sum built on it, against the loop oracles.
 
 Runs over every subgroup for N in {4, 6, 8, 9, 12} plus sheared lattices at
-N in {48, 96}, at 1e-12 relative to the largest oracle entry.
+N in {48, 96}, at 1e-12 relative to the largest oracle entry.  The fiber
+routes of the frame computations (block-diagonal frame operator, per-shift
+analysis, tiled synthesis) are checked against the dense G G^H route with
+one and two windows.
 """
 import numpy as np
+import pytest
 
 from ncgabor import (
     CoeffSeq,
     GaborSystem,
+    NotAFrame,
     TFPoint,
     act_left,
     act_right,
     adjoint_lattice,
+    analysis_coefficients,
+    canonical_dual,
+    canonical_tight,
     coefficients_of,
+    frame_bounds,
+    frame_operator,
     random_signal,
     reconstruct,
     represent,
@@ -21,16 +31,16 @@ from ncgabor import (
     tf_shift,
 )
 from ncgabor.core import _shifted
-from ncgabor.frames import _system_columns
+from ncgabor.frames import FRAME_DECISION_TOL
 import oracles
 from oracles import oracle_cases
 
 REL = 1e-12
 
 
-def assert_close(got, expect):
+def assert_close(got, expect, rel=REL):
     assert got.shape == expect.shape
-    assert np.abs(got - expect).max() <= REL * max(1.0, np.abs(expect).max())
+    assert np.abs(got - expect).max() <= rel * max(1.0, np.abs(expect).max())
 
 
 def rand_seq(lat, rng):
@@ -52,13 +62,43 @@ def test_shifted_matches_loop_oracle(rng):
         assert_close(shift_matrix(TFPoint(lat.n, k, l)), oracles.shift_matrix(k, l, lat.n))
 
 
+def systems(lat, rng):
+    for count in (1, 2):
+        yield GaborSystem(tuple(random_signal(lat.n, rng) for _ in range(count)), lat)
+
+
 def test_system_columns_and_reconstruct_match_loop_oracles(rng):
     for lat in oracle_cases():
-        sys = GaborSystem((random_signal(lat.n, rng), random_signal(lat.n, rng)), lat)
-        assert_close(_system_columns(sys), oracles.system_columns(sys))
-        f = random_signal(lat.n, rng)
-        duals = [random_signal(lat.n, rng), random_signal(lat.n, rng)]
-        assert_close(reconstruct(f, sys, duals).values, oracles.reconstruct(f, sys, duals))
+        for sys in systems(lat, rng):
+            assert_close(frame_operator(sys).entries, oracles.frame_operator(sys))
+            f = random_signal(lat.n, rng)
+            duals = [random_signal(lat.n, rng) for _ in sys.windows]
+            assert_close(reconstruct(f, sys, duals).values, oracles.reconstruct(f, sys, duals))
+            assert_close(
+                analysis_coefficients(f, duals[-1], lat),
+                oracles.analysis_coefficients(f, duals[-1], lat),
+            )
+
+
+def test_frame_designs_match_dense_oracle(rng):
+    # bounds, verdict, dual and tight windows from the fiber blocks against one eigh of G G^H;
+    # both routes perturb S^power g by up to eps * (B/A)^|power|, so the window
+    # tolerance scales with the frame's condition number
+    for lat in oracle_cases():
+        for sys in systems(lat, rng):
+            eigs = np.linalg.eigvalsh(oracles.frame_operator(sys))
+            bounds = frame_bounds(sys)
+            assert abs(bounds.lower - eigs[0]) <= REL * eigs[-1]
+            assert abs(bounds.upper - eigs[-1]) <= REL * eigs[-1]
+            assert bounds.is_frame == (eigs[0] > FRAME_DECISION_TOL * eigs[-1])
+            for design, power in ((canonical_dual, -1.0), (canonical_tight, -0.5)):
+                if not bounds.is_frame:
+                    with pytest.raises(NotAFrame):
+                        design(sys)
+                    continue
+                got = np.stack([w.values for w in design(sys)])
+                cond = (bounds.upper / bounds.lower) ** -power
+                assert_close(got, oracles.frame_power(sys, power), REL * cond)
 
 
 def test_module_actions_match_loop_oracles(rng):

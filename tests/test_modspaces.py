@@ -16,6 +16,7 @@ from ncgabor import (
     tf_shift,
     window_equivalence_ratio,
 )
+from ncgabor.modspaces import _lifted_weight_table
 from conftest import SEEDS
 
 
@@ -56,6 +57,24 @@ def test_matches_oracle_all_exponent_shapes(rng):
     for p, q in ((1.0, 1.0), (2.0, 1.0), (1.0, math.inf), (math.inf, 2.0), (math.inf, math.inf)):
         got = mod_norm(f, ModNormSpec(p, q, m, g))
         assert got == pytest.approx(mixed_norm_oracle(f, g, p, q, m), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [7, 16])
+def test_weight_table_matches_pointwise_weights(n):
+    table = {(x, y): 1.0 + x * x + 2 * y * y for x in range(-8, 9) for y in range(-8, 9)}
+    weights = (
+        Weight.one(),
+        Weight.polynomial(2.5),
+        Weight.subexponential(0.5, 0.5),
+        Weight.exponential(0.3),
+        Weight.custom(table),
+        Weight.custom(table).power(1.5),
+    )
+    lift = [t if t <= n // 2 else t - n for t in range(n)]
+    for m in weights:
+        expect = np.array([[m((k, l)) for l in lift] for k in lift])
+        # numpy's and math's exp/log1p may differ in the last few ulp
+        np.testing.assert_allclose(_lifted_weight_table(m, n), expect, rtol=1e-13, atol=0)
 
 
 def test_zero_window_rejected():
