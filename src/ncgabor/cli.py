@@ -29,7 +29,6 @@ from .frames import (
 from .lattice import adjoint_lattice, lattice_from_generators, volume
 from .modspaces import ModNormSpec, mod_norm
 from .module import module_frame_check, tight_multiwindow
-from .selftest import run_selftest
 from .weights import Weight, grs_probe
 
 VALIDATION_ERROR = 2
@@ -215,17 +214,21 @@ def _cmd_grs(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest  # only this verb needs the registry
+
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     results = run_selftest(seed=args.seed)
     width = max(len(r.name) for r in results)
-    failed = 0
-    lines = []
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        failed += not r.passed
-        lines.append(f"{r.name:<{width}}  {status}  {r.detail}")
-    lines.append(f"{len(results) - failed}/{len(results)} checks passed")
+    lines = [
+        f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  "
+        + (f"raised {r.error}" if r.error else f"residual {r.residual:.2e}  tol {r.tol:g}")
+        for r in results
+    ]
+    passed = sum(r.passed for r in results)
+    lines.append(f"{passed}/{len(results)} checks passed")
     _emit(args, "\n".join(lines))
-    return 0 if failed == 0 else NUMERICAL_ERROR
+    return 0 if passed == len(results) else NUMERICAL_ERROR
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,14 +1,19 @@
-"""Built-in invariant suite behind the CLI selftest verb.
+"""The invariant registry behind `ncgabor selftest` and `tests/test_invariants.py`.
 
-Each check exercises one structural identity of the toolkit on a small test
-matrix of group orders and lattices, and reports a pass/fail verdict with the
-worst observed residual.  Checks draw their randomness from a seed offset by
-their position, so results are reproducible for a fixed seed.
+Each entry of REGISTRY is (name, tolerance, fn): fn(rng) returns one residual
+and the entry passes when residual <= tolerance (`CheckResult.passed`).
+Boolean checks return a failure count and use tolerance 0.  Randomized
+entries run over LATTICE_MATRIX on complex standard-normal (unnormalized)
+signals and coefficients; an entry whose residual is normalized in a way
+its code does not make plain says so in its docstring.  The rng of an entry
+is seeded from (seed, crc32 of its name), so adding, removing or reordering
+entries leaves every other entry's inputs and residual unchanged.
 """
 from __future__ import annotations
 
+import math
+import zlib
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -62,7 +67,7 @@ from .frames import (
 )
 from .module import (
     act_left,
-    associativity_residual,
+    act_right,
     inner_left,
     inner_right,
     min_windows,
@@ -73,33 +78,64 @@ from .module import (
 )
 from .modspaces import ModNormSpec, feichtinger_norm, mod_norm
 
-__all__ = ["CheckResult", "run_selftest", "TEST_LATTICES"]
+__all__ = ["CheckResult", "LATTICE_MATRIX", "REGISTRY", "run_check", "run_selftest"]
 
-# (N, generators): the lattice matrix every randomized invariant runs over.
-TEST_LATTICES = (
+# (N, generators) pairs covering separable, non-separable, self-dual,
+# undersampled and oversampled lattices up to N = 24.
+LATTICE_MATRIX = (
     (6, ((2, 0), (0, 2))),
     (6, ((1, 1),)),
     (8, ((2, 0), (0, 2))),
     (8, ((4, 0), (0, 2))),
+    (8, ((4, 0), (0, 4))),
     (12, ((2, 0), (0, 3))),
     (12, ((3, 0), (0, 4))),
     (12, ((2, 1), (0, 6))),
+    (16, ((2, 0), (0, 4))),
+    (24, ((4, 0), (0, 6))),
 )
+
+# Lattices outside the matrix on which the adjoint-lattice expansion also runs.
+_JANSSEN_EXTRA = ((8, ((1, 1),)), (16, ((4, 0), (0, 4))), (16, ((2, 1), (0, 8))))
+
+# Draws per lattice of the module-axiom entries, and per lattice or setting of
+# the fundamental-identity, inversion, window-count and modulation-norm entries.
+_MODULE_TRIALS = 50
+_TRIALS = 100
 
 
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
-    detail: str
+    tol: float
+    residual: float
+    error: str | None = None  # "<exception type>: <message>" when the check raised
+
+    @property
+    def passed(self) -> bool:
+        return self.error is None and self.residual <= self.tol
 
 
-def _lattices():
-    return [lattice_from_generators(n, gens) for n, gens in TEST_LATTICES]
+def _lattices(pairs=LATTICE_MATRIX):
+    return [lattice_from_generators(n, gens) for n, gens in pairs]
 
 
 def _frame_lattices():
     return [lat for lat in _lattices() if volume(lat) <= 1]
+
+
+def _rand_seq(lat, rng) -> CoeffSeq:
+    return CoeffSeq(lat, rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size))
+
+
+def _module_draws(rng, signals: int, seq: bool = False):
+    """_MODULE_TRIALS draws per matrix lattice of (lat, a, f, ...): complex
+    standard-normal coefficients a (None unless seq) and `signals`
+    unnormalized random signals."""
+    for lat in _lattices():
+        for _ in range(_MODULE_TRIALS):
+            a = _rand_seq(lat, rng) if seq else None
+            yield lat, a, *(random_signal(lat.n, rng) for _ in range(signals))
 
 
 def _check_norm_preservation(rng):
@@ -109,40 +145,38 @@ def _check_norm_preservation(rng):
         for _ in range(8):
             p = TFPoint(n, int(rng.integers(n)), int(rng.integers(n)))
             worst = max(worst, abs(tf_shift(p, f).norm2() - f.norm2()) / f.norm2())
-    return worst <= 1e-12, f"max rel norm drift {worst:.2e}"
+    return worst
 
 
-def _check_composition(rng):
+def _check_composition_commutation(rng):
+    """Max abs entry gap of pi(lam) pi(mu) against cocycle(lam, mu) pi(lam + mu)
+    and against c_symp(lam, mu) pi(mu) pi(lam), exhaustive over Z_N^2 x Z_N^2
+    for N = 2..8."""
     worst = 0.0
-    for n in (2, 3, 4, 6):
-        for lam, mu in product(product(range(n), repeat=2), repeat=2):
-            a, b = TFPoint(n, *lam), TFPoint(n, *mu)
-            lhs = shift_matrix(a) @ shift_matrix(b)
-            rhs = cocycle(a, b) * shift_matrix(a + b)
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst <= 1e-12, f"max residual {worst:.2e}"
-
-
-def _check_commutation(rng):
-    worst = 0.0
-    for n in (2, 3, 4, 6):
-        for lam, mu in product(product(range(n), repeat=2), repeat=2):
-            a, b = TFPoint(n, *lam), TFPoint(n, *mu)
-            lhs = shift_matrix(a) @ shift_matrix(b)
-            rhs = symplectic_bicharacter(a, b) * (shift_matrix(b) @ shift_matrix(a))
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst <= 1e-12, f"max residual {worst:.2e}"
+    for n in range(2, 9):
+        points = [TFPoint(n, k, l) for k in range(n) for l in range(n)]
+        mats = np.array([shift_matrix(p) for p in points])
+        prods = np.einsum("aij,bjk->abik", mats, mats)  # prods[i, j] = mats[i] @ mats[j]
+        k, l = np.divmod(np.arange(n * n), n)  # points[i] = (k[i], l[i])
+        index = (k[:, None] + k) % n * n + (l[:, None] + l) % n  # of points[i] + points[j]
+        coc = np.array([[cocycle(lam, mu) for mu in points] for lam in points])
+        symp = np.array([[symplectic_bicharacter(lam, mu) for mu in points] for lam in points])
+        comp = np.abs(prods - coc[..., None, None] * mats[index]).max()
+        comm = np.abs(prods - symp[..., None, None] * prods.transpose(1, 0, 2, 3)).max()
+        worst = max(worst, float(comp), float(comm))
+    return worst
 
 
 def _check_adjoint_rule(rng):
     worst = 0.0
     for n in (4, 6, 9):
-        for lam in product(range(n), repeat=2):
-            p = TFPoint(n, *lam)
-            lhs = shift_matrix(p).conj().T
-            rhs = cocycle(p, p) * shift_matrix(-p)
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst <= 1e-12, f"max residual {worst:.2e}"
+        for k in range(n):
+            for l in range(n):
+                p = TFPoint(n, k, l)
+                lhs = shift_matrix(p).conj().T
+                rhs = cocycle(p, p) * shift_matrix(-p)
+                worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
 
 
 def _check_stft_agreement(rng):
@@ -154,7 +188,7 @@ def _check_stft_agreement(rng):
         kernel = np.exp(-2j * np.pi * np.outer(t, t) / n)  # kernel[l, t]
         direct = np.array([kernel @ (f.values * np.conj(np.roll(g.values, k))) for k in t])
         worst = max(worst, float(np.abs(stft(f, g).values - direct).max()))
-    return worst <= 1e-12 * 100, f"max abs gap {worst:.2e}"
+    return worst
 
 
 def _check_moyal(rng):
@@ -164,7 +198,7 @@ def _check_moyal(rng):
         total = float(np.sum(np.abs(stft(f, g).values) ** 2))
         expect = n * f.norm2() ** 2 * g.norm2() ** 2
         worst = max(worst, abs(total - expect) / expect)
-    return worst <= 1e-10, f"max rel gap {worst:.2e}"
+    return worst
 
 
 def _check_stft_covariance(rng):
@@ -176,17 +210,30 @@ def _check_stft_covariance(rng):
         base = np.abs(stft(f, g).values)
         rolled = np.roll(np.roll(base, mu.k, axis=0), mu.l, axis=1)
         worst = max(worst, float(np.abs(shifted - rolled).max()))
-    return worst <= 1e-10, f"max abs gap {worst:.2e}"
+    return worst
+
+
+def _commutant_by_scan(lat):
+    """Oracle: the points of Z_N^2, in lexicographic order, whose numerically
+    evaluated commutation factor with every point of the lattice is 1."""
+    n = lat.n
+    grid = np.indices((n, n)).reshape(2, -1).T
+    pts = lat.as_array()
+    exponent = (np.outer(grid[:, 1], pts[:, 0]) - np.outer(grid[:, 0], pts[:, 1])) % n
+    keep = np.all(np.abs(np.exp(2j * np.pi * exponent / n) - 1.0) < 1e-12, axis=1)
+    return grid[keep].tolist()
 
 
 def _check_adjoint_duality(rng):
-    for lat in _lattices() + enumerate_subgroups(6):
+    """Failures of |L| |L°| = N^2, L°° = L and L° = commutant, on the matrix
+    and on every subgroup of N in (4, 6, 8, 12)."""
+    failures = 0
+    for lat in _lattices() + [s for n in (4, 6, 8, 12) for s in enumerate_subgroups(n)]:
         adj = adjoint_lattice(lat)
-        if len(lat.points) * len(adj.points) != lat.n**2:
-            return False, f"pairing broke on N={lat.n}"
-        if adjoint_lattice(adj).points != lat.points:
-            return False, f"double adjoint broke on N={lat.n}"
-    return True, "pairing and duality exact on the test matrix"
+        failures += lat.size * adj.size != lat.n**2
+        failures += adjoint_lattice(adj).points != lat.points
+        failures += adj.as_array().tolist() != _commutant_by_scan(lat)
+    return failures
 
 
 def _check_adjoint_commutation(rng):
@@ -194,52 +241,67 @@ def _check_adjoint_commutation(rng):
     for lat in _lattices():
         adj = adjoint_lattice(lat)
         for _ in range(6):
-            p = lat.points[int(rng.integers(lat.size))]
-            q = adj.points[int(rng.integers(adj.size))]
-            A, B = shift_matrix(p), shift_matrix(q)
+            A = shift_matrix(lat.points[int(rng.integers(lat.size))])
+            B = shift_matrix(adj.points[int(rng.integers(adj.size))])
             worst = max(worst, float(np.abs(A @ B - B @ A).max()))
-    return worst <= 1e-12, f"max residual {worst:.2e}"
+    return worst
 
 
-def _check_weight_axioms(rng):
-    families = [Weight.polynomial(2), Weight.subexponential(1.0, 0.5), Weight.exponential(1.0)]
-    for v in families:
+_FAMILIES = (Weight.polynomial(2), Weight.subexponential(1.0, 0.5), Weight.exponential(1.0))
+
+
+def _check_weight_symmetry(rng):
+    """Failures of v(-p) = v(p) and v(p) >= 1 at 50 points per family."""
+    failures = 0
+    for v in _FAMILIES:
         for _ in range(50):
             p = tuple(int(x) for x in rng.integers(-40, 41, size=2))
-            if v((-p[0], -p[1])) != v(p) or v(p) < 1.0:
-                return False, f"symmetry/normalization broke for {v.family} at {p}"
-    s = 3.0
+            failures += v((-p[0], -p[1])) != v(p) or v(p) < 1.0
+    return failures
+
+
+def _check_weight_power(rng):
+    """Relative gap of (1 + |p|)^3 against ((1 + |p|)^1)^3."""
+    worst = 0.0
     for _ in range(20):
         p = tuple(int(x) for x in rng.integers(-40, 41, size=2))
-        lhs = Weight.polynomial(s)(p)
-        rhs = Weight.polynomial(1.0)(p) ** s
-        if abs(lhs - rhs) > 1e-12 * rhs:
-            return False, f"power composition broke at {p}"
-    return True, "symmetry, normalization and power composition hold"
+        rhs = Weight.polynomial(1.0)(p) ** 3
+        worst = max(worst, abs(Weight.polynomial(3.0)(p) - rhs) / rhs)
+    return worst
 
 
 def _check_submultiplicative(rng):
-    for v in (Weight.polynomial(2), Weight.subexponential(1.0, 0.5), Weight.exponential(1.0)):
-        report = check_submultiplicative(v, 400, seed=int(rng.integers(2**31)))
-        if not report.passed:
-            return False, f"{v.family} ratio {report.max_violation:.3e}"
-    return True, "all built-in families pass"
+    """Largest sampled v(p + q) / (v(p) v(q)), minus 1."""
+    reports = [check_submultiplicative(v, 400, seed=int(rng.integers(2**31))) for v in _FAMILIES]
+    return max(r.max_violation for r in reports) - 1.0
+
+
+_GRS_PROBES = (
+    (1, 0), (0, 1), (1, 1), (2, 1), (3, 0), (0, 3), (2, 2),
+    (3, 4), (-1, 2), (5, 0), (0, 2), (3, 1), (-2, 5),
+)
 
 
 def _check_grs(rng):
-    probes = [(1, 0), (0, 2), (3, 1), (-2, 5)]
-    for p in probes:
-        if grs_probe(Weight.polynomial(2), p, 4096).verdict != GRS_CONSISTENT:
-            return False, f"polynomial misclassified at {p}"
-        if grs_probe(Weight.subexponential(1.0, 0.5), p, 4096).verdict != GRS_CONSISTENT:
-            return False, f"subexponential misclassified at {p}"
-        if grs_probe(Weight.exponential(1.0), p, 4096).verdict != GRS_VIOLATES:
-            return False, f"exponential misclassified at {p}"
-    return True, "families classify as expected on all probes"
+    """Misclassified (family, probe) pairs: polynomial and subexponential
+    weights are GRS-consistent, the exponential weight violates GRS."""
+    expected = ((Weight.polynomial(2), GRS_CONSISTENT),
+                (Weight.subexponential(1.0, 0.5), GRS_CONSISTENT),
+                (Weight.exponential(1.0), GRS_VIOLATES))
+    return sum(
+        grs_probe(v, p, 4096).verdict != verdict for p in _GRS_PROBES for v, verdict in expected
+    )
 
 
-def _rand_seq(lat, rng) -> CoeffSeq:
-    return CoeffSeq(lat, rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size))
+def _check_grs_samples(rng):
+    """Relative gap of the exponential weight's ray samples v(n p)^(1/n)
+    against the analytic value exp(|p|)."""
+    worst = 0.0
+    for p in _GRS_PROBES:
+        analytic = math.exp(math.hypot(*p))
+        for _, val in grs_probe(Weight.exponential(1.0), p, 4096).samples:
+            worst = max(worst, abs(val - analytic) / analytic)
+    return worst
 
 
 def _check_homomorphism(rng):
@@ -249,32 +311,33 @@ def _check_homomorphism(rng):
         lhs = represent(twisted_conv(a, b)).entries
         rhs = represent(a).entries @ represent(b).entries
         worst = max(worst, float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)))
-    return worst <= 1e-11, f"max rel residual {worst:.2e}"
+    return worst
 
 
 def _check_involution_rep(rng):
+    """Frobenius gap relative to ||a||_2, the coefficient norm (sqrt(N) times
+    stricter than relative to ||represent(a)||_F)."""
     worst = 0.0
     for lat in _lattices():
         a = _rand_seq(lat, rng)
         gap = np.linalg.norm(represent(involution(a)).entries - represent(a).entries.conj().T)
         worst = max(worst, float(gap / np.linalg.norm(a.coeffs)))
-    return worst <= 1e-12, f"max rel residual {worst:.2e}"
+    return worst
 
 
 def _check_norm_submult(rng):
+    """max(||a # b|| / (||a|| ||b||) - 1 over the v^s-weighted norms, s = 0, 1, 2,
+    and the relative gap between the v-weighted norms of a* and a)."""
     v = Weight.polynomial(1)
-    worst = 0.0
-    for lat in _lattices()[:4]:
+    worst = -1.0
+    for lat in _lattices():
         a, b = _rand_seq(lat, rng), _rand_seq(lat, rng)
         for s in (0.0, 1.0, 2.0):
-            lhs = weighted_norm(twisted_conv(a, b), v, s)
-            rhs = weighted_norm(a, v, s) * weighted_norm(b, v, s)
-            worst = max(worst, lhs / rhs)
-        if weighted_norm(involution(a), v, 1.0) != weighted_norm(a, v, 1.0):
-            gap = abs(weighted_norm(involution(a), v, 1.0) - weighted_norm(a, v, 1.0))
-            if gap > 1e-12 * weighted_norm(a, v, 1.0):
-                return False, f"involution not isometric (gap {gap:.2e})"
-    return worst <= 1.0 + 1e-12, f"max norm ratio {worst:.6f}"
+            product = weighted_norm(a, v, s) * weighted_norm(b, v, s)
+            worst = max(worst, weighted_norm(twisted_conv(a, b), v, s) / product - 1.0)
+        norm = weighted_norm(a, v, 1.0)
+        worst = max(worst, abs(weighted_norm(involution(a), v, 1.0) - norm) / norm)
+    return worst
 
 
 def _check_coefficient_recovery(rng):
@@ -283,184 +346,185 @@ def _check_coefficient_recovery(rng):
         a = _rand_seq(lat, rng)
         recovered, residual = coefficients_of(represent(a), lat)
         worst = max(worst, float(np.abs(recovered.coeffs - a.coeffs).max()), residual)
-    return worst <= 1e-11, f"max recovery error {worst:.2e}"
+    return worst
 
 
 def _check_inversion_support(rng):
+    """Elements 1 + 0.25 noise / max|noise|: l1 gap of a # a^-1 from the unit,
+    and the off-lattice residual of the dense inverse of represent(a)."""
     worst = 0.0
     for lat in _lattices():
-        a = unit(lat)
-        b = _rand_seq(lat, rng)
-        elem = CoeffSeq(lat, a.coeffs + 0.25 * b.coeffs / max(1.0, np.abs(b.coeffs).max()))
-        inv = invert_in_algebra(elem)
-        prod = twisted_conv(elem, inv)
-        gap = float(np.abs(prod.coeffs - unit(lat).coeffs).sum())
-        _, residual = coefficients_of(np.linalg.inv(represent(elem).entries), lat)
-        worst = max(worst, gap, residual)
-    return worst <= 1e-9, f"max inversion residual {worst:.2e}"
+        one = unit(lat).coeffs
+        for _ in range(_TRIALS):
+            noise = _rand_seq(lat, rng).coeffs
+            elem = CoeffSeq(lat, one + 0.25 * noise / np.abs(noise).max())
+            gap = float(np.abs(twisted_conv(elem, invert_in_algebra(elem)).coeffs - one).sum())
+            _, residual = coefficients_of(np.linalg.inv(represent(elem).entries), lat)
+            worst = max(worst, gap, residual)
+    return worst
 
 
 def _check_trace(rng):
     worst = 0.0
     for lat in _lattices():
         a = _rand_seq(lat, rng)
-        gap = abs(trace_tau(a) - np.trace(represent(a).entries) / lat.n)
-        worst = max(worst, float(gap))
-    return worst <= 1e-12, f"max gap {worst:.2e}"
+        worst = max(worst, float(abs(trace_tau(a) - np.trace(represent(a).entries) / lat.n)))
+    return worst
 
 
 def _check_spectrum(rng):
     worst = 0.0
-    for lat in _lattices()[:4]:
+    for lat in _lattices():
         a = _rand_seq(lat, rng)
         herm = CoeffSeq(lat, (a.coeffs + involution(a).coeffs) / 2)
         worst = max(worst, float(np.abs(spectrum(herm).imag).max()))
-    return worst <= 1e-10, f"max |imag eigenvalue| {worst:.2e}"
+    return worst
 
 
 def _check_frame_commutation(rng):
     worst = 0.0
     for lat in _frame_lattices():
-        g = random_signal(lat.n, rng)
-        S = frame_operator(GaborSystem((g,), lat)).entries
-        for p in lat.points[: min(8, lat.size)]:
+        S = frame_operator(GaborSystem((random_signal(lat.n, rng),), lat)).entries
+        for p in lat.points[:8]:
             P = shift_matrix(p)
-            worst = max(
-                worst, float(np.linalg.norm(S @ P - P @ S) / np.linalg.norm(S))
-            )
-    return worst <= 1e-10, f"max rel residual {worst:.2e}"
+            worst = max(worst, float(np.linalg.norm(S @ P - P @ S) / np.linalg.norm(S)))
+    return worst
 
 
 def _check_janssen(rng):
+    """Seven random windows per lattice of the matrix and of _JANSSEN_EXTRA."""
     worst = 0.0
-    for lat in _lattices():
-        g = random_signal(lat.n, rng)
-        S = frame_operator(GaborSystem((g,), lat)).entries
-        J = represent(janssen_representation(g, g, lat)).entries
-        worst = max(worst, float(np.linalg.norm(S - J) / np.linalg.norm(S)))
-    return worst <= 1e-10, f"max rel residual {worst:.2e}"
+    for lat in _lattices(LATTICE_MATRIX + _JANSSEN_EXTRA):
+        for _ in range(7):
+            g = random_signal(lat.n, rng)
+            S = frame_operator(GaborSystem((g,), lat)).entries
+            J = represent(janssen_representation(g, g, lat)).entries
+            worst = max(worst, float(np.linalg.norm(S - J) / np.linalg.norm(S)))
+    return worst
 
 
 def _check_figa(rng):
     worst = 0.0
     for lat in _lattices():
-        for _ in range(10):
-            sigs = [random_signal(lat.n, rng) for _ in range(4)]
-            worst = max(worst, figa_check(*sigs, lat))
-    return worst <= 1e-10, f"max residual {worst:.2e}"
+        for _ in range(_TRIALS):
+            worst = max(worst, figa_check(*(random_signal(lat.n, rng) for _ in range(4)), lat))
+    return worst
 
 
 def _check_dual_reconstruction(rng):
+    """Relative error, analyzing with the dual and synthesizing with the
+    window, and the other way round."""
     worst = 0.0
     for lat in _frame_lattices():
         g = random_signal(lat.n, rng)
         sys = GaborSystem((g,), lat)
         duals = canonical_dual(sys)
         f = random_signal(lat.n, rng)
-        # analyze with the dual, synthesize with the window, and vice versa
-        out = reconstruct(f, sys, duals)
-        worst = max(worst, float(np.linalg.norm(out.values - f.values) / f.norm2()))
         swapped = reconstruct(f, GaborSystem(tuple(duals), lat), [g])
-        worst = max(worst, float(np.linalg.norm(swapped.values - f.values) / f.norm2()))
-    return worst <= 1e-9, f"max rel error {worst:.2e}"
+        for out in (reconstruct(f, sys, duals), swapped):
+            worst = max(worst, float(np.linalg.norm(out.values - f.values) / f.norm2()))
+    return worst
 
 
 def _check_tight_parseval(rng):
     worst = 0.0
     for lat in _frame_lattices():
-        g = random_signal(lat.n, rng)
-        tight = canonical_tight(GaborSystem((g,), lat))
+        tight = canonical_tight(GaborSystem((random_signal(lat.n, rng),), lat))
         S = frame_operator(GaborSystem(tuple(tight), lat)).entries
         worst = max(worst, float(np.linalg.norm(S - np.eye(lat.n))))
-    return worst <= 1e-9, f"max Parseval residual {worst:.2e}"
+    return worst
 
 
 def _check_tight_span(rng):
     worst = 0.0
     for lat in _frame_lattices():
-        adj = adjoint_lattice(lat)
-        g = random_signal(lat.n, rng)
-        S = frame_operator(GaborSystem((g,), lat)).entries
-        _, residual = coefficients_of(hermitian_inverse_sqrt(S), adj)
-        worst = max(worst, residual / np.linalg.norm(hermitian_inverse_sqrt(S)))
-    return worst <= 1e-9, f"max span residual {worst:.2e}"
+        S = frame_operator(GaborSystem((random_signal(lat.n, rng),), lat)).entries
+        root = hermitian_inverse_sqrt(S)
+        _, residual = coefficients_of(root, adjoint_lattice(lat))
+        worst = max(worst, residual / np.linalg.norm(root))
+    return worst
 
 
 def _check_nonframe_rejection(rng):
-    lat = lattice_from_generators(8, [(4, 0), (0, 4)])
-    g = random_signal(8, rng)
-    sys = GaborSystem((g,), lat)
-    if frame_bounds(sys).is_frame:
-        return False, "rank-deficient system accepted as a frame"
-    try:
-        canonical_dual(sys)
-    except NotAFrame:
-        return True, "undersampled single-window system correctly rejected"
-    return False, "canonical_dual did not reject a non-frame"
+    """Undersampled (covolume > 1) single-window systems of the matrix that
+    frame_bounds accepts or canonical_dual does not reject."""
+    failures = 0
+    for lat in _lattices():
+        if volume(lat) <= 1:
+            continue
+        sys = GaborSystem((random_signal(lat.n, rng),), lat)
+        failures += frame_bounds(sys).is_frame
+        try:
+            canonical_dual(sys)
+            failures += 1
+        except NotAFrame:
+            pass
+    return failures
 
 
 def _check_left_positivity(rng):
+    """-min eigenvalue of represent(<f, f>_L), f unnormalized."""
     worst = 0.0
-    for lat in _lattices():
-        f = random_signal(lat.n, rng)
-        eigs = np.linalg.eigvalsh(represent(inner_left(f, f, lat)).entries)
-        worst = min(worst, float(eigs[0]))
-    return worst >= -1e-10, f"min eigenvalue {worst:.2e}"
+    for lat, _, f in _module_draws(rng, 1):
+        worst = max(worst, -float(np.linalg.eigvalsh(represent(inner_left(f, f, lat)).entries)[0]))
+    return worst
 
 
 def _check_right_positivity(rng):
+    """max(-min eigenvalue, ||op - op^H|| / ||op||, ||op - S_f|| / ||S_f||) for
+    the right operator op of <f, f>_R, f unnormalized: op is the frame
+    operator S_f of f, Hermitian and positive."""
     worst = 0.0
-    for lat in _lattices():
-        f = random_signal(lat.n, rng)
+    for lat, _, f in _module_draws(rng, 1):
         op = right_operator(inner_right(f, f, lat)).entries
-        eigs = np.linalg.eigvalsh((op + op.conj().T) / 2)
+        S = frame_operator(GaborSystem((f,), lat)).entries
         hermgap = float(np.linalg.norm(op - op.conj().T) / np.linalg.norm(op))
-        if hermgap > 1e-10:
-            return False, f"right operator not Hermitian (gap {hermgap:.2e})"
-        worst = min(worst, float(eigs[0]))
-    return worst >= -1e-10, f"min eigenvalue {worst:.2e}"
+        framegap = float(np.linalg.norm(op - S) / np.linalg.norm(S))
+        lowest = float(np.linalg.eigvalsh((op + op.conj().T) / 2)[0])
+        worst = max(worst, hermgap, framegap, -lowest)
+    return worst
 
 
 def _check_module_involution(rng):
+    """max |<f, g>_L* - <g, f>_L| / max(1, max |<g, f>_L|), f, g unnormalized
+    (implies the absolute gap on unit signals)."""
     worst = 0.0
-    for lat in _lattices():
-        f, g = random_signal(lat.n, rng), random_signal(lat.n, rng)
-        gap = np.abs(
-            involution(inner_left(f, g, lat)).coeffs - inner_left(g, f, lat).coeffs
-        ).max()
-        worst = max(worst, float(gap))
-    return worst <= 1e-12 * 100, f"max coefficient gap {worst:.2e}"
+    for lat, _, f, g in _module_draws(rng, 2):
+        rhs = inner_left(g, f, lat).coeffs
+        gap = np.abs(involution(inner_left(f, g, lat)).coeffs - rhs).max()
+        worst = max(worst, float(gap / max(1.0, np.abs(rhs).max())))
+    return worst
 
 
 def _check_left_compatibility(rng):
+    """Absolute l1 gap, unnormalized a, f, g."""
     worst = 0.0
-    for lat in _lattices():
-        a = _rand_seq(lat, rng)
-        f, g = random_signal(lat.n, rng), random_signal(lat.n, rng)
+    for lat, a, f, g in _module_draws(rng, 2, seq=True):
         lhs = inner_left(act_left(a, f), g, lat).coeffs
         rhs = twisted_conv(a, inner_left(f, g, lat)).coeffs
         worst = max(worst, float(np.abs(lhs - rhs).sum()))
-    return worst <= 1e-10 * 100, f"max l1 gap {worst:.2e}"
+    return worst
 
 
 def _check_right_compatibility(rng):
+    """Absolute max gap, unnormalized a, f, g."""
     worst = 0.0
-    for lat in _lattices():
-        a = _rand_seq(lat, rng)
-        f, g = random_signal(lat.n, rng), random_signal(lat.n, rng)
+    for lat, a, f, g in _module_draws(rng, 2, seq=True):
         lhs = inner_right(act_left(a, f), g, lat).coeffs
         rhs = inner_right(f, act_left(involution(a), g), lat).coeffs
         worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst <= 1e-10 * 100, f"max coefficient gap {worst:.2e}"
+    return worst
 
 
 def _check_associativity(rng):
+    """||<f, g>_L h - f <g, h>_R|| / ||<f, g>_L h||: scale-invariant, so it
+    bounds associativity_residual (relative to 1 + ||lhs||) on any scaling."""
     worst = 0.0
-    for lat in _lattices():
-        for _ in range(8):
-            f, g, h = (random_signal(lat.n, rng) for _ in range(3))
-            worst = max(worst, associativity_residual(f, g, h, lat))
-    return worst <= 1e-10, f"max residual {worst:.2e}"
+    for lat, _, f, g, h in _module_draws(rng, 3):
+        lhs = act_left(inner_left(f, g, lat), h).values
+        rhs = act_right(f, inner_right(g, h, lat)).values
+        worst = max(worst, float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)))
+    return worst
 
 
 def _check_adjointness(rng):
@@ -471,168 +535,197 @@ def _check_adjointness(rng):
         lhs = represent(a).entries @ represent(inner_left(f, g, lat)).entries.conj().T
         rhs = represent(inner_left(act_left(a, g), f, lat)).entries
         worst = max(worst, float(np.linalg.norm(lhs - rhs) / (1 + np.linalg.norm(lhs))))
-    return worst <= 1e-10, f"max rel residual {worst:.2e}"
+    return worst
+
+
+def _window_sets(rng):
+    """Per matrix lattice, ceil(covolume) and one more random windows."""
+    for lat in _lattices():
+        need = max(1, math.ceil(volume(lat)))
+        for count in (need, need + 1):
+            yield lat, [random_signal(lat.n, rng) for _ in range(count)]
 
 
 def _check_module_vs_multiwindow(rng):
-    for lat in _lattices():
-        need = max(1, int(np.ceil(float(volume(lat)))))
-        for count in (need, need + 1):
-            ws = [random_signal(lat.n, rng) for _ in range(count)]
-            report = module_frame_check(ws, lat)
-            stacked = frame_bounds(GaborSystem(tuple(ws), lat))
-            if report.is_module_frame != stacked.is_frame:
-                return False, f"verdicts split on N={lat.n}, {count} windows"
-    return True, "verdicts agree on the whole matrix"
+    """Window sets whose module-frame verdict differs from the stacked
+    multi-window system's frame verdict."""
+    failures = 0
+    for lat, ws in _window_sets(rng):
+        stacked = frame_bounds(GaborSystem(tuple(ws), lat))
+        failures += module_frame_check(ws, lat).is_module_frame != stacked.is_frame
+    return failures
 
 
 def _check_trace_bridge(rng):
+    """Parseval gap of the tightened windows on four signals, for every
+    window set of _window_sets that is a frame."""
     worst = 0.0
-    for lat in _frame_lattices():
-        ws = [random_signal(lat.n, rng)]
-        tight = tight_multiwindow(ws, lat)
+    for lat, ws in _window_sets(rng):
+        try:
+            tight = tight_multiwindow(ws, lat)
+        except NotAFrame:
+            continue
         for _ in range(4):
             f = random_signal(lat.n, rng)
             worst = max(worst, multiwindow_parseval_residual(tight, lat, f))
-    return worst <= 1e-10, f"max residual {worst:.2e}"
+    return worst
 
 
 def _check_min_windows(rng):
-    lat_half = lattice_from_generators(8, [(2, 0), (0, 2)])
-    res_half = min_windows(lat_half, trials=20, seed=int(rng.integers(2**31)))
-    lat_two = lattice_from_generators(8, [(4, 0), (0, 4)])
-    res_two = min_windows(lat_two, trials=20, seed=int(rng.integers(2**31)))
-    ok = (res_half.lower_bound, res_half.achieved) == (1, 1) and (
-        res_two.lower_bound,
-        res_two.achieved,
-    ) == (2, 2)
-    return ok, f"vol 1/2 -> {res_half.achieved}, vol 2 -> {res_two.achieved}"
+    """Wrong (lower bound, achieved) pairs: covolume 1/2 needs one window,
+    covolume 2 needs two."""
+    failures = 0
+    for gens, expect in ((((2, 0), (0, 2)), (1, 1)), (((4, 0), (0, 4)), (2, 2))):
+        lat = lattice_from_generators(8, gens)
+        res = min_windows(lat, trials=20, seed=int(rng.integers(2**31)))
+        failures += (res.lower_bound, res.achieved) != expect
+    return failures
+
+
+def _check_two_window_counts(rng):
+    """On covolume 2 (N = 8, <(4,0),(0,4)>), one random window is a frame in
+    0 of 100 draws and two in at least 90 of 100: frames accepted with one
+    window plus the shortfall below 90 with two."""
+    lat = lattice_from_generators(8, [(4, 0), (0, 4)])
+    frames = {1: 0, 2: 0}
+    for count in frames:
+        for _ in range(_TRIALS):
+            ws = tuple(random_signal(8, rng) for _ in range(count))
+            frames[count] += frame_bounds(GaborSystem(ws, lat)).is_frame
+    return frames[1] + max(0, 90 - frames[2])
 
 
 def _check_moyal_modnorm(rng):
     worst = 0.0
     for n in (6, 12):
-        f, g = random_signal(n, rng), random_signal(n, rng)
-        val = mod_norm(f, ModNormSpec(2.0, 2.0, Weight.one(), g))
-        expect = np.sqrt(n) * f.norm2() * g.norm2()
-        worst = max(worst, abs(val - expect) / expect)
-    return worst <= 1e-10, f"max rel gap {worst:.2e}"
+        g = random_signal(n, rng)
+        for _ in range(10):
+            f = random_signal(n, rng)
+            expect = np.sqrt(n) * f.norm2() * g.norm2()
+            val = mod_norm(f, ModNormSpec(2.0, 2.0, Weight.one(), g))
+            worst = max(worst, abs(val - expect) / expect)
+    return worst
 
 
 def _check_modnorm_axioms(rng):
+    """max(relative homogeneity gap, triangle excess ||f1 + f2|| - ||f1|| - ||f2||)
+    for v = 1 + |p|, at N = 10 with (p, q) in (1, 1), (1, 2), (2, inf) and at
+    N = 12 with (p, q) = (1, 2)."""
     worst = 0.0
-    n = 10
-    g = random_signal(n, rng)
-    for p, q in ((1.0, 1.0), (1.0, 2.0), (2.0, np.inf)):
-        spec = ModNormSpec(p, q, Weight.polynomial(1), g)
-        for _ in range(10):
-            f1, f2 = random_signal(n, rng), random_signal(n, rng)
-            c = complex(rng.standard_normal(), rng.standard_normal())
-            scaled = mod_norm(Signal(n, c * f1.values), spec)
-            worst = max(worst, abs(scaled - abs(c) * mod_norm(f1, spec)) / scaled)
-            tri = mod_norm(Signal(n, f1.values + f2.values), spec)
-            if tri > mod_norm(f1, spec) + mod_norm(f2, spec) + 1e-10:
-                return False, f"triangle inequality broke at (p,q)=({p},{q})"
-    return worst <= 1e-10, f"max homogeneity gap {worst:.2e}"
+    for n, exponents in ((10, ((1.0, 1.0), (1.0, 2.0), (2.0, np.inf))), (12, ((1.0, 2.0),))):
+        g = random_signal(n, rng)
+        for p, q in exponents:
+            spec = ModNormSpec(p, q, Weight.polynomial(1), g)
+            for _ in range(_TRIALS):
+                f1, f2 = random_signal(n, rng), random_signal(n, rng)
+                c = complex(rng.standard_normal(), rng.standard_normal())
+                scaled, n1 = mod_norm(Signal(n, c * f1.values), spec), mod_norm(f1, spec)
+                excess = mod_norm(Signal(n, f1.values + f2.values), spec) - n1 - mod_norm(f2, spec)
+                worst = max(worst, abs(scaled - abs(c) * n1) / scaled, excess)
+    return worst
 
 
 def _check_modnorm_covariance(rng):
-    worst = 0.0
+    """Largest ||pi(mu) f|| / (v(mu)^2 ||f||) for the v^2-weighted M^{1,1} norm, minus 1."""
     n = 12
-    g = random_signal(n, rng)
     v = Weight.polynomial(1)
-    spec = ModNormSpec(1.0, 1.0, v.power(2.0), g)
-    for _ in range(20):
+    spec = ModNormSpec(1.0, 1.0, v.power(2.0), random_signal(n, rng))
+    worst = -1.0
+    for _ in range(_TRIALS):
         f = random_signal(n, rng)
         mu = TFPoint(n, int(rng.integers(n)), int(rng.integers(n)))
         bound = v(mu.lift()) ** 2 * mod_norm(f, spec)
-        worst = max(worst, mod_norm(tf_shift(mu, f), spec) / bound)
-    return worst <= 1.0 + 1e-10, f"max shifted/bound ratio {worst:.6f}"
+        worst = max(worst, mod_norm(tf_shift(mu, f), spec) / bound - 1.0)
+    return worst
 
 
 def _check_feichtinger_monotone(rng):
+    """Largest ratio of the norm at weight power s to the norm at s + 1, minus 1."""
     n = 10
     g = random_signal(n, rng)
     v = Weight.polynomial(1)
+    worst = -1.0
     for _ in range(10):
         f = random_signal(n, rng)
         vals = [feichtinger_norm(f, v, s, g) for s in (0.0, 1.0, 2.0)]
-        if not (vals[0] <= vals[1] * (1 + 1e-12) and vals[1] <= vals[2] * (1 + 1e-12)):
-            return False, f"norms not monotone: {vals}"
-    return True, "norm grows with the weight power"
+        worst = max(worst, vals[0] / vals[1] - 1.0, vals[1] / vals[2] - 1.0)
+    return worst
 
 
 def _check_serialization(rng):
-    n = 6
-    f = random_signal(n, rng)
-    if serialize.signal_from_dict(serialize.signal_to_dict(f)).values.tolist() != f.values.tolist():
-        return False, "signal round trip failed"
+    """Schemas that fail to round trip exactly."""
+    f = random_signal(6, rng)
     lat = lattice_from_generators(12, [(2, 0), (0, 3)])
-    if serialize.lattice_from_dict(serialize.lattice_to_dict(lat)).points != lat.points:
-        return False, "lattice round trip failed"
     a = _rand_seq(lat, rng)
-    back = serialize.coeffseq_from_dict(serialize.coeffseq_to_dict(a))
-    if back.coeffs.tolist() != a.coeffs.tolist():
-        return False, "coefficient round trip failed"
-    for v in (Weight.polynomial(2), Weight.subexponential(1, 0.5), Weight.custom({(0, 0): 1.0, (1, 0): 2.0})):
-        if serialize.weight_from_dict(serialize.weight_to_dict(v)) != v:
-            return False, f"weight round trip failed for {v.family}"
-    return True, "all schemas round trip exactly"
+    back_f = serialize.signal_from_dict(serialize.signal_to_dict(f))
+    back_a = serialize.coeffseq_from_dict(serialize.coeffseq_to_dict(a))
+    failures = back_f.values.tolist() != f.values.tolist()
+    failures += serialize.lattice_from_dict(serialize.lattice_to_dict(lat)).points != lat.points
+    failures += back_a.coeffs.tolist() != a.coeffs.tolist()
+    custom = Weight.custom({(0, 0): 1.0, (1, 0): 2.0})
+    for v in (Weight.polynomial(2), Weight.subexponential(1, 0.5), custom):
+        failures += serialize.weight_from_dict(serialize.weight_to_dict(v)) != v
+    return int(failures)
 
 
-CHECKS = (
-    ("shift norm preservation", _check_norm_preservation),
-    ("shift composition cocycle", _check_composition),
-    ("shift commutation bicharacter", _check_commutation),
-    ("shift adjoint rule", _check_adjoint_rule),
-    ("stft fast/direct agreement", _check_stft_agreement),
-    ("moyal identity", _check_moyal),
-    ("stft shift covariance", _check_stft_covariance),
-    ("adjoint-lattice duality", _check_adjoint_duality),
-    ("adjoint commutation witness", _check_adjoint_commutation),
-    ("weight axioms", _check_weight_axioms),
-    ("weight submultiplicativity", _check_submultiplicative),
-    ("growth-rate classification", _check_grs),
-    ("twisted-convolution homomorphism", _check_homomorphism),
-    ("involution representation", _check_involution_rep),
-    ("weighted-norm submultiplicativity", _check_norm_submult),
-    ("coefficient recovery", _check_coefficient_recovery),
-    ("inversion support preservation", _check_inversion_support),
-    ("trace normalization", _check_trace),
-    ("hermitian spectrum reality", _check_spectrum),
-    ("frame operator shift commutation", _check_frame_commutation),
-    ("adjoint-lattice expansion of frame operator", _check_janssen),
-    ("fundamental identity", _check_figa),
-    ("canonical dual reconstruction", _check_dual_reconstruction),
-    ("canonical tight parseval", _check_tight_parseval),
-    ("tightening stays in adjoint span", _check_tight_span),
-    ("non-frame rejection", _check_nonframe_rejection),
-    ("left inner product positivity", _check_left_positivity),
-    ("right inner product positivity", _check_right_positivity),
-    ("module involution symmetry", _check_module_involution),
-    ("left action compatibility", _check_left_compatibility),
-    ("right action adjoint compatibility", _check_right_compatibility),
-    ("module associativity", _check_associativity),
-    ("coefficient-synthesis adjointness", _check_adjointness),
-    ("module frame equals multi-window frame", _check_module_vs_multiwindow),
-    ("trace bridge parseval", _check_trace_bridge),
-    ("minimum window count", _check_min_windows),
-    ("moyal ties mixed norm to hilbert norm", _check_moyal_modnorm),
-    ("modulation norm axioms", _check_modnorm_axioms),
-    ("modulation norm shift covariance", _check_modnorm_covariance),
-    ("window-class norm monotonicity", _check_feichtinger_monotone),
-    ("serialization round trips", _check_serialization),
+# (name, tolerance, fn): fn(rng) returns the residual; pass iff residual <= tolerance.
+REGISTRY = (
+    ("shift norm preservation", 1e-12, _check_norm_preservation),
+    ("shift composition and commutation", 1e-12, _check_composition_commutation),
+    ("shift adjoint rule", 1e-12, _check_adjoint_rule),
+    ("stft fast/direct agreement", 1e-10, _check_stft_agreement),
+    ("moyal identity", 1e-10, _check_moyal),
+    ("stft shift covariance", 1e-10, _check_stft_covariance),
+    ("adjoint-lattice duality", 0, _check_adjoint_duality),
+    ("adjoint commutation witness", 1e-12, _check_adjoint_commutation),
+    ("weight symmetry and normalization", 0, _check_weight_symmetry),
+    ("weight power composition", 1e-12, _check_weight_power),
+    ("weight submultiplicativity", 1e-12, _check_submultiplicative),
+    ("growth-rate classification", 0, _check_grs),
+    ("exponential growth-rate samples", 1e-12, _check_grs_samples),
+    ("twisted-convolution homomorphism", 1e-11, _check_homomorphism),
+    ("involution representation", 1e-12, _check_involution_rep),
+    ("weighted-norm submultiplicativity", 1e-12, _check_norm_submult),
+    ("coefficient recovery", 1e-11, _check_coefficient_recovery),
+    ("inversion support preservation", 1e-9, _check_inversion_support),
+    ("trace normalization", 1e-12, _check_trace),
+    ("hermitian spectrum reality", 1e-10, _check_spectrum),
+    ("frame operator shift commutation", 1e-10, _check_frame_commutation),
+    ("adjoint-lattice expansion of frame operator", 1e-10, _check_janssen),
+    ("fundamental identity", 1e-10, _check_figa),
+    ("canonical dual reconstruction", 1e-9, _check_dual_reconstruction),
+    ("canonical tight parseval", 1e-9, _check_tight_parseval),
+    ("tightening stays in adjoint span", 1e-9, _check_tight_span),
+    ("non-frame rejection", 0, _check_nonframe_rejection),
+    ("left inner product positivity", 1e-10, _check_left_positivity),
+    ("right inner product is the positive frame operator", 1e-10, _check_right_positivity),
+    ("module involution symmetry", 1e-12, _check_module_involution),
+    ("left action compatibility", 1e-10, _check_left_compatibility),
+    ("right action adjoint compatibility", 1e-10, _check_right_compatibility),
+    ("module associativity", 1e-10, _check_associativity),
+    ("coefficient-synthesis adjointness", 1e-10, _check_adjointness),
+    ("module frame equals multi-window frame", 0, _check_module_vs_multiwindow),
+    ("trace bridge parseval", 1e-10, _check_trace_bridge),
+    ("minimum window count", 0, _check_min_windows),
+    ("covolume 2 needs two windows", 0, _check_two_window_counts),
+    ("moyal ties mixed norm to hilbert norm", 1e-10, _check_moyal_modnorm),
+    ("modulation norm axioms", 1e-10, _check_modnorm_axioms),
+    ("modulation norm shift covariance", 1e-10, _check_modnorm_covariance),
+    ("window-class norm monotonicity", 1e-12, _check_feichtinger_monotone),
+    ("serialization round trips", 0, _check_serialization),
 )
 
 
+def run_check(entry, seed: int = 0) -> CheckResult:
+    """Run one registry entry; its inputs depend only on the seed and its name."""
+    name, tol, fn = entry
+    rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
+    try:
+        return CheckResult(name, tol, float(fn(rng)))
+    except Exception as exc:  # a crash is a failure, not an abort
+        return CheckResult(name, tol, math.nan, f"{type(exc).__name__}: {exc}")
+
+
 def run_selftest(seed: int = 0) -> list[CheckResult]:
-    """Run every invariant check; deterministic for a fixed seed."""
-    results = []
-    for index, (name, fn) in enumerate(CHECKS):
-        rng = np.random.default_rng(seed + 1000 * index)
-        try:
-            passed, detail = fn(rng)
-        except Exception as exc:  # a crash is a failure, not an abort
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, bool(passed), detail))
-    return results
+    """Run every entry of REGISTRY; deterministic for a fixed seed."""
+    return [run_check(entry, seed) for entry in REGISTRY]

@@ -1,26 +1,12 @@
-"""Shared fixtures: the lattice test matrix and the frozen seed list."""
+"""Shared fixtures: the invariant registry's lattice matrix and the frozen seed list."""
 import numpy as np
 import pytest
 
 from ncgabor import lattice_from_generators
+from ncgabor.selftest import LATTICE_MATRIX
 
 # Fixed seeds: every randomized check draws from these, so failures replay.
 SEEDS = (101, 202, 303, 404, 505)
-
-# (N, generators) pairs covering separable, non-separable, self-dual,
-# undersampled and oversampled lattices up to N = 24.
-LATTICE_MATRIX = (
-    (6, ((2, 0), (0, 2))),
-    (6, ((1, 1),)),
-    (8, ((2, 0), (0, 2))),
-    (8, ((4, 0), (0, 2))),
-    (8, ((4, 0), (0, 4))),
-    (12, ((2, 0), (0, 3))),
-    (12, ((3, 0), (0, 4))),
-    (12, ((2, 1), (0, 6))),
-    (16, ((2, 0), (0, 4))),
-    (24, ((4, 0), (0, 6))),
-)
 
 
 def matrix_lattices(max_n: int = 24):

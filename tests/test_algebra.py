@@ -75,16 +75,6 @@ def test_involution_of_delta():
     np.testing.assert_allclose(out.coeffs, expect, atol=1e-15)
 
 
-def test_involution_is_representation_adjoint(lattices):
-    for lat in lattices:
-        rng = np.random.default_rng(SEEDS[1])
-        a = rand_seq(lat, rng)
-        gap = np.linalg.norm(
-            represent(involution(a)).entries - represent(a).entries.conj().T
-        )
-        assert gap < 1e-12 * max(1.0, np.linalg.norm(a.coeffs))
-
-
 def test_double_involution_identity(rng):
     lat = lattice_from_generators(12, [(2, 1), (0, 6)])
     a = rand_seq(lat, rng)

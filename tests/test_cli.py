@@ -226,6 +226,34 @@ def test_selftest_smoke(capsys):
     assert "FAIL" not in out
 
 
+def test_selftest_failure_contract(capsys, monkeypatch):
+    from ncgabor import selftest
+
+    def boom(rng):
+        raise ZeroDivisionError("boom")
+
+    registry = (
+        ("passes", 1e-12, lambda rng: 0.0),
+        ("fails", 0, lambda rng: 1),
+        ("raises", 0, boom),
+    )
+    monkeypatch.setattr(selftest, "REGISTRY", registry)
+    code, out, err = run(capsys, "selftest")
+    assert code == 3
+    fails = [line for line in out.splitlines() if "FAIL" in line]
+    assert len(fails) == 2
+    assert fails[0].startswith("fails ") and "residual 1.00e+00" in fails[0]
+    assert fails[1].startswith("raises ") and "raised ZeroDivisionError: boom" in fails[1]
+    assert out.splitlines()[-1] == "1/3 checks passed"
+    assert "Traceback" not in out + err
+
+
+def test_selftest_rejects_negative_seed(capsys):
+    code, out, err = run(capsys, "selftest", "--seed", "-1")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "--seed" in err
+
+
 @pytest.mark.parametrize("trials", ["-5", "0"])
 def test_figa_rejects_no_trials(capsys, trials):
     code, out, err = run(capsys, "figa", "--n", "8", "--gens", "(2,0),(0,2)", "--trials", trials)
