@@ -1,58 +1,34 @@
-"""Acceptance suite: one test per criterion, at the stated tolerances.
+"""Acceptance checks kept beside the invariant registry.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see one pass line per
-criterion.  Every expected value is either computed by an independent oracle
-inside the test or forced by an exact identity of the finite model.
+The module-axiom and multi-window criteria draw fresh inputs per matrix
+lattice with their own seeds, so they cover inputs the registry's seed-0
+entries do not.  Run with `pytest tests/test_acceptance.py -v -s` to see one
+pass line per criterion.
 """
-import itertools
 import math
 
 import numpy as np
-import pytest
 
 from ncgabor import (
     CoeffSeq,
     GaborSystem,
-    NotAFrame,
-    ModNormSpec,
     Signal,
-    TFPoint,
-    Weight,
-    adjoint_lattice,
-    canonical_dual,
-    canonical_tight,
-    cocycle,
-    coefficients_of,
-    enumerate_subgroups,
-    figa_check,
+    act_left,
+    associativity_residual,
     frame_bounds,
-    frame_operator,
-    grs_probe,
     inner_left,
     inner_right,
-    invert_in_algebra,
     involution,
     lattice_from_generators,
-    mod_norm,
     module_frame_check,
     multiwindow_parseval_residual,
     random_signal,
-    reconstruct,
     represent,
     right_operator,
-    shift_matrix,
-    symplectic_bicharacter,
-    tf_shift,
     tight_multiwindow,
     twisted_conv,
-    unit,
     volume,
-    weighted_norm,
-    janssen_representation,
-    act_left,
-    associativity_residual,
 )
-from ncgabor.weights import GRS_CONSISTENT, GRS_VIOLATES
 from conftest import SEEDS, matrix_lattices
 
 
@@ -63,84 +39,6 @@ def report(line):
 def unit_signal(n, rng):
     f = random_signal(n, rng)
     return Signal(n, f.values / f.norm2())
-
-
-def test_ac1_composition_and_commutation_exhaustive():
-    worst = 0.0
-    for n in range(2, 9):
-        mats = {
-            (k, l): shift_matrix(TFPoint(n, k, l))
-            for k in range(n)
-            for l in range(n)
-        }
-        for (k1, l1), (k2, l2) in itertools.product(mats, repeat=2):
-            lam, mu = TFPoint(n, k1, l1), TFPoint(n, k2, l2)
-            prod = mats[(k1, l1)] @ mats[(k2, l2)]
-            comp = np.abs(
-                prod - cocycle(lam, mu) * mats[((k1 + k2) % n, (l1 + l2) % n)]
-            ).max()
-            comm = np.abs(
-                prod
-                - symplectic_bicharacter(lam, mu) * (mats[(k2, l2)] @ mats[(k1, l1)])
-            ).max()
-            worst = max(worst, float(comp), float(comm))
-    assert worst < 1e-12
-    report(f"AC-1 composition/commutation exhaustive N=2..8: PASS (max {worst:.2e})")
-
-
-def commutant_by_scan(lat):
-    """Independent oracle: unimodular commutation factor evaluated numerically."""
-    out = []
-    for m in range(lat.n):
-        for nn in range(lat.n):
-            mu = TFPoint(lat.n, m, nn)
-            if all(
-                abs(symplectic_bicharacter(mu, p) - 1.0) < 1e-12 for p in lat.points
-            ):
-                out.append((m, nn))
-    return out
-
-
-def test_ac2_adjoint_duality_all_subgroups():
-    checked = 0
-    for n in (4, 6, 8, 12):
-        for lat in enumerate_subgroups(n):
-            adj = adjoint_lattice(lat)
-            assert lat.size * adj.size == n * n
-            assert adjoint_lattice(adj).points == lat.points
-            assert [(p.k, p.l) for p in adj.points] == commutant_by_scan(lat)
-            checked += 1
-    report(f"AC-2 adjoint duality on all {checked} subgroups of N in (4,6,8,12): PASS")
-
-
-def test_ac3_adjoint_expansion_of_frame_operator():
-    pools = {
-        8: [((2, 0), (0, 2)), ((4, 0), (0, 2)), ((1, 1),)],
-        12: [((2, 0), (0, 3)), ((3, 0), (0, 4)), ((2, 1), (0, 6))],
-        16: [((2, 0), (0, 4)), ((4, 0), (0, 4)), ((2, 1), (0, 8))],
-    }
-    worst = 0.0
-    for n, gens_pool in pools.items():
-        rng = np.random.default_rng(SEEDS[0] + n)
-        for i in range(20):
-            lat = lattice_from_generators(n, gens_pool[i % len(gens_pool)])
-            g = random_signal(n, rng)
-            S = frame_operator(GaborSystem((g,), lat)).entries
-            J = represent(janssen_representation(g, g, lat)).entries
-            worst = max(worst, float(np.linalg.norm(J - S) / np.linalg.norm(S)))
-    assert worst < 1e-10
-    report(f"AC-3 adjoint-lattice expansion, 20 random (g,L) per N in (8,12,16): PASS (max {worst:.2e})")
-
-
-def test_ac4_fundamental_identity():
-    worst = 0.0
-    for lat in matrix_lattices():
-        rng = np.random.default_rng(SEEDS[1] + lat.n + lat.size)
-        for _ in range(100):
-            sigs = [random_signal(lat.n, rng) for _ in range(4)]
-            worst = max(worst, figa_check(*sigs, lat))
-    assert worst < 1e-10
-    report(f"AC-4 fundamental identity, 100 quadruples per lattice: PASS (max {worst:.2e})")
 
 
 def test_ac5_module_axioms():
@@ -189,74 +87,6 @@ def test_ac5_module_axioms():
     )
 
 
-def test_ac6_algebra_criteria():
-    v = Weight.polynomial(1)
-    worst_hom = worst_inv = 0.0
-    worst_norm_ratio = 0.0
-    worst_support = 0.0
-    for lat in matrix_lattices():
-        rng = np.random.default_rng(SEEDS[3] + lat.n + lat.size)
-        a = CoeffSeq(lat, rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size))
-        b = CoeffSeq(lat, rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size))
-        hom = np.linalg.norm(
-            represent(twisted_conv(a, b)).entries
-            - represent(a).entries @ represent(b).entries
-        ) / np.linalg.norm(represent(a).entries @ represent(b).entries)
-        inv = np.linalg.norm(
-            represent(involution(a)).entries - represent(a).entries.conj().T
-        ) / np.linalg.norm(represent(a).entries)
-        worst_hom, worst_inv = max(worst_hom, float(hom)), max(worst_inv, float(inv))
-        for s in (0.0, 1.0, 2.0):
-            ratio = weighted_norm(twisted_conv(a, b), v, s) / (
-                weighted_norm(a, v, s) * weighted_norm(b, v, s)
-            )
-            worst_norm_ratio = max(worst_norm_ratio, ratio)
-        for _ in range(100):
-            noise = rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size)
-            elem = CoeffSeq(lat, unit(lat).coeffs + 0.25 * noise / np.abs(noise).max())
-            inv_el = invert_in_algebra(elem)
-            gap = np.abs(twisted_conv(elem, inv_el).coeffs - unit(lat).coeffs).sum()
-            _, residual = coefficients_of(
-                np.linalg.inv(represent(elem).entries), lat
-            )
-            worst_support = max(worst_support, float(residual), float(gap))
-    assert worst_hom < 1e-11 and worst_inv < 1e-11
-    assert worst_norm_ratio <= 1.0 + 1e-12
-    assert worst_support < 1e-9
-    report(
-        "AC-6 algebra: PASS "
-        f"(hom {worst_hom:.2e}, inv {worst_inv:.2e}, norm ratio {worst_norm_ratio:.4f}, support {worst_support:.2e})"
-    )
-
-
-def test_ac7_dual_and_tight_windows():
-    worst_rec = worst_par = 0.0
-    frames = 0
-    for lat in matrix_lattices():
-        rng = np.random.default_rng(SEEDS[4] + lat.n + lat.size)
-        g = random_signal(lat.n, rng)
-        sys = GaborSystem((g,), lat)
-        if volume(lat) > 1:
-            assert not frame_bounds(sys).is_frame
-            with pytest.raises(NotAFrame):
-                canonical_dual(sys)
-            continue
-        frames += 1
-        duals = canonical_dual(sys)
-        f = random_signal(lat.n, rng)
-        rec = np.linalg.norm(reconstruct(f, sys, duals).values - f.values) / f.norm2()
-        tight = canonical_tight(sys)
-        par = np.linalg.norm(
-            frame_operator(GaborSystem(tuple(tight), lat)).entries - np.eye(lat.n)
-        )
-        worst_rec, worst_par = max(worst_rec, float(rec)), max(worst_par, float(par))
-    assert worst_rec < 1e-9 and worst_par < 1e-9
-    report(
-        f"AC-7 dual/tight windows on {frames} frame instances (+rejections): PASS "
-        f"(rec {worst_rec:.2e}, parseval {worst_par:.2e})"
-    )
-
-
 def test_ac8_multiwindow_module_frames():
     worst_bridge = 0.0
     for lat in matrix_lattices():
@@ -293,61 +123,4 @@ def test_ac8_multiwindow_module_frames():
     report(
         "AC-8 module frames equal multi-window frames: PASS "
         f"(bridge {worst_bridge:.2e}, single {single}/100, double {double}/100)"
-    )
-
-
-def test_ac9_growth_rate_diagnostics():
-    probes = [
-        (1, 0), (0, 1), (1, 1), (2, 1), (3, 0),
-        (0, 3), (2, 2), (3, 4), (-1, 2), (5, 0),
-    ]
-    b = 1.0
-    for p in probes:
-        assert grs_probe(Weight.polynomial(2), p, 4096).verdict == GRS_CONSISTENT
-        assert grs_probe(Weight.subexponential(1.0, 0.5), p, 4096).verdict == GRS_CONSISTENT
-        rep = grs_probe(Weight.exponential(b), p, 4096)
-        assert rep.verdict == GRS_VIOLATES
-        analytic = math.exp(b * math.hypot(*p))
-        for _, val in rep.samples:
-            assert abs(val - analytic) <= 1e-12 * analytic
-    report(f"AC-9 growth-rate diagnostics on {len(probes)} probe points: PASS")
-
-
-def test_ac10_modulation_norms():
-    rng = np.random.default_rng(SEEDS[2])
-    n = 12
-    g = random_signal(n, rng)
-    worst_moyal = 0.0
-    for _ in range(10):
-        f = random_signal(n, rng)
-        val = mod_norm(f, ModNormSpec(2.0, 2.0, Weight.one(), g))
-        expect = math.sqrt(n) * f.norm2() * g.norm2()
-        worst_moyal = max(worst_moyal, abs(val - expect) / expect)
-    assert worst_moyal < 1e-10
-
-    spec = ModNormSpec(1.0, 2.0, Weight.polynomial(1), g)
-    worst_hom = 0.0
-    for _ in range(100):
-        f1, f2 = random_signal(n, rng), random_signal(n, rng)
-        c = complex(rng.standard_normal(), rng.standard_normal())
-        scaled = mod_norm(Signal(n, c * f1.values), spec)
-        worst_hom = max(worst_hom, abs(scaled - abs(c) * mod_norm(f1, spec)) / scaled)
-        assert (
-            mod_norm(Signal(n, f1.values + f2.values), spec)
-            <= mod_norm(f1, spec) + mod_norm(f2, spec) + 1e-10
-        )
-    assert worst_hom < 1e-10
-
-    v = Weight.polynomial(1)
-    cov_spec = ModNormSpec(1.0, 1.0, v.power(2.0), g)
-    worst_cov = 0.0
-    for _ in range(100):
-        f = random_signal(n, rng)
-        mu = TFPoint(n, int(rng.integers(n)), int(rng.integers(n)))
-        bound = v(mu.lift()) ** 2 * mod_norm(f, cov_spec)
-        worst_cov = max(worst_cov, mod_norm(tf_shift(mu, f), cov_spec) / bound)
-    assert worst_cov <= 1.0 + 1e-10
-    report(
-        "AC-10 modulation norms: PASS "
-        f"(moyal {worst_moyal:.2e}, homogeneity {worst_hom:.2e}, covariance ratio {worst_cov:.4f})"
     )

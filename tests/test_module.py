@@ -16,6 +16,7 @@ from ncgabor import (
     adjoint_lattice,
     associativity_residual,
     delta_seq,
+    frame_bounds,
     frame_operator,
     frame_type_operator,
     full_lattice,
@@ -36,7 +37,7 @@ from ncgabor import (
     unit,
     volume,
 )
-from conftest import SEEDS
+from conftest import SEEDS, matrix_lattices
 
 
 def test_inner_left_delta_full_lattice():
@@ -229,6 +230,13 @@ def test_associativity_random_triples():
     assert worst < 1e-10
 
 
+def test_associativity_across_matrix():
+    for lat in matrix_lattices():
+        rng = np.random.default_rng(SEEDS[1])
+        f, g, h = (random_signal(lat.n, rng) for _ in range(3))
+        assert associativity_residual(f, g, h, lat) < 1e-10
+
+
 def test_module_frame_check_orthonormal_basis():
     n = 8
     lat = lattice_from_generators(n, [(1, 0)])
@@ -254,6 +262,16 @@ def test_module_frame_check_two_windows(rng):
     assert report.residual < 1e-9
     assert report.window_count == 2
     assert report.window_count >= math.ceil(report.vol)
+
+
+def test_module_frame_verdict_matches_stacked_system(lattices):
+    for lat in lattices:
+        rng = np.random.default_rng(SEEDS[3])
+        need = max(1, math.ceil(float(volume(lat))))
+        for count in (need, need + 1):
+            ws = [random_signal(lat.n, rng) for _ in range(count)]
+            report = module_frame_check(ws, lat)
+            assert report.is_module_frame == frame_bounds(GaborSystem(tuple(ws), lat)).is_frame
 
 
 def test_module_reconstruction_identity(rng):
