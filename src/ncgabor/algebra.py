@@ -11,15 +11,41 @@ involution to the conjugate transpose.  Because the shift matrices are
 orthogonal in the trace pairing, trace(pi(lam) pi(mu)^H) = N [lam == mu],
 coefficients are recoverable from any matrix in the span, which is what makes
 inversion inside the algebra (support preservation) observable here.
+
+The algebra works in the lattice's fibers.  With the normal-form basis
+(a, s), (0, b) and M = N/a, every lattice shift moves time by a multiple of
+a, so represent(x), ordered by t = r + a*q, is block diagonal: a blocks of
+size M x M,
+
+    block_r[q, q'] = band[(q - q') mod M, r + a*q],
+
+where band[i, t] = represent(x)[t, (t - i*a) mod N] is one inverse FFT along
+l of the coefficients at time shift i*a (the rational noncommutative torus
+as a matrix bundle).  The frequencies at time shift i*a are i*s + j*b, so
+up to the phase exp(2*pi*i*i*s*t/N) each band repeats with period N/b in t:
+the times t < N/b, the first h = ceil((N/b)/a) rows of each block, determine
+an element of the span, and the way back is one FFT of length N/b per time
+shift over them.  Products multiply the first h rows of one element's blocks
+by the other's blocks, inversion is a batched inverse after a values-only SVD
+of the blocks, whose singular values are those of the whole matrix, and the
+spectrum is the blocks' eigenvalues together.  Only represent and
+coefficients_of build N x N arrays.
+
+A product takes a*h*M^2, about (N/b + a)*M^2, multiply-adds, against the
+|L|^2 = M^2 (N/b)^2 of summing the convolution over pairs of lattice points,
+but its blocks hold N^2/a entries for |L| = N^2/(a*b) coefficients.  For
+large b, e.g. (1, 0), (0, N/2), building them dominates and a warm product
+costs about what the pairs did; splitting the blocks by the lattice's
+centre into smaller ones would remove that b-fold redundancy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import DimensionMismatch, TFPoint, _frozen
+from .core import DimensionMismatch, TFPoint, _frozen, _lifted
 from .lattice import Lattice
 from .weights import Weight
 
@@ -76,20 +102,22 @@ class CoeffSeq:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """An N x N complex matrix with a cached Hermitian flag."""
+    """An N x N complex matrix."""
 
     n: int
     entries: np.ndarray
-    is_hermitian: bool = False
 
     def __post_init__(self) -> None:
         mat = _frozen(self.entries)
         if mat.shape != (self.n, self.n):
             raise ValueError(f"expected shape ({self.n}, {self.n}), got {mat.shape}")
         object.__setattr__(self, "entries", mat)
+
+    @cached_property
+    def is_hermitian(self) -> bool:
+        mat = self.entries
         scale = np.linalg.norm(mat)
-        herm = np.linalg.norm(mat - mat.conj().T) <= HERMITIAN_TOL * max(scale, 1e-300)
-        object.__setattr__(self, "is_hermitian", bool(herm))
+        return bool(np.linalg.norm(mat - mat.conj().T) <= HERMITIAN_TOL * max(scale, 1e-300))
 
 
 def unit(lat: Lattice) -> CoeffSeq:
@@ -102,22 +130,6 @@ def delta_seq(lat: Lattice, p: TFPoint, value: complex = 1.0) -> CoeffSeq:
     coeffs = np.zeros(lat.size, dtype=complex)
     coeffs[lat.index_of(p)] = value
     return CoeffSeq(lat, coeffs)
-
-
-@lru_cache(maxsize=64)
-def _conv_tables(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
-    """Difference-index and cocycle tables driving twisted convolution.
-
-    sub[i, j] is the canonical index of points[i] - points[j];
-    coc[i, j] = cocycle(points[j], points[i] - points[j]).
-    """
-    pts = lat.as_array()
-    n = lat.n
-    diff_k = (pts[:, None, 0] - pts[None, :, 0]) % n
-    diff_l = (pts[:, None, 1] - pts[None, :, 1]) % n
-    sub = lat.indices(diff_k, diff_l)
-    coc = np.exp(-2j * np.pi * ((pts[None, :, 0] * diff_l) % n) / n)
-    return sub, coc
 
 
 @lru_cache(maxsize=64)
@@ -139,9 +151,7 @@ def _require_same_lattice(a: CoeffSeq, b: CoeffSeq) -> Lattice:
 def twisted_conv(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
     """Twisted convolution; matches operator composition under represent()."""
     lat = _require_same_lattice(a, b)
-    sub, coc = _conv_tables(lat)
-    out = (coc * b.coeffs[sub]) @ a.coeffs
-    return CoeffSeq(lat, out)
+    return CoeffSeq(lat, _coeffs_of_blocks(_blocks(a, _head_rows(lat)) @ _blocks(b), lat))
 
 
 def involution(a: CoeffSeq) -> CoeffSeq:
@@ -154,35 +164,89 @@ def weighted_norm(a: CoeffSeq, v: Weight, s: float) -> float:
     """Weighted l1 norm sum |a(lam)| v(lift(lam))^s."""
     if s < 0:
         raise ValueError("weight exponent s must be >= 0")
-    vs = v.power(s)
-    lifts = [p.lift() for p in a.lattice.points]
-    return float(sum(abs(c) * vs(p) for c, p in zip(a.coeffs, lifts)))
+    lifts = _lifted(a.lattice.as_array(), a.lattice.n)
+    return float(np.abs(a.coeffs) @ v.power(s)._grid(lifts[:, 0], lifts[:, 1]))
+
+
+def _head_rows(lat: Lattice) -> int:
+    """h = ceil((N/b) / a): the rows q < h of the blocks hold every time t < N/b."""
+    a, _, b = lat.basis
+    return -(-(lat.n // b) // a)
+
+
+@lru_cache(maxsize=64)
+def _fiber_tables(lat: Lattice) -> tuple[np.ndarray, ...]:
+    """Per-lattice tables, O(|L|) each: the flat index i*N + l of each point
+    (i*a, l) in the bands; where band[i, t] (t < N/b) sits in the flattened
+    head rows (_coeffs_of_blocks); the phase exp(-2*pi*i*i*s*t/N); and the
+    flat index i*(N/b) + j of each point (i*a, i*s + j*b)."""
+    n, (a, s, b) = lat.n, lat.basis
+    m, p, h = n // a, n // b, _head_rows(lat)
+    pts = lat.as_array()
+    k = pts[:, 0] // a
+    i, t = np.arange(m)[:, None], np.arange(p)[None, :]
+    where = ((t % a) * h + t // a) * m + (t // a - i) % m
+    phase = np.exp(-2j * np.pi * (i * s * t % n) / n)
+    return k * n + pts[:, 1], where, phase, k * p + (pts[:, 1] - k * s) % n // b
+
+
+def _band_values(x: CoeffSeq) -> np.ndarray:
+    """band[i, t] = represent(x)[t, (t - i*a) mod N], shape (N/a, N).
+
+    The band of pi(k, l) at k carries exp(2*pi*i*l*t/N), so each band of the
+    sum is an inverse FFT along l of the coefficients at time shift k = i*a.
+    """
+    lat = x.lattice
+    grid = np.zeros(lat.n * lat.n // lat.basis[0], dtype=complex)
+    grid[_fiber_tables(lat)[0]] = x.coeffs
+    return np.fft.ifft(grid.reshape(-1, lat.n), axis=1, norm="forward")
 
 
 def _bands(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
     """Index of the diagonal bands at the lattice's time shifts k_i = i*a.
 
-    mat[_bands(lat)][i, t] = mat[t, (t - k_i) mod N]; a point (k, l) of the
-    lattice sits in row k // a.
+    mat[_bands(lat)][i, t] = mat[t, (t - k_i) mod N].
     """
     t = np.arange(lat.n)
     ks = np.arange(0, lat.n, lat.basis[0])
     return t[None, :], (t[None, :] - ks[:, None]) % lat.n
 
 
+@lru_cache(maxsize=64)
+def _block_index(m: int, a: int) -> np.ndarray:
+    """idx[r, q, q'] = ((q - q') mod M) * N + r + a*q: where block entry
+    [q, q'] of block r sits in the flattened bands.  Read-only."""
+    q = np.arange(m)
+    idx = (q[:, None] - q[None, :]) % m * (m * a) + a * q[:, None] + np.arange(a)[:, None, None]
+    idx.setflags(write=False)
+    return idx
+
+
+def _blocks(x: CoeffSeq, rows: int | None = None) -> np.ndarray:
+    """The a diagonal blocks (a, N/a, N/a) of represent(x) in the order
+    t = r + a*q, or only their first rows."""
+    a = x.lattice.basis[0]
+    return _band_values(x).reshape(-1)[_block_index(x.lattice.n // a, a)[:, :rows]]
+
+
+def _coeffs_of_blocks(head: np.ndarray, lat: Lattice) -> np.ndarray:
+    """Coefficients of the span element whose blocks begin with the rows head,
+    shape (a, _head_rows(lat), N/a): one FFT of length N/b per time shift
+    over its bands at the times t < N/b, with their phase taken off."""
+    _, where, phase, order = _fiber_tables(lat)
+    band = head.reshape(-1)[where] * phase
+    return np.fft.fft(band, axis=1, norm="forward").reshape(-1)[order]
+
+
 def represent(a: CoeffSeq) -> OperatorMatrix:
     """Assemble the matrix sum of shift matrices weighted by the coefficients.
 
-    The band mat[t, (t - k) mod N] of pi(k, l) carries exp(2*pi*i*l*t/N), so
-    each band of the sum is an inverse FFT along l of the coefficients at k,
-    one per time shift of the lattice; the other bands are zero.
+    Its bands at the lattice's time shifts are _band_values; the other bands
+    are zero.
     """
-    lat = a.lattice
-    n, pts = lat.n, lat.as_array()
+    n = a.lattice.n
     mat = np.zeros((n, n), dtype=complex)  # before the temporaries, so they free from the heap top
-    grid = np.zeros((n // lat.basis[0], n), dtype=complex)
-    grid[pts[:, 0] // lat.basis[0], pts[:, 1]] = a.coeffs
-    mat[_bands(lat)] = np.fft.ifft(grid, axis=1) * n
+    mat[_bands(a.lattice)] = _band_values(a)
     mat.setflags(write=False)  # handed over: OperatorMatrix shares it rather than copying
     return OperatorMatrix(n, mat)
 
@@ -204,9 +268,8 @@ def coefficients_of(A, lat: Lattice) -> tuple[CoeffSeq, float]:
     n = lat.n
     if mat.shape != (n, n):
         raise DimensionMismatch(f"matrix shape {mat.shape} does not match order {n}")
-    pts = lat.as_array()
-    grid = np.fft.fft(mat[_bands(lat)], axis=1) / n
-    seq = CoeffSeq(lat, grid[pts[:, 0] // lat.basis[0], pts[:, 1]])
+    grid = np.fft.fft(mat[_bands(lat)], axis=1, norm="forward")
+    seq = CoeffSeq(lat, grid.reshape(-1)[_fiber_tables(lat)[0]])
     residual = float(np.linalg.norm(mat - represent(seq).entries))
     return seq, residual
 
@@ -214,16 +277,18 @@ def coefficients_of(A, lat: Lattice) -> tuple[CoeffSeq, float]:
 def invert_in_algebra(a: CoeffSeq) -> CoeffSeq:
     """Invert an element within the span of its lattice's shifts.
 
-    The inverse of an invertible span element lies back in the span, so the
-    coefficient recovery of the matrix inverse has vanishing residual; that
-    is the finite shadow of spectral invariance and is enforced by the tests.
+    The fiber blocks' singular values together are those of the whole
+    represented matrix, so they give the verdict; the inverse is then taken
+    block by block.  It lands back in the span: the finite shadow of
+    spectral invariance, which the tests check against the dense inverse.
     """
-    A = represent(a).entries
-    svals = np.linalg.svd(A, compute_uv=False)
-    if svals[-1] <= INVERTIBILITY_TOL * svals[0]:
-        raise SingularElement(float(svals[-1]))
-    inv, _residual = coefficients_of(np.linalg.inv(A), a.lattice)
-    return inv
+    blocks = _blocks(a)
+    svals = np.linalg.svd(blocks, compute_uv=False)
+    smallest = float(svals.min())
+    if smallest <= INVERTIBILITY_TOL * svals.max():
+        raise SingularElement(smallest)
+    head = np.linalg.inv(blocks)[:, : _head_rows(a.lattice)]
+    return CoeffSeq(a.lattice, _coeffs_of_blocks(head, a.lattice))
 
 
 def trace_tau(a: CoeffSeq) -> complex:
@@ -232,5 +297,5 @@ def trace_tau(a: CoeffSeq) -> complex:
 
 
 def spectrum(a: CoeffSeq) -> np.ndarray:
-    """Eigenvalues (with multiplicity) of the represented matrix."""
-    return np.linalg.eigvals(represent(a).entries)
+    """Eigenvalues (with multiplicity) of the represented matrix, block by block."""
+    return np.linalg.eigvals(_blocks(a)).ravel()

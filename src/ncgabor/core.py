@@ -24,6 +24,7 @@ algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,6 +134,11 @@ class TFPoint:
         return (k, l)
 
 
+def _lifted(values: np.ndarray, n: int) -> np.ndarray:
+    """TFPoint.lift on an integer array of residues mod N, elementwise."""
+    return np.where(values > n // 2, values - n, values)
+
+
 @dataclass(frozen=True)
 class PhaseSpaceArray:
     """An N x N complex array over phase space, indexed [k, l]."""
@@ -161,9 +167,12 @@ def symplectic_bicharacter(lam: TFPoint, mu: TFPoint) -> complex:
     return complex(np.exp(2j * np.pi * ((mu.k * lam.l - lam.k * mu.l) % n) / n))
 
 
+@lru_cache(maxsize=64)
 def _roots(n: int) -> np.ndarray:
-    """The N-th roots of unity exp(2*pi*i*j/N), j = 0 .. N-1."""
-    return np.exp(2j * np.pi * np.arange(n) / n)
+    """The N-th roots of unity exp(2*pi*i*j/N), j = 0 .. N-1, read-only."""
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    roots.setflags(write=False)
+    return roots
 
 
 def _shifted(points: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ with a | N, b | N and 0 <= s < b, where a generates the time shifts that
 occur in L and b the frequency shifts at time 0.  The points are
 i*(a, s) + j*(0, b) for 0 <= i < N/a and 0 <= j < N/b, and a lattice is
 identified by N and that basis, so two generator lists for one subgroup give
-equal lattices.  The points are stored in lexicographic order; every
+equal lattices.  Size, equality, hashing and the adjoint need only the basis;
+the points are built on first use, in lexicographic order, and every
 summation in the toolkit runs in that order so serial residuals are
 reproducible.
 
@@ -48,23 +49,27 @@ class Lattice:
     n: int
     basis: tuple[int, int, int]
     generators: tuple[TFPoint, ...] = field(compare=False)
-    _points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n, (a, s, b) = self.n, self.basis
         if min(a, b) < 1 or n % a or n % b or not 0 <= s < b or (s * (n // a)) % b:
             raise ValueError(f"({a}, {s}, {b}) is not a normal-form basis mod {n}")
+
+    @property
+    def size(self) -> int:
+        a, _, b = self.basis
+        return (self.n // a) * (self.n // b)
+
+    @cached_property
+    def _points(self) -> np.ndarray:
         # row i holds k = i*a with l = (i*s mod b) + j*b: lexicographic as built
+        n, (a, s, b) = self.n, self.basis
         i = np.arange(n // a, dtype=np.int64)[:, None]
         j = np.arange(n // b, dtype=np.int64)[None, :]
         k = np.broadcast_to(i * a, (n // a, n // b))
         pts = np.stack([k.ravel(), ((i * s) % b + j * b).ravel()], axis=1)
         pts.setflags(write=False)
-        object.__setattr__(self, "_points", pts)
-
-    @property
-    def size(self) -> int:
-        return self._points.shape[0]
+        return pts
 
     @cached_property
     def points(self) -> tuple[TFPoint, ...]:
@@ -88,7 +93,7 @@ class Lattice:
         return bool(self.indices(p.k, p.l) >= 0)
 
     def as_array(self) -> np.ndarray:
-        """Points as a read-only integer array of shape (|L|, 2) in canonical order."""
+        """Points as a read-only int64 array (|L|, 2) in canonical order, built on first use."""
         return self._points
 
 

@@ -16,11 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, Signal, stft
+from .core import DimensionMismatch, Signal, _lifted, stft
 from .weights import Weight
-
-# the largest x with exp(x) finite in double precision
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 __all__ = [
     "ModNormSpec",
@@ -50,12 +47,8 @@ class ModNormSpec:
 
 def _lifted_weight_table(m: Weight, n: int) -> np.ndarray:
     """m at the lifted coordinates of every phase-space point, indexed [k, l]."""
-    lift = np.arange(n)
-    lift[lift > n // 2] -= n
-    logs = m._log_grid(lift[:, None], lift[None, :])
-    if logs.max() > _LOG_FLOAT_MAX:
-        raise OverflowError(f"weight {m.family} exceeds the float range on Z_{n}")
-    return np.exp(logs)
+    lift = _lifted(np.arange(n), n)
+    return m._grid(lift[:, None], lift[None, :])
 
 
 def _lp(values: np.ndarray, p: float, axis: int) -> np.ndarray:

@@ -44,6 +44,9 @@ GRS_INCONCLUSIVE = "inconclusive"
 
 _FAMILIES = ("polynomial", "subexponential", "exponential", "custom")
 
+# the largest x with exp(x) finite in double precision
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class Weight:
@@ -148,6 +151,13 @@ class Weight:
         if self.family == "subexponential":
             return self.b * r2 ** (self.beta / 2.0)
         return self.b * np.sqrt(r2)
+
+    def _grid(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """v at the integer points (x, y), elementwise; OverflowError past the float range."""
+        logs = self._log_grid(x, y)
+        if logs.max() > _LOG_FLOAT_MAX:
+            raise OverflowError(f"weight {self.family} exceeds the float range")
+        return np.exp(logs)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: verbs, exit codes, artifact round trips."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,26 @@ def test_vol_verb(capsys):
     code, out, _ = run(capsys, "vol", "--n", "12", "--gens", "(2,0),(0,3)")
     assert code == 0
     assert json.loads(out) == {"n": 12, "size": 24, "vol": "1/2"}
+
+
+@pytest.mark.parametrize(
+    "verb, expect",
+    [
+        ("adjoint", {"n": 10**6, "generators": []}),
+        ("vol", {"n": 10**6, "size": 10**12, "vol": "1/1000000"}),
+    ],
+)
+def test_basis_verbs_allocate_no_points(capsys, verb, expect):
+    # the full lattice mod 10^6 has 10^12 points; adjoint and vol need only its basis
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, verb, "--n", "1000000", "--gens", "(1,0),(0,1)")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "Traceback" not in err
+    assert json.loads(out) == expect
+    assert peak < 2**20
 
 
 def test_bounds_translation_basis(capsys):

@@ -4,7 +4,9 @@ Runs over every subgroup for N in {4, 6, 8, 9, 12} plus sheared lattices at
 N in {48, 96}, at 1e-12 relative to the largest oracle entry.  The fiber
 routes of the frame computations (block-diagonal frame operator, per-shift
 analysis, tiled synthesis) are checked against the dense G G^H route with
-one and two windows.
+one and two windows, and those of the lattice algebra (product, inversion,
+spectrum from the diagonal blocks of represent) against dense matrix
+products, inverses, SVDs and eigenvalues of the loop-built shift sums.
 """
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from ncgabor import (
     CoeffSeq,
     GaborSystem,
     NotAFrame,
+    SingularElement,
     TFPoint,
     act_left,
     act_right,
@@ -23,13 +26,18 @@ from ncgabor import (
     coefficients_of,
     frame_bounds,
     frame_operator,
+    invert_in_algebra,
     random_signal,
     reconstruct,
     represent,
     right_operator,
     shift_matrix,
+    spectrum,
     tf_shift,
+    twisted_conv,
+    unit,
 )
+from ncgabor.algebra import INVERTIBILITY_TOL
 from ncgabor.core import _shifted
 from ncgabor.frames import FRAME_DECISION_TOL
 import oracles
@@ -120,3 +128,24 @@ def test_represent_and_coefficients_of_match_loop_oracles(rng):
         assert_close(seq.coeffs, oracles.coefficients_of(mat, lat))
         expect = np.linalg.norm(mat - oracles.represent(seq))
         assert abs(residual - expect) <= REL * np.linalg.norm(mat)
+
+
+def test_algebra_fiber_routes_match_dense_oracles(rng):
+    # the inverse is perturbed by up to eps * cond(A), so its tolerance scales with cond(A);
+    # a - lambda * 1, lambda an eigenvalue of represent(a), is singular up to rounding
+    for lat in oracle_cases():
+        a, b = rand_seq(lat, rng), rand_seq(lat, rng)
+        A, B = oracles.represent(a), oracles.represent(b)
+        assert_close(twisted_conv(a, b).coeffs, oracles.coefficients_of(A @ B, lat))
+        eigs = np.linalg.eigvals(A)
+        assert_close(np.sort_complex(spectrum(a)), np.sort_complex(eigs))
+        svals = np.linalg.svd(A, compute_uv=False)
+        assert svals[-1] > INVERTIBILITY_TOL * svals[0]
+        inverse = oracles.coefficients_of(np.linalg.inv(A), lat)
+        assert_close(invert_in_algebra(a).coeffs, inverse, REL * svals[0] / svals[-1])
+        singular = CoeffSeq(lat, a.coeffs - eigs[0] * unit(lat).coeffs)
+        svals = np.linalg.svd(oracles.represent(singular), compute_uv=False)
+        assert svals[-1] <= INVERTIBILITY_TOL * svals[0]
+        with pytest.raises(SingularElement) as raised:
+            invert_in_algebra(singular)
+        assert raised.value.smallest_singular_value <= INVERTIBILITY_TOL * svals[0]

@@ -15,9 +15,10 @@ from ncgabor import (
     lattice_from_generators,
     shift_matrix,
     trivial_lattice,
+    twisted_conv,
     volume,
 )
-from ncgabor.algebra import _conv_tables, _involution_tables
+from ncgabor.algebra import _involution_tables
 from oracles import oracle_cases
 
 
@@ -234,7 +235,7 @@ def test_enumerate_subgroups_matches_pairwise_closures(n):
     assert keys == sorted(keys)
 
 
-def test_lattice_tables_match_brute_force_oracles():
+def test_lattice_tables_match_brute_force_oracles(rng):
     for lat in oracle_cases():
         n = lat.n
         pts = _pairs(lat.points)
@@ -253,9 +254,12 @@ def test_lattice_tables_match_brute_force_oracles():
         expect = [lookup.get(p, -1) for p in zip(k.tolist(), l.tolist())]
         assert lat.indices(k, l).tolist() == expect
 
-        sub, coc = _conv_tables(lat)
+        # (a # b)(p_i) = sum_j a(p_j) b(p_i - p_j) cocycle(p_j, p_i - p_j) from the oracle tables
+        a, b = ([1, 1j] @ rng.standard_normal((2, lat.size)) for _ in range(2))
         sub_o, coc_o = conv_tables_oracle(lat)
-        assert np.array_equal(sub, sub_o) and np.array_equal(coc, coc_o)
+        expect = (coc_o * b[sub_o]) @ a
+        got = twisted_conv(CoeffSeq(lat, a), CoeffSeq(lat, b)).coeffs
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
         neg, diag = _involution_tables(lat)
         neg_o, diag_o = involution_tables_oracle(lat)
         assert np.array_equal(neg, neg_o) and np.array_equal(diag, diag_o)
