@@ -17,9 +17,9 @@ and commute up to the antisymmetric symplectic bicharacter
 Every sum over shifts in the toolkit is built on one kernel, _shifted, which
 returns the shifted copies of a window at a whole array of points with one
 gather and one table of N-th roots of unity.  The short-time Fourier
-transform samples inner products against all N^2 shifted copies of a window,
-one length-N FFT per time shift.  Everything here is exact finite linear
-algebra.
+transform and the lattice analysis share one kernel too, _spectra: one
+length-N FFT of f * conj(translate of g) per time shift.  Everything here
+is exact finite linear algebra.
 """
 from __future__ import annotations
 
@@ -87,8 +87,8 @@ class Signal:
     def norm2(self) -> float:
         return float(np.linalg.norm(self.values))
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.abs(self.values).max(initial=0.0) <= tol)
+    def is_zero(self) -> bool:
+        return not self.values.any()
 
     @staticmethod
     def zero(n: int) -> "Signal":
@@ -207,20 +207,23 @@ def shift_matrix(p: TFPoint) -> np.ndarray:
     return mat
 
 
-def _rolled_window(g: np.ndarray) -> np.ndarray:
-    """Stack of all cyclic translates: out[k, t] = g[(t - k) mod N]."""
-    return _shifted(np.arange(g.shape[0])[:, None] * [1, 0], g)
+def _spectra(f: np.ndarray, g: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """<f, pi(k_i, l) g> as [..., i, l]: one length-N FFT of f * conj(g(t - k_i))
+    per time shift k_i.
+
+    Leading axes of g are further windows; leading axes of f pair with them.
+    """
+    translates = _shifted(np.stack([ks, np.zeros_like(ks)], axis=1), g)
+    return np.fft.fft(f[..., None, :] * np.conj(translates), axis=-1)
 
 
 def stft(f: Signal, g: Signal) -> PhaseSpaceArray:
-    """Short-time Fourier transform V_g f(k, l) = <f, pi(k,l) g>.
+    """Short-time Fourier transform V_g f(k, l) = <f, pi(k,l) g>, one FFT per time shift.
 
-    One length-N FFT of f * conj(translate of g) per time shift k.
     Satisfies the Moyal identity  sum |V_g f|^2 = N ||f||^2 ||g||^2.
     """
     n = _check_same_n(f.n, g.n)
-    products = f.values[None, :] * np.conj(_rolled_window(g.values))
-    return PhaseSpaceArray(n, np.fft.fft(products, axis=1))
+    return PhaseSpaceArray(n, _spectra(f.values, g.values, np.arange(n)))
 
 
 def random_signal(n: int, rng: np.random.Generator) -> Signal:

@@ -1,31 +1,25 @@
 """Gabor systems and frame operators on Z_N.
 
 A Gabor system is the family of all lattice shifts of one or more windows.
-Every computation here works in the lattice's fibers.  With the normal-form
-basis (a, s), (0, b) of the lattice and m = N/b, the lattice holds every
-modulation by a multiple of b, so the frame operator S links t and t' only
-when t = t' mod m: ordered by t = r + m*q, S is block diagonal, m blocks of
-size b x b,
+Its frame operator commutes with every lattice shift, so it lies in the
+algebra of the adjoint lattice L°: it is the represented element
 
-    block_r[q, q'] = m * sum_i X[i, r + m q] conj(X[i, r + m q']),
+    vol^{-1} sum_w <g_w, pi(mu) g_w>,  mu in L°,
 
-where the rows of X are the windows shifted to the lattice's time shifts
-(i a, i s mod b), all built by one call of the shift kernel.  One batched
-matmul builds the blocks in O(N^2 b/a) per window, against O(N^2 |L|) for
-the dense G G^H, which is kept only as a test oracle.  One batched
-eigendecomposition of the blocks (O(N b^2)) gives the frame bounds and
-verdict and applies S^-1 (dual windows) or S^-1/2 (tight windows) to every
-window.  frame_operator scatters the blocks into the N x N matrix.  Analysis
-takes one length-N FFT of f * conj(g(t - i a)) per lattice time shift and
-reads it at that shift's frequencies (O(N^2 log N / a), no N x N STFT).
-Synthesis is one length-m inverse FFT of each time shift's coefficients,
-tiled along t and weighted by X.
-
-The frame operator commutes with every lattice shift, which is why it also
-expands over the adjoint lattice: the coefficients of that expansion,
-vol^{-1} <h, pi(adjoint point) g>, reproduce the operator exactly in this
-finite model, and the fundamental identity below is the two-sided
-inner-product form of the same fact.
+the Janssen coefficients summed over the windows (the A(L°)-valued inner
+product <g, g> of the Morita equivalence).  janssen_representation returns
+them for a pair of windows; the frame element is the same computation on the
+stacked windows.  Everything the designs need comes from the algebra's
+fiber blocks of that element (algebra._blocks): L°'s first basis entry is
+N/b, so they are N/b blocks of size b x b.  One batched eigendecomposition of
+them gives the frame bounds and verdict and applies S^-1 (dual windows) or
+S^-1/2 (tight windows) to every window; frame_operator is represent of the
+element.  Analysis takes one length-N FFT of f * conj(g(t - k)) per lattice
+time shift k (core._spectra, shared with the STFT) and reads it at that
+shift's frequencies; synthesis is one length-N/b inverse FFT of each time
+shift's coefficients, tiled along t and weighted by the shifted windows.
+The fundamental identity below is the two-sided inner-product form of the
+same expansion.
 """
 from __future__ import annotations
 
@@ -33,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, Signal, _shifted
+from .core import DimensionMismatch, Signal, _shifted, _spectra
 from .lattice import Lattice, adjoint_lattice, volume
-from .algebra import CoeffSeq, OperatorMatrix
+from .algebra import CoeffSeq, OperatorMatrix, _blocks, represent
 
 __all__ = [
     "GaborSystem",
@@ -100,36 +94,23 @@ def _windows(sys: GaborSystem) -> np.ndarray:
     return np.stack([w.values for w in sys.windows])
 
 
-def _fiber_width(lat: Lattice) -> int:
-    """m = N/b, the number of fibers: t and t' share one when t = t' mod m."""
-    return lat.n // lat.basis[2]
+def _janssen(h: np.ndarray, g: np.ndarray, lat: Lattice) -> CoeffSeq:
+    """vol^{-1} sum_w <h_w, pi(mu) g_w> on the adjoint lattice, summed over
+    the leading (window) axes that h and g pair."""
+    adj = adjoint_lattice(lat)
+    coeffs = _analysis(h, g, adj).reshape(-1, adj.size).sum(axis=0)
+    return CoeffSeq(adj, (1.0 / float(volume(lat))) * coeffs)
 
 
-def _fibers(lat: Lattice, g: np.ndarray) -> np.ndarray:
-    """Copies of g shifted to the lattice's time shifts (i a, i s mod b), one row each.
-
-    Those are the lattice points with j = 0, every (N/b)-th in canonical
-    order; leading axes of g are further windows.
-    """
-    return _shifted(lat.as_array()[:: _fiber_width(lat)], g)
-
-
-def _frame_blocks(sys: GaborSystem) -> np.ndarray:
-    """The m diagonal blocks (m, b, b) of the frame operator in the order t = r + m*q."""
-    m = _fiber_width(sys.lattice)
-    b = sys.n // m
-    # X[row, t] -> x[r, q, row] with t = r + m*q, contiguous for the batched matmul
-    x = np.ascontiguousarray(_fibers(sys.lattice, _windows(sys)).reshape(-1, b, m).T)
-    return m * (x @ x.conj().transpose(0, 2, 1))
+def _frame_element(sys: GaborSystem) -> CoeffSeq:
+    """The frame operator as an element of the adjoint lattice's algebra."""
+    windows = _windows(sys)
+    return _janssen(windows, windows, sys.lattice)
 
 
 def frame_operator(sys: GaborSystem) -> OperatorMatrix:
-    """Hermitian positive semidefinite frame operator, its fiber blocks scattered into place."""
-    t = np.arange(sys.n).reshape(-1, _fiber_width(sys.lattice)).T  # t[r, q] = r + m*q
-    S = np.zeros((sys.n, sys.n), dtype=complex)
-    S[t[:, :, None], t[:, None, :]] = _frame_blocks(sys)
-    S.setflags(write=False)  # handed over: OperatorMatrix shares it rather than copying
-    return OperatorMatrix(sys.n, S)
+    """Hermitian positive semidefinite frame operator: the frame element represented."""
+    return represent(_frame_element(sys))
 
 
 def _bounds(eigs: np.ndarray) -> FrameBounds:
@@ -140,17 +121,17 @@ def _bounds(eigs: np.ndarray) -> FrameBounds:
 
 def frame_bounds(sys: GaborSystem) -> FrameBounds:
     """Extreme eigenvalues of the frame operator and the frame verdict."""
-    return _bounds(np.linalg.eigvalsh(_frame_blocks(sys)))
+    return _bounds(np.linalg.eigvalsh(_blocks(_frame_element(sys))))
 
 
-def hermitian_inverse_sqrt(mat: np.ndarray, floor_rel: float = EIGENVALUE_FLOOR_REL) -> np.ndarray:
+def hermitian_inverse_sqrt(mat: np.ndarray) -> np.ndarray:
     """Inverse square root of a Hermitian PSD matrix by eigendecomposition.
 
-    Eigenvalues below floor_rel times the largest contribute nothing instead
-    of amplifying numerically null directions.
+    Eigenvalues below EIGENVALUE_FLOOR_REL times the largest contribute
+    nothing instead of amplifying numerically null directions.
     """
     eigs, vecs = np.linalg.eigh(mat)
-    floor = eigs[-1] * floor_rel
+    floor = eigs[-1] * EIGENVALUE_FLOOR_REL
     inv = np.where(eigs > floor, 1.0 / np.sqrt(np.where(eigs > floor, eigs, 1.0)), 0.0)
     return (vecs * inv) @ vecs.conj().T
 
@@ -158,15 +139,16 @@ def hermitian_inverse_sqrt(mat: np.ndarray, floor_rel: float = EIGENVALUE_FLOOR_
 def _frame_power(sys: GaborSystem, power: float) -> list[Signal]:
     """S^power applied to every window, S the frame operator of the system.
 
-    One eigendecomposition of the fiber blocks gives both the frame verdict
-    and the power, applied to each window's fibers block by block.
+    One eigendecomposition of the frame element's fiber blocks gives both
+    the frame verdict and the power, applied to each window's fibers block
+    by block: block r holds the times t = r + m*q.
     """
-    eigs, vecs = np.linalg.eigh(_frame_blocks(sys))
+    eigs, vecs = np.linalg.eigh(_blocks(_frame_element(sys)))
     bounds = _bounds(eigs)
     if not bounds.is_frame:
         del vecs  # the traceback keeps this frame's locals alive as long as the exception
         raise NotAFrame(bounds.lower)
-    m = _fiber_width(sys.lattice)
+    m = len(eigs)
     fibered = _windows(sys).reshape(len(sys.windows), -1, m).T  # [r, q, window]
     out = vecs @ ((vecs.conj().transpose(0, 2, 1) @ fibered) * eigs[:, :, None] ** power)
     return [Signal(sys.n, row) for row in out.T.reshape(len(sys.windows), sys.n)]
@@ -183,25 +165,27 @@ def canonical_tight(sys: GaborSystem) -> list[Signal]:
 
 
 def _analysis(f: np.ndarray, g: np.ndarray, lat: Lattice) -> np.ndarray:
-    """<f, pi(i a, i s mod b + j b) g> as [..., i, j]; leading axes of g are further windows.
+    """<f, pi(i a, i s mod b + j b) g> as [..., i, j]; leading axes of g are
+    further windows, and leading axes of f pair with them.
 
-    One length-N FFT of f * conj(g(t - i a)) per time shift of the lattice,
-    read at that shift's frequencies: the same numbers as the STFT's samples.
+    The STFT's samples at the lattice's time shifts, read at each shift's
+    frequencies.
     """
     ks = np.arange(0, lat.n, lat.basis[0])
-    translates = _shifted(np.stack([ks, np.zeros_like(ks)], axis=1), g)
-    spectra = np.fft.fft(f * translates.conj(), axis=-1)
     freqs = lat.as_array()[:, 1].reshape(len(ks), -1)
-    return spectra[..., np.arange(len(ks))[:, None], freqs]
+    return _spectra(f, g, ks)[..., np.arange(len(ks))[:, None], freqs]
 
 
-def _synthesis(coeffs: np.ndarray, fibers: np.ndarray) -> np.ndarray:
+def _synthesis(coeffs: np.ndarray, g: np.ndarray, lat: Lattice) -> np.ndarray:
     """sum c[..., i, j] pi(i a, i s mod b + j b) g, summed over windows too.
 
-    Row i contributes X[i, t] times a length-m inverse FFT of c[i] at t mod m.
+    The copies X[i] of g shifted to the lattice's time shifts (i a, i s mod
+    b), every (N/b)-th lattice point, each contribute X[i, t] times a
+    length-N/b inverse FFT of c[i] at t mod N/b.
     """
-    m = coeffs.shape[-1]
-    phases = np.fft.ifft(coeffs, axis=-1).reshape(-1, 1, m) * m
+    m = lat.n // lat.basis[2]
+    fibers = _shifted(lat.as_array()[::m], g)
+    phases = np.fft.ifft(coeffs.reshape(-1, m), axis=-1).reshape(-1, 1, m) * m
     return (fibers.reshape(phases.shape[0], -1, m) * phases).sum(axis=0).ravel()
 
 
@@ -221,10 +205,7 @@ def janssen_representation(g: Signal, h: Signal, lat: Lattice) -> CoeffSeq:
     """
     if g.n != lat.n or h.n != lat.n:
         raise DimensionMismatch("window length does not match lattice order")
-    adj = adjoint_lattice(lat)
-    scale = 1.0 / float(volume(lat))
-    coeffs = scale * analysis_coefficients(h, g, adj)
-    return CoeffSeq(adj, coeffs)
+    return _janssen(h.values, g.values, lat)
 
 
 def figa_check(
@@ -259,5 +240,7 @@ def reconstruct(f: Signal, sys: GaborSystem, duals: list[Signal]) -> Signal:
         raise ValueError(
             f"{len(duals)} dual windows for {len(sys.windows)} system windows"
         )
+    if f.n != sys.n or any(d.n != sys.n for d in duals):
+        raise DimensionMismatch("signal or dual length does not match the system's order")
     coeffs = _analysis(f.values, np.stack([d.values for d in duals]), sys.lattice)
-    return Signal(sys.n, _synthesis(coeffs, _fibers(sys.lattice, _windows(sys))))
+    return Signal(sys.n, _synthesis(coeffs, _windows(sys), sys.lattice))

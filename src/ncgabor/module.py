@@ -4,9 +4,11 @@ Signals carry a left action of the lattice algebra and a right action of the
 adjoint-lattice algebra.  The left inner product collects the analysis
 coefficients as an algebra element; the right inner product samples
 <pi(adjoint point) g, f>, stored against the adjoint shifts, with the
-covolume factor carried by the right action:
-
-    act_right(f, b) = vol^{-1} sum b(adjoint point) pi(adjoint point)^H f.
+covolume factor carried by the right action.  The right action of b is the
+left action of one element of the same algebra, vol^{-1} involution(conj b),
+whose represented matrix is vol^{-1} sum b(mu) pi(mu)^H: act_right and
+right_operator are act_left and represent of it, so both run through the
+algebra's fiber formula (see algebra.py).
 
 Both conventions together make the associativity identity
 
@@ -20,8 +22,9 @@ other fails associativity outright.
 
 A family of windows is a module frame exactly when the stacked multi-window
 system is a frame; tightening by the inverse square root of the summed frame
-operator realizes the reconstruction identity, whose trace is the ordinary
-multi-window Parseval identity.  A lattice of covolume v needs at least
+operator (the A(L°)-valued inner product of the windows with themselves,
+frames._frame_element) realizes the reconstruction identity, whose trace
+is the ordinary multi-window Parseval identity.  A lattice of covolume v needs at least
 ceil(v) windows, by counting rank.
 """
 from __future__ import annotations
@@ -32,14 +35,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DimensionMismatch, Signal, _shifted, random_signal
+from .core import DimensionMismatch, Signal, random_signal
 from .lattice import Lattice, adjoint_lattice, volume
-from .algebra import CoeffSeq, OperatorMatrix, _involution_tables, represent, twisted_conv
+from .algebra import CoeffSeq, OperatorMatrix, involution, represent, twisted_conv
 from .frames import (
     GaborSystem,
     NotAFrame,
-    _fiber_width,
-    _fibers,
     _synthesis,
     analysis_coefficients,
     canonical_tight,
@@ -88,14 +89,15 @@ def act_left(a: CoeffSeq, g: Signal) -> Signal:
     """Left action: sum a(lam) pi(lam) g, equal to represent(a) applied to g."""
     if g.n != a.lattice.n:
         raise DimensionMismatch("signal length does not match lattice order")
-    lat = a.lattice
-    coeffs = a.coeffs.reshape(-1, _fiber_width(lat))
-    return Signal(g.n, _synthesis(coeffs, _fibers(lat, g.values)))
+    return Signal(g.n, _synthesis(a.coeffs, g.values, a.lattice))
 
 
-def _adjoint_volume_scale(b: CoeffSeq) -> float:
-    # b lives on the adjoint lattice; vol(lattice)^-1 = N / |adjoint lattice|
-    return b.lattice.n / b.lattice.size
+def _right_element(b: CoeffSeq) -> CoeffSeq:
+    """vol^{-1} involution(conj b), represented as vol^{-1} sum b(mu) pi(mu)^H.
+
+    b lives on the adjoint lattice L° of some L, and vol(L)^-1 = vol(L°).
+    """
+    return involution(CoeffSeq(b.lattice, float(volume(b.lattice)) * np.conj(b.coeffs)))
 
 
 def act_right(g: Signal, b: CoeffSeq, lat: Lattice | None = None) -> Signal:
@@ -104,16 +106,12 @@ def act_right(g: Signal, b: CoeffSeq, lat: Lattice | None = None) -> Signal:
         raise DimensionMismatch("signal length does not match lattice order")
     if lat is not None and adjoint_lattice(lat) != b.lattice:
         raise DimensionMismatch("coefficients do not live on the adjoint lattice")
-    # pi(p)^H = cocycle(p, p) pi(-p); diag holds cocycle(p, p)
-    _, diag = _involution_tables(b.lattice)
-    out = (b.coeffs * diag) @ _shifted(-b.lattice.as_array(), g.values)
-    return Signal(g.n, _adjoint_volume_scale(b) * out)
+    return act_left(_right_element(b), g)
 
 
 def right_operator(b: CoeffSeq) -> OperatorMatrix:
     """Matrix of a right-algebra element: vol^{-1} sum b(mu) pi(mu)^H."""
-    conj_rep = represent(CoeffSeq(b.lattice, np.conj(b.coeffs))).entries
-    return OperatorMatrix(b.lattice.n, _adjoint_volume_scale(b) * conj_rep.conj().T)
+    return represent(_right_element(b))
 
 
 def frame_type_operator(g: Signal, h: Signal, lat: Lattice, f: Signal) -> Signal:

@@ -105,7 +105,7 @@ def test_adjoint_expansion_matches_frame_operator():
     lat = lattice_from_generators(12, [(2, 0), (0, 3)])
     for seed in SEEDS:
         g = random_signal(12, np.random.default_rng(seed))
-        S = frame_operator(GaborSystem((g,), lat)).entries
+        S = oracles.frame_operator(GaborSystem((g,), lat))
         J = represent(janssen_representation(g, g, lat)).entries
         assert np.linalg.norm(S - J) < 1e-10 * np.linalg.norm(S)
 
@@ -333,6 +333,9 @@ def test_signals_of_another_order_rejected(rng):
         analysis_coefficients(sigs[0], sigs[1], lat)
     with pytest.raises(DimensionMismatch):
         analysis_coefficients(random_signal(6, rng), sigs[1], lat)
+    sys = GaborSystem((random_signal(12, rng),), lattice_from_generators(12, [(2, 0), (0, 3)]))
+    with pytest.raises(DimensionMismatch):
+        reconstruct(random_signal(24, rng), sys, [random_signal(24, rng)])
 
 
 @pytest.mark.parametrize(
@@ -342,8 +345,8 @@ def test_signals_of_another_order_rejected(rng):
 )
 def test_design_builds_the_frame_operator_once(monkeypatch, rng, design):
     calls = []
-    build = frames._frame_blocks
-    monkeypatch.setattr(frames, "_frame_blocks", lambda sys: calls.append(sys) or build(sys))
+    build = frames._frame_element
+    monkeypatch.setattr(frames, "_frame_element", lambda sys: calls.append(sys) or build(sys))
     lat = lattice_from_generators(8, [(4, 0), (0, 4)])
     design(GaborSystem((random_signal(8, rng), random_signal(8, rng)), lat))
     assert len(calls) == 1
