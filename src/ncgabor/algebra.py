@@ -13,30 +13,33 @@ coefficients are recoverable from any matrix in the span, which is what makes
 inversion inside the algebra (support preservation) observable here.
 
 The algebra works in the lattice's fibers.  With the normal-form basis
-(a, s), (0, b) and M = N/a, every lattice shift moves time by a multiple of
-a, so represent(x), ordered by t = r + a*q, is block diagonal: a blocks of
-size M x M,
+(a, s), (0, b), the points at time shift i*a are (i*a, sigma_i + j*b),
+sigma_i = i*s mod b, and (i*a, sigma_i) are the fiber points.  One transform
+pair carries every lattice route between coefficients and time: the tile
+takes c[i, j] to rows[i, t] * sum_j c[i, j] exp(2*pi*i*j*t/(N/b)), one
+inverse FFT of length N/b per time shift repeated b times along t, and the
+fold, its adjoint without the rows, sums over t mod N/b and takes one FFT of
+length N/b.  With the band phase exp(2*pi*i*sigma_i*t/N) as rows the tile
+gives the bands band[i, t] = represent(c)[t, (t - i*a) mod N], and the fold
+of the bands times the conjugate phase, over N, recovers c; with the windows
+shifted to the fiber points as rows they are Gabor synthesis and analysis
+(frames.py), the Zak-domain factorization of Gabor frames.
 
-    block_r[q, q'] = band[(q - q') mod M, r + a*q],
-
-where band[i, t] = represent(x)[t, (t - i*a) mod N] is one inverse FFT along
-l of the coefficients at time shift i*a (the rational noncommutative torus
-as a matrix bundle).  The frequencies at time shift i*a are i*s + j*b, so
-up to the phase exp(2*pi*i*i*s*t/N) each band repeats with period N/b in t:
-the times t < N/b, the first h = ceil((N/b)/a) rows of each block, determine
-an element of the span, and the way back is one FFT of length N/b per time
-shift over them.  Products multiply the first h rows of one element's blocks
-by the other's blocks, inversion is a batched inverse after a values-only SVD
-of the blocks, whose singular values are those of the whole matrix, and the
-spectrum is the blocks' eigenvalues together.  Only represent and
-coefficients_of build N x N arrays.
+In the order t = r + a*q, M = N/a, represent(x) is block diagonal: a blocks
+of size M x M, block_r[q, q'] = band[(q - q') mod M, r + a*q] (the rational
+noncommutative torus as a matrix bundle).  Up to the phase each band repeats
+with period N/b in t, so the first h = ceil((N/b)/a) rows of each block, the
+times t < N/b, determine an element, and their fold gives it back.  Products
+multiply those rows of one element's blocks by the other's blocks, inversion
+is a batched inverse after a values-only SVD of the blocks (whose singular
+values are the whole matrix's), and the spectrum is the blocks' eigenvalues.
+Only represent and coefficients_of build N x N arrays.
 
 A product takes a*h*M^2, about (N/b + a)*M^2, multiply-adds, against the
-|L|^2 = M^2 (N/b)^2 of summing the convolution over pairs of lattice points,
-but its blocks hold N^2/a entries for |L| = N^2/(a*b) coefficients.  For
-large b, e.g. (1, 0), (0, N/2), building them dominates and a warm product
-costs about what the pairs did; splitting the blocks by the lattice's
-centre into smaller ones would remove that b-fold redundancy.
+|L|^2 = M^2 (N/b)^2 of summing over pairs of lattice points, but its blocks
+hold N^2/a entries for N^2/(a*b) coefficients: for large b, e.g. (1, 0),
+(0, N/2), building them dominates, and splitting the blocks by the lattice's
+centre would remove that b-fold redundancy.
 """
 from __future__ import annotations
 
@@ -45,7 +48,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import DimensionMismatch, TFPoint, _frozen, _lifted
+from .core import DimensionMismatch, TFPoint, _frozen, _lifted, _shifted
 from .lattice import Lattice
 from .weights import Weight
 
@@ -122,7 +125,7 @@ class OperatorMatrix:
 
 def unit(lat: Lattice) -> CoeffSeq:
     coeffs = np.zeros(lat.size, dtype=complex)
-    coeffs[lat.index_of(TFPoint(lat.n, 0, 0))] = 1.0
+    coeffs[0] = 1.0  # the origin is the first point in canonical order
     return CoeffSeq(lat, coeffs)
 
 
@@ -174,32 +177,41 @@ def _head_rows(lat: Lattice) -> int:
     return -(-(lat.n // b) // a)
 
 
+def _fiber_points(lat: Lattice) -> np.ndarray:
+    """(i*a, sigma_i), sigma_i = i*s mod b: the first point at each time shift."""
+    return lat.as_array()[:: lat.n // lat.basis[2]]
+
+
+def _tile(coeffs: np.ndarray, lat: Lattice, rows: np.ndarray) -> np.ndarray:
+    """rows[..., i, t] * sum_j c[..., i, j] exp(2*pi*i*j*t/(N/b)) as [..., i, t]
+    for coefficients [..., |L|] in canonical order: one inverse FFT of length
+    N/b per time shift, repeated b times along t."""
+    p = lat.n // lat.basis[2]
+    spec = np.fft.ifft(coeffs.reshape(*coeffs.shape[:-1], -1, 1, p), axis=-1, norm="forward")
+    out = rows.reshape(*rows.shape[:-1], -1, p) * spec
+    return out.reshape(*out.shape[:-2], -1)
+
+
+def _fold(bands: np.ndarray, lat: Lattice) -> np.ndarray:
+    """The tile's adjoint without its rows: sum_t bands[..., i, t]
+    exp(-2*pi*i*j*t/(N/b)) as [..., |L|] in canonical order, for any width of
+    t that N/b divides: a sum over t mod N/b, then one FFT of length N/b."""
+    p = lat.n // lat.basis[2]
+    if bands.shape[-1] > p:
+        bands = bands.reshape(*bands.shape[:-1], -1, p).sum(axis=-2)
+    return np.fft.fft(bands, axis=-1).reshape(*bands.shape[:-2], -1)
+
+
 @lru_cache(maxsize=64)
-def _fiber_tables(lat: Lattice) -> tuple[np.ndarray, ...]:
-    """Per-lattice tables, O(|L|) each: the flat index i*N + l of each point
-    (i*a, l) in the bands; where band[i, t] (t < N/b) sits in the flattened
-    head rows (_coeffs_of_blocks); the phase exp(-2*pi*i*i*s*t/N); and the
-    flat index i*(N/b) + j of each point (i*a, i*s + j*b)."""
-    n, (a, s, b) = lat.n, lat.basis
-    m, p, h = n // a, n // b, _head_rows(lat)
-    pts = lat.as_array()
-    k = pts[:, 0] // a
+def _phase_tables(lat: Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The band phase exp(2*pi*i*sigma_i*t/N) (N/a, N), its conjugate, and
+    where band[i, t] (t < N/b) sits in the flattened head rows of the blocks
+    (_coeffs_of_blocks)."""
+    n, a = lat.n, lat.basis[0]
+    m, p, h = n // a, n // lat.basis[2], _head_rows(lat)
+    phase = _shifted(_fiber_points(lat), np.ones(n, dtype=complex))
     i, t = np.arange(m)[:, None], np.arange(p)[None, :]
-    where = ((t % a) * h + t // a) * m + (t // a - i) % m
-    phase = np.exp(-2j * np.pi * (i * s * t % n) / n)
-    return k * n + pts[:, 1], where, phase, k * p + (pts[:, 1] - k * s) % n // b
-
-
-def _band_values(x: CoeffSeq) -> np.ndarray:
-    """band[i, t] = represent(x)[t, (t - i*a) mod N], shape (N/a, N).
-
-    The band of pi(k, l) at k carries exp(2*pi*i*l*t/N), so each band of the
-    sum is an inverse FFT along l of the coefficients at time shift k = i*a.
-    """
-    lat = x.lattice
-    grid = np.zeros(lat.n * lat.n // lat.basis[0], dtype=complex)
-    grid[_fiber_tables(lat)[0]] = x.coeffs
-    return np.fft.ifft(grid.reshape(-1, lat.n), axis=1, norm="forward")
+    return phase, phase.conj(), ((t % a) * h + t // a) * m + (t // a - i) % m
 
 
 def _bands(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
@@ -225,28 +237,29 @@ def _block_index(m: int, a: int) -> np.ndarray:
 def _blocks(x: CoeffSeq, rows: int | None = None) -> np.ndarray:
     """The a diagonal blocks (a, N/a, N/a) of represent(x) in the order
     t = r + a*q, or only their first rows."""
-    a = x.lattice.basis[0]
-    return _band_values(x).reshape(-1)[_block_index(x.lattice.n // a, a)[:, :rows]]
+    lat, a = x.lattice, x.lattice.basis[0]
+    bands = _tile(x.coeffs, lat, _phase_tables(lat)[0])
+    return bands.reshape(-1)[_block_index(lat.n // a, a)[:, :rows]]
 
 
 def _coeffs_of_blocks(head: np.ndarray, lat: Lattice) -> np.ndarray:
     """Coefficients of the span element whose blocks begin with the rows head,
-    shape (a, _head_rows(lat), N/a): one FFT of length N/b per time shift
-    over its bands at the times t < N/b, with their phase taken off."""
-    _, where, phase, order = _fiber_tables(lat)
-    band = head.reshape(-1)[where] * phase
-    return np.fft.fft(band, axis=1, norm="forward").reshape(-1)[order]
+    shape (a, _head_rows(lat), N/a): the fold of its bands at the times
+    t < N/b with their phase taken off."""
+    _, conj, where = _phase_tables(lat)
+    p = lat.n // lat.basis[2]
+    return _fold(head.reshape(-1)[where] * conj[:, :p], lat) / p
 
 
 def represent(a: CoeffSeq) -> OperatorMatrix:
     """Assemble the matrix sum of shift matrices weighted by the coefficients.
 
-    Its bands at the lattice's time shifts are _band_values; the other bands
-    are zero.
+    Its bands at the lattice's time shifts are the tile of the coefficients
+    with the band phase; the other bands are zero.
     """
-    n = a.lattice.n
+    lat, n = a.lattice, a.lattice.n
     mat = np.zeros((n, n), dtype=complex)  # before the temporaries, so they free from the heap top
-    mat[_bands(a.lattice)] = _band_values(a)
+    mat[_bands(lat)] = _tile(a.coeffs, lat, _phase_tables(lat)[0])
     mat.setflags(write=False)  # handed over: OperatorMatrix shares it rather than copying
     return OperatorMatrix(n, mat)
 
@@ -268,8 +281,7 @@ def coefficients_of(A, lat: Lattice) -> tuple[CoeffSeq, float]:
     n = lat.n
     if mat.shape != (n, n):
         raise DimensionMismatch(f"matrix shape {mat.shape} does not match order {n}")
-    grid = np.fft.fft(mat[_bands(lat)], axis=1, norm="forward")
-    seq = CoeffSeq(lat, grid.reshape(-1)[_fiber_tables(lat)[0]])
+    seq = CoeffSeq(lat, _fold(mat[_bands(lat)] * _phase_tables(lat)[1], lat) / n)
     residual = float(np.linalg.norm(mat - represent(seq).entries))
     return seq, residual
 
@@ -293,7 +305,7 @@ def invert_in_algebra(a: CoeffSeq) -> CoeffSeq:
 
 def trace_tau(a: CoeffSeq) -> complex:
     """The canonical trace: the coefficient at the origin."""
-    return a[TFPoint(a.lattice.n, 0, 0)]
+    return complex(a.coeffs[0])
 
 
 def spectrum(a: CoeffSeq) -> np.ndarray:

@@ -238,40 +238,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, fn, help_):
+    shared = {
+        "--n": dict(type=int, help="group order N"),
+        "--gens": dict(type=str, help='lattice generators, e.g. "(2,0),(0,3)"'),
+        "--window": dict(action="append", help="signal JSON (inline or file); repeatable"),
+        "--weight": dict(type=str, help="weight JSON (inline or file)"),
+        "--seed": dict(type=int, default=0),
+        "--trials": dict(type=int, default=100),
+        "--out": dict(type=str, help="write the artifact here instead of stdout"),
+    }
+    lattice = ("--n", "--gens")
+
+    def add(name, fn, help_, *options):
+        """A verb with --out and only those shared options it reads."""
         p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
-        p.add_argument("--n", type=int, help="group order N")
-        p.add_argument("--gens", type=str, help='lattice generators, e.g. "(2,0),(0,3)"')
-        p.add_argument("--window", action="append", help="signal JSON (inline or file); repeatable")
-        p.add_argument("--weight", type=str, help="weight JSON (inline or file)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=100)
-        p.add_argument("--out", type=str, help="write the artifact here instead of stdout")
+        for option in (*options, "--out"):
+            p.add_argument(option, **shared[option])
         return p
 
-    add("adjoint", _cmd_adjoint, "adjoint (commutant) lattice")
-    add("vol", _cmd_vol, "lattice covolume N/|L|")
-    add("bounds", _cmd_bounds, "frame bounds of a Gabor system")
-    add("dual", _cmd_dual, "canonical dual windows")
-    add("tight", _cmd_tight, "canonical tight windows")
-    add("janssen", _cmd_janssen, "adjoint-lattice expansion of the frame operator")
-    figa = add("figa", _cmd_figa, "fundamental-identity residual")
+    add("adjoint", _cmd_adjoint, "adjoint (commutant) lattice", *lattice)
+    add("vol", _cmd_vol, "lattice covolume N/|L|", *lattice)
+    add("bounds", _cmd_bounds, "frame bounds of a Gabor system", *lattice, "--window")
+    add("dual", _cmd_dual, "canonical dual windows", *lattice, "--window")
+    add("tight", _cmd_tight, "canonical tight windows", *lattice, "--window")
+    add("janssen", _cmd_janssen, "adjoint-lattice expansion of the frame operator",
+        *lattice, "--window")
+    figa = add("figa", _cmd_figa, "fundamental-identity residual", *lattice, "--seed", "--trials")
     figa.add_argument("--f1", type=str)
     figa.add_argument("--f2", type=str)
     figa.add_argument("--g1", type=str)
     figa.add_argument("--g2", type=str)
-    multi = add("multiwindow", _cmd_multiwindow, "module-frame check for several windows")
+    multi = add("multiwindow", _cmd_multiwindow, "module-frame check for several windows",
+                *lattice, "--window", "--seed")
     multi.add_argument("--emit-windows", action="store_true", help="include tightened windows")
-    modnorm = add("modnorm", _cmd_modnorm, "mixed weighted STFT norm")
+    modnorm = add("modnorm", _cmd_modnorm, "mixed weighted STFT norm", "--window", "--weight")
     modnorm.add_argument("--signal", type=str, help="signal JSON (inline or file)")
     modnorm.add_argument("--p", type=str, default="2")
     modnorm.add_argument("--q", type=str, default="2")
     modnorm.add_argument("--s", type=float, default=0.0)
-    grs = add("grs", _cmd_grs, "growth-rate probe along a ray")
+    grs = add("grs", _cmd_grs, "growth-rate probe along a ray", "--weight")
     grs.add_argument("--point", type=str, default="(1,0)")
     grs.add_argument("--nmax", type=int, default=1024)
-    add("selftest", _cmd_selftest, "run the full invariant suite")
+    add("selftest", _cmd_selftest, "run the full invariant suite", "--seed")
     return parser
 
 

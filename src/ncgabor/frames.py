@@ -14,12 +14,12 @@ fiber blocks of that element (algebra._blocks): L°'s first basis entry is
 N/b, so they are N/b blocks of size b x b.  One batched eigendecomposition of
 them gives the frame bounds and verdict and applies S^-1 (dual windows) or
 S^-1/2 (tight windows) to every window; frame_operator is represent of the
-element.  Analysis takes one length-N FFT of f * conj(g(t - k)) per lattice
-time shift k (core._spectra, shared with the STFT) and reads it at that
-shift's frequencies; synthesis is one length-N/b inverse FFT of each time
-shift's coefficients, tiled along t and weighted by the shifted windows.
-The fundamental identity below is the two-sided inner-product form of the
-same expansion.
+element.  Analysis and synthesis are the algebra's coefficient-band pair
+(algebra._fold, algebra._tile) with the windows shifted to the lattice's
+fiber points as rows: analysis folds f times their conjugate, one length-N/b
+FFT per time shift; synthesis tiles the coefficients, one length-N/b inverse
+FFT per time shift, and sums the rows.  The fundamental identity below is
+the two-sided inner-product form of the same expansion.
 """
 from __future__ import annotations
 
@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, Signal, _shifted, _spectra
+from .core import DimensionMismatch, Signal, _shifted
 from .lattice import Lattice, adjoint_lattice, volume
-from .algebra import CoeffSeq, OperatorMatrix, _blocks, represent
+from .algebra import CoeffSeq, OperatorMatrix, _blocks, _fiber_points, _fold, _tile, represent
 
 __all__ = [
     "GaborSystem",
@@ -165,35 +165,21 @@ def canonical_tight(sys: GaborSystem) -> list[Signal]:
 
 
 def _analysis(f: np.ndarray, g: np.ndarray, lat: Lattice) -> np.ndarray:
-    """<f, pi(i a, i s mod b + j b) g> as [..., i, j]; leading axes of g are
-    further windows, and leading axes of f pair with them.
-
-    The STFT's samples at the lattice's time shifts, read at each shift's
-    frequencies.
-    """
-    ks = np.arange(0, lat.n, lat.basis[0])
-    freqs = lat.as_array()[:, 1].reshape(len(ks), -1)
-    return _spectra(f, g, ks)[..., np.arange(len(ks))[:, None], freqs]
+    """<f, pi(lam) g> as [..., |L|] in canonical order; leading axes of g are
+    further windows, and leading axes of f pair with them."""
+    return _fold(f[..., None, :] * np.conj(_shifted(_fiber_points(lat), g)), lat)
 
 
 def _synthesis(coeffs: np.ndarray, g: np.ndarray, lat: Lattice) -> np.ndarray:
-    """sum c[..., i, j] pi(i a, i s mod b + j b) g, summed over windows too.
-
-    The copies X[i] of g shifted to the lattice's time shifts (i a, i s mod
-    b), every (N/b)-th lattice point, each contribute X[i, t] times a
-    length-N/b inverse FFT of c[i] at t mod N/b.
-    """
-    m = lat.n // lat.basis[2]
-    fibers = _shifted(lat.as_array()[::m], g)
-    phases = np.fft.ifft(coeffs.reshape(-1, m), axis=-1).reshape(-1, 1, m) * m
-    return (fibers.reshape(phases.shape[0], -1, m) * phases).sum(axis=0).ravel()
+    """sum c[..., lam] pi(lam) g over the lattice, summed over windows too."""
+    return _tile(coeffs, lat, _shifted(_fiber_points(lat), g)).reshape(-1, lat.n).sum(axis=0)
 
 
 def analysis_coefficients(f: Signal, g: Signal, lat: Lattice) -> np.ndarray:
     """Samples <f, pi(lam) g> over the lattice, in canonical order."""
     if f.n != lat.n or g.n != lat.n:
         raise DimensionMismatch("signal length does not match lattice order")
-    return _analysis(f.values, g.values, lat).ravel()
+    return _analysis(f.values, g.values, lat)
 
 
 def janssen_representation(g: Signal, h: Signal, lat: Lattice) -> CoeffSeq:
@@ -222,15 +208,13 @@ def figa_check(
       RHS = vol^{-1} sum_adjoint <f1, pi f2> <pi g2, g1>.
     The identity holds for every quadruple in the finite model.
     """
-    adj = adjoint_lattice(lat)
-    lhs_terms = analysis_coefficients(f1, g1, lat) * np.conj(
-        analysis_coefficients(f2, g2, lat)
-    )
-    rhs_terms = analysis_coefficients(f1, f2, adj) * np.conj(
-        analysis_coefficients(g1, g2, adj)
-    )
-    lhs = complex(np.sum(lhs_terms))
-    rhs = complex(np.sum(rhs_terms)) / float(volume(lat))
+    if any(x.n != lat.n for x in (f1, f2, g1, g2)):
+        raise DimensionMismatch("signal length does not match lattice order")
+    sigs = np.stack([f1.values, f2.values, g1.values, g2.values])
+    on_lat = _analysis(sigs[[0, 1]], sigs[[2, 3]], lat)  # <f1, pi g1>, <f2, pi g2>
+    on_adj = _analysis(sigs[[0, 2]], sigs[[1, 3]], adjoint_lattice(lat))  # <f1, pi f2>, <g1, pi g2>
+    lhs = complex(np.vdot(on_lat[1], on_lat[0]))
+    rhs = complex(np.vdot(on_adj[1], on_adj[0])) / float(volume(lat))
     return float(abs(lhs - rhs) / (1.0 + abs(lhs)))
 
 

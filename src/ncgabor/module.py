@@ -41,6 +41,7 @@ from .algebra import CoeffSeq, OperatorMatrix, involution, represent, twisted_co
 from .frames import (
     GaborSystem,
     NotAFrame,
+    _analysis,
     _synthesis,
     analysis_coefficients,
     canonical_tight,
@@ -150,9 +151,13 @@ def module_frame_identity_residual(windows, lat: Lattice, f: Signal) -> float:
 
 def multiwindow_parseval_residual(windows, lat: Lattice, f: Signal) -> float:
     """Gap in the scalar identity ||f||^2 = sum_i sum_lam |<f, pi(lam) g_i>|^2."""
-    total = 0.0
-    for w in windows:
-        total += float(np.sum(np.abs(analysis_coefficients(f, w, lat)) ** 2))
+    windows = list(windows)
+    if not windows:
+        raise ValueError("need at least one window")
+    if f.n != lat.n or any(w.n != lat.n for w in windows):
+        raise DimensionMismatch("signal length does not match lattice order")
+    coeffs = _analysis(f.values, np.stack([w.values for w in windows]), lat)
+    total = float(np.sum(np.abs(coeffs) ** 2))
     norm_sq = f.norm2() ** 2
     return abs(norm_sq - total) / (1.0 + norm_sq)
 

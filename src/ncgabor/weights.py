@@ -122,30 +122,22 @@ class Weight:
 
     def log_eval(self, p) -> float:
         """log v(p); the growth probe divides this before exponentiating."""
-        x, y = int(p[0]), int(p[1])
-        if self.family == "custom":
-            try:
-                base = self.table[(x, y)]
-            except KeyError:
-                raise KeyError(f"custom weight has no entry at ({x},{y})") from None
-            return self.outer_power * math.log(base)
-        r2 = float(x * x + y * y)
-        if self.family == "polynomial":
-            return 0.5 * self.s * math.log1p(r2)
-        if self.family == "subexponential":
-            return self.b * r2 ** (self.beta / 2.0)
-        return self.b * math.sqrt(r2)
+        return float(self._log_grid(int(p[0]), int(p[1])))
 
     def __call__(self, p) -> float:
         return math.exp(self.log_eval(p))
 
-    def _log_grid(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """log v at the integer points (x, y), elementwise: log_eval on arrays."""
+    def _log_grid(self, x, y) -> np.ndarray:
+        """log v at the integer points (x, y), elementwise on arrays or ints."""
         if self.family == "custom":
             x, y = np.broadcast_arrays(x, y)
-            logs = [self.log_eval(p) for p in zip(x.ravel().tolist(), y.ravel().tolist())]
-            return np.reshape(logs, x.shape)
-        r2 = (x * x + y * y).astype(float)
+            logs = []
+            for px, py in zip(x.ravel().tolist(), y.ravel().tolist()):
+                if (px, py) not in self.table:
+                    raise KeyError(f"custom weight has no entry at ({px},{py})")
+                logs.append(math.log(self.table[(px, py)]))
+            return self.outer_power * np.reshape(logs, x.shape)
+        r2 = np.asarray(x * x + y * y, dtype=float)
         if self.family == "polynomial":
             return 0.5 * self.s * np.log1p(r2)
         if self.family == "subexponential":

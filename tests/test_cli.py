@@ -303,8 +303,11 @@ def test_modnorm_weight_overflow_exits_three(capsys, rng, tmp_path):
     [
         ["bounds", "--n", "4", "--gens", "(1,0)", "--window", delta_json(4), "--reference"],
         ["selftest", "--threads", "2"],
+        ["vol", "--n", "8", "--gens", "(2,0),(0,2)", "--window", "missing.json",
+         "--trials", "-5", "--seed", "-3"],
+        ["grs", "--n", "-1", "--gens", "garbage"],
     ],
-    ids=["reference", "threads"],
+    ids=["reference", "threads", "vol-unread-options", "grs-lattice"],
 )
 def test_removed_options_rejected_by_argparse(capsys, argv):
     with pytest.raises(SystemExit) as exc:
