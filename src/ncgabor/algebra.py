@@ -23,7 +23,8 @@ length N/b.  With the band phase exp(2*pi*i*sigma_i*t/N) as rows the tile
 gives the bands band[i, t] = represent(c)[t, (t - i*a) mod N], and the fold
 of the bands times the conjugate phase, over N, recovers c; with the windows
 shifted to the fiber points as rows they are Gabor synthesis and analysis
-(frames.py), the Zak-domain factorization of Gabor frames.
+(frames.py), the Zak-domain factorization of Gabor frames: _fiber_windows
+is the windows' translates times the phase that _phase_tables caches.
 
 In the order t = r + a*q, M = N/a, represent(x) is block diagonal: a blocks
 of size M x M, block_r[q, q'] = band[(q - q') mod M, r + a*q] (the rational
@@ -44,11 +45,11 @@ centre would remove that b-fold redundancy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .core import DimensionMismatch, TFPoint, _frozen, _lifted, _shifted
+from .core import DimensionMismatch, TFPoint, _frozen, _lifted, _shifted, _translates
 from .lattice import Lattice
 from .weights import Weight
 
@@ -68,7 +69,6 @@ __all__ = [
     "delta_seq",
 ]
 
-HERMITIAN_TOL = 1e-12
 INVERTIBILITY_TOL = 1e-10
 
 
@@ -99,9 +99,6 @@ class CoeffSeq:
             raise ValueError("coefficients contain non-finite entries")
         object.__setattr__(self, "coeffs", vals)
 
-    def __getitem__(self, p: TFPoint) -> complex:
-        return complex(self.coeffs[self.lattice.index_of(p)])
-
 
 @dataclass(frozen=True)
 class OperatorMatrix:
@@ -116,12 +113,6 @@ class OperatorMatrix:
             raise ValueError(f"expected shape ({self.n}, {self.n}), got {mat.shape}")
         object.__setattr__(self, "entries", mat)
 
-    @cached_property
-    def is_hermitian(self) -> bool:
-        mat = self.entries
-        scale = np.linalg.norm(mat)
-        return bool(np.linalg.norm(mat - mat.conj().T) <= HERMITIAN_TOL * max(scale, 1e-300))
-
 
 def unit(lat: Lattice) -> CoeffSeq:
     coeffs = np.zeros(lat.size, dtype=complex)
@@ -130,8 +121,11 @@ def unit(lat: Lattice) -> CoeffSeq:
 
 
 def delta_seq(lat: Lattice, p: TFPoint, value: complex = 1.0) -> CoeffSeq:
+    i = int(lat.indices(p.k, p.l))
+    if i < 0:
+        raise KeyError(f"point ({p.k},{p.l}) not in lattice")
     coeffs = np.zeros(lat.size, dtype=complex)
-    coeffs[lat.index_of(p)] = value
+    coeffs[i] = value
     return CoeffSeq(lat, coeffs)
 
 
@@ -204,14 +198,22 @@ def _fold(bands: np.ndarray, lat: Lattice) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _phase_tables(lat: Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The band phase exp(2*pi*i*sigma_i*t/N) (N/a, N), its conjugate, and
-    where band[i, t] (t < N/b) sits in the flattened head rows of the blocks
-    (_coeffs_of_blocks)."""
+    """The band phase exp(2*pi*i*sigma_i*t/N) (N/a, N), its conjugate over N/b
+    at the times t < N/b, and where band[i, t] (t < N/b) sits in the
+    flattened head rows of the blocks (_coeffs_of_blocks)."""
     n, a = lat.n, lat.basis[0]
     m, p, h = n // a, n // lat.basis[2], _head_rows(lat)
     phase = _shifted(_fiber_points(lat), np.ones(n, dtype=complex))
     i, t = np.arange(m)[:, None], np.arange(p)[None, :]
-    return phase, phase.conj(), ((t % a) * h + t // a) * m + (t // a - i) % m
+    return phase, phase[:, :p].conj() / p, ((t % a) * h + t // a) * m + (t // a - i) % m
+
+
+def _fiber_windows(lat: Lattice, g: np.ndarray) -> np.ndarray:
+    """The windows g [..., N] shifted to the fiber points, [..., N/a, N]: their
+    translates by i*a times the cached band phase."""
+    out = _translates(_fiber_points(lat)[:, 0], g)
+    out *= _phase_tables(lat)[0]
+    return out
 
 
 def _bands(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
@@ -245,10 +247,9 @@ def _blocks(x: CoeffSeq, rows: int | None = None) -> np.ndarray:
 def _coeffs_of_blocks(head: np.ndarray, lat: Lattice) -> np.ndarray:
     """Coefficients of the span element whose blocks begin with the rows head,
     shape (a, _head_rows(lat), N/a): the fold of its bands at the times
-    t < N/b with their phase taken off."""
-    _, conj, where = _phase_tables(lat)
-    p = lat.n // lat.basis[2]
-    return _fold(head.reshape(-1)[where] * conj[:, :p], lat) / p
+    t < N/b with their phase and scale taken off."""
+    _, head_conj, where = _phase_tables(lat)
+    return _fold(head.reshape(-1)[where] * head_conj, lat)
 
 
 def represent(a: CoeffSeq) -> OperatorMatrix:
@@ -281,7 +282,7 @@ def coefficients_of(A, lat: Lattice) -> tuple[CoeffSeq, float]:
     n = lat.n
     if mat.shape != (n, n):
         raise DimensionMismatch(f"matrix shape {mat.shape} does not match order {n}")
-    seq = CoeffSeq(lat, _fold(mat[_bands(lat)] * _phase_tables(lat)[1], lat) / n)
+    seq = CoeffSeq(lat, _fold(mat[_bands(lat)] * _phase_tables(lat)[0].conj(), lat) / n)
     residual = float(np.linalg.norm(mat - represent(seq).entries))
     return seq, residual
 

@@ -28,7 +28,7 @@ from .frames import (
 )
 from .lattice import adjoint_lattice, lattice_from_generators, volume
 from .modspaces import ModNormSpec, mod_norm
-from .module import module_frame_check, tight_multiwindow
+from .module import module_frame_check
 from .weights import Weight, grs_probe
 
 VALIDATION_ERROR = 2
@@ -177,8 +177,7 @@ def _cmd_multiwindow(args) -> int:
     report = module_frame_check(list(sys_.windows), sys_.lattice, seed=args.seed)
     payload = serialize.module_report_to_dict(report)
     if report.is_module_frame and args.emit_windows:
-        tight = tight_multiwindow(list(sys_.windows), sys_.lattice)
-        payload["tight_windows"] = [serialize.signal_to_dict(t) for t in tight]
+        payload["tight_windows"] = [serialize.signal_to_dict(t) for t in report.tight_windows]
     _emit_json(args, payload)
     return 0
 

@@ -16,10 +16,11 @@ them gives the frame bounds and verdict and applies S^-1 (dual windows) or
 S^-1/2 (tight windows) to every window; frame_operator is represent of the
 element.  Analysis and synthesis are the algebra's coefficient-band pair
 (algebra._fold, algebra._tile) with the windows shifted to the lattice's
-fiber points as rows: analysis folds f times their conjugate, one length-N/b
-FFT per time shift; synthesis tiles the coefficients, one length-N/b inverse
-FFT per time shift, and sums the rows.  The fundamental identity below is
-the two-sided inner-product form of the same expansion.
+fiber points as rows (algebra._fiber_windows: the translates times the
+lattice's cached band phase): analysis folds f times their conjugate, one
+length-N/b FFT per time shift; synthesis tiles the coefficients, one
+length-N/b inverse FFT per time shift, and sums the rows.  The fundamental
+identity below is the two-sided inner-product form of the same expansion.
 """
 from __future__ import annotations
 
@@ -27,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, Signal, _shifted
+from .core import DimensionMismatch, Signal
 from .lattice import Lattice, adjoint_lattice, volume
-from .algebra import CoeffSeq, OperatorMatrix, _blocks, _fiber_points, _fold, _tile, represent
+from .algebra import CoeffSeq, OperatorMatrix, _blocks, _fiber_windows, _fold, _tile, represent
 
 __all__ = [
     "GaborSystem",
@@ -167,12 +168,12 @@ def canonical_tight(sys: GaborSystem) -> list[Signal]:
 def _analysis(f: np.ndarray, g: np.ndarray, lat: Lattice) -> np.ndarray:
     """<f, pi(lam) g> as [..., |L|] in canonical order; leading axes of g are
     further windows, and leading axes of f pair with them."""
-    return _fold(f[..., None, :] * np.conj(_shifted(_fiber_points(lat), g)), lat)
+    return _fold(f[..., None, :] * np.conj(_fiber_windows(lat, g)), lat)
 
 
 def _synthesis(coeffs: np.ndarray, g: np.ndarray, lat: Lattice) -> np.ndarray:
     """sum c[..., lam] pi(lam) g over the lattice, summed over windows too."""
-    return _tile(coeffs, lat, _shifted(_fiber_points(lat), g)).reshape(-1, lat.n).sum(axis=0)
+    return _tile(coeffs, lat, _fiber_windows(lat, g)).reshape(-1, lat.n).sum(axis=0)
 
 
 def analysis_coefficients(f: Signal, g: Signal, lat: Lattice) -> np.ndarray:

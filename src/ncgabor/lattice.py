@@ -71,10 +71,6 @@ class Lattice:
         pts.setflags(write=False)
         return pts
 
-    @cached_property
-    def points(self) -> tuple[TFPoint, ...]:
-        return tuple(TFPoint(self.n, k, l) for k, l in self._points.tolist())
-
     def indices(self, k, l) -> np.ndarray:
         """Canonical indices of the points (k, l) mod N, elementwise; -1 off the lattice."""
         a, s, b = self.basis
@@ -82,15 +78,6 @@ class Lattice:
         i = k // a
         member = (k % a == 0) & ((l - i * s) % b == 0)
         return np.where(member, i * (self.n // b) + l // b, -1)
-
-    def index_of(self, p: TFPoint) -> int:
-        i = int(self.indices(p.k, p.l))
-        if i < 0:
-            raise KeyError(f"point ({p.k},{p.l}) not in lattice")
-        return i
-
-    def __contains__(self, p: TFPoint) -> bool:
-        return bool(self.indices(p.k, p.l) >= 0)
 
     def as_array(self) -> np.ndarray:
         """Points as a read-only int64 array (|L|, 2) in canonical order, built on first use."""

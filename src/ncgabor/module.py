@@ -24,29 +24,29 @@ A family of windows is a module frame exactly when the stacked multi-window
 system is a frame; tightening by the inverse square root of the summed frame
 operator (the A(L°)-valued inner product of the windows with themselves,
 frames._frame_element) realizes the reconstruction identity, whose trace
-is the ordinary multi-window Parseval identity.  A lattice of covolume v needs at least
-ceil(v) windows, by counting rank.
+is the ordinary multi-window Parseval identity.  A lattice of covolume v
+needs at least ceil(v) windows, by counting rank.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .core import DimensionMismatch, Signal, random_signal
 from .lattice import Lattice, adjoint_lattice, volume
-from .algebra import CoeffSeq, OperatorMatrix, involution, represent, twisted_conv
+from .algebra import CoeffSeq, OperatorMatrix, involution, represent, twisted_conv, unit
 from .frames import (
     GaborSystem,
     NotAFrame,
     _analysis,
+    _frame_element,
     _synthesis,
     analysis_coefficients,
     canonical_tight,
     frame_bounds,
-    frame_operator,
 )
 
 __all__ = [
@@ -135,6 +135,7 @@ class ModuleFrameReport:
     is_module_frame: bool
     window_count: int
     vol: Fraction
+    tight_windows: tuple[Signal, ...] = field(default=(), compare=False)
 
 
 def module_frame_identity_residual(windows, lat: Lattice, f: Signal) -> float:
@@ -166,9 +167,12 @@ def module_frame_check(windows, lat: Lattice, seed: int = 0) -> ModuleFrameRepor
     """Decide the module-frame property and measure tightening quality.
 
     The verdict is invertibility of the summed frame operator.  For frames,
-    the report's residual is the Frobenius distance of the tightened system's
-    frame operator from the identity, and the reconstruction identity is
-    verified on seeded random signals as an internal consistency check.
+    the report carries the tightened windows, and its residual is the
+    Frobenius distance of their frame operator from the identity, read on
+    L° by trace orthogonality, ||represent(c)||_F = sqrt(N) ||c||_2: it is
+    sqrt(N) ||c - delta_0||_2 for c the tightened frame element.  The
+    reconstruction identity is verified on seeded random signals as an
+    internal consistency check.
     """
     windows = list(windows)
     if not windows:
@@ -177,14 +181,9 @@ def module_frame_check(windows, lat: Lattice, seed: int = 0) -> ModuleFrameRepor
     try:
         tight = tight_multiwindow(windows, lat)
     except NotAFrame:
-        return ModuleFrameReport(
-            residual=math.inf,
-            is_module_frame=False,
-            window_count=len(windows),
-            vol=vol,
-        )
-    s_tight = frame_operator(GaborSystem(tuple(tight), lat)).entries
-    residual = float(np.linalg.norm(s_tight - np.eye(lat.n)))
+        return ModuleFrameReport(math.inf, False, len(windows), vol)
+    c = _frame_element(GaborSystem(tuple(tight), lat))
+    residual = math.sqrt(lat.n) * float(np.linalg.norm(c.coeffs - unit(c.lattice).coeffs))
     rng = np.random.default_rng(seed)
     for _ in range(2):
         probe = random_signal(lat.n, rng)
@@ -193,12 +192,7 @@ def module_frame_check(windows, lat: Lattice, seed: int = 0) -> ModuleFrameRepor
             raise ArithmeticError(
                 f"tightened system failed the reconstruction identity (gap {gap:.3e})"
             )
-    return ModuleFrameReport(
-        residual=residual,
-        is_module_frame=True,
-        window_count=len(windows),
-        vol=vol,
-    )
+    return ModuleFrameReport(residual, True, len(windows), vol, tuple(tight))
 
 
 def tight_multiwindow(windows, lat: Lattice) -> list[Signal]:

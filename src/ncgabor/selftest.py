@@ -230,7 +230,7 @@ def _check_adjoint_duality(rng):
     for lat in _lattices() + [s for n in (4, 6, 8, 12) for s in enumerate_subgroups(n)]:
         adj = adjoint_lattice(lat)
         failures += lat.size * adj.size != lat.n**2
-        failures += adjoint_lattice(adj).points != lat.points
+        failures += adjoint_lattice(adj).as_array().tolist() != lat.as_array().tolist()
         failures += adj.as_array().tolist() != _commutant_by_scan(lat)
     return failures
 
@@ -240,8 +240,8 @@ def _check_adjoint_commutation(rng):
     for lat in _lattices():
         adj = adjoint_lattice(lat)
         for _ in range(6):
-            A = shift_matrix(lat.points[int(rng.integers(lat.size))])
-            B = shift_matrix(adj.points[int(rng.integers(adj.size))])
+            A = shift_matrix(TFPoint(lat.n, *lat.as_array()[int(rng.integers(lat.size))]))
+            B = shift_matrix(TFPoint(lat.n, *adj.as_array()[int(rng.integers(adj.size))]))
             worst = max(worst, float(np.abs(A @ B - B @ A).max()))
     return worst
 
@@ -389,17 +389,17 @@ def _check_frame_commutation(rng):
     worst = 0.0
     for lat in _frame_lattices():
         S = frame_operator(GaborSystem((random_signal(lat.n, rng),), lat)).entries
-        for p in lat.points[:8]:
-            P = shift_matrix(p)
+        for k, l in lat.as_array()[:8].tolist():
+            P = shift_matrix(TFPoint(lat.n, k, l))
             worst = max(worst, float(np.linalg.norm(S @ P - P @ S) / np.linalg.norm(S)))
     return worst
 
 
 def _frame_type_by_definition(g, h, lat):
-    """sum_lam pi(lam) h (x) conj(pi(lam) g) over lat.points (h = g: the frame
+    """sum_lam pi(lam) h (x) conj(pi(lam) g) over the lattice (h = g: the frame
     operator), one shift matrix per point: shares no code with the
     adjoint-lattice route."""
-    mats = np.array([shift_matrix(p) for p in lat.points])
+    mats = np.array([shift_matrix(TFPoint(lat.n, k, l)) for k, l in lat.as_array().tolist()])
     return (mats @ h.values).T @ (mats @ g.values).conj()
 
 
@@ -678,7 +678,8 @@ def _check_serialization(rng):
     back_f = serialize.signal_from_dict(serialize.signal_to_dict(f))
     back_a = serialize.coeffseq_from_dict(serialize.coeffseq_to_dict(a))
     failures = back_f.values.tolist() != f.values.tolist()
-    failures += serialize.lattice_from_dict(serialize.lattice_to_dict(lat)).points != lat.points
+    back_lat = serialize.lattice_from_dict(serialize.lattice_to_dict(lat))
+    failures += back_lat.as_array().tolist() != lat.as_array().tolist()
     failures += back_a.coeffs.tolist() != a.coeffs.tolist()
     custom = Weight.custom({(0, 0): 1.0, (1, 0): 2.0})
     for v in (Weight.polynomial(2), Weight.subexponential(1, 0.5), custom):

@@ -62,6 +62,9 @@ class Weight:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown weight family {self.family!r}")
+        for name in ("s", "b", "beta", "outer_power"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"weight parameter {name} must be finite")
         if self.family == "polynomial" and self.s < 0:
             raise ValueError("polynomial exponent must be >= 0")
         if self.family in ("subexponential", "exponential") and self.b <= 0:
@@ -73,8 +76,8 @@ class Weight:
                 raise ValueError("custom weight needs a lookup table")
             sym = {}
             for (x, y), val in self.table.items():
-                if val <= 0:
-                    raise ValueError(f"weight value at ({x},{y}) must be positive")
+                if not 0 < val < math.inf:
+                    raise ValueError(f"weight value at ({x},{y}) must be positive and finite")
                 neg = (-x, -y)
                 if neg in self.table and self.table[neg] != val:
                     raise ValueError(f"table breaks symmetry at ({x},{y})")
@@ -110,8 +113,8 @@ class Weight:
 
     def power(self, t: float) -> "Weight":
         """The pointwise power v^t, folded into family parameters."""
-        if t < 0:
-            raise ValueError("weight powers must be >= 0")
+        if not 0 <= t < math.inf:
+            raise ValueError("weight powers must be finite and >= 0")
         if self.family == "polynomial":
             return Weight("polynomial", s=self.s * t)
         if self.family == "subexponential":

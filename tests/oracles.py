@@ -6,7 +6,12 @@ routine it checks.  Inputs are library objects; outputs are plain arrays.
 """
 import numpy as np
 
-from ncgabor import adjoint_lattice, enumerate_subgroups, lattice_from_generators, volume
+from ncgabor import TFPoint, adjoint_lattice, enumerate_subgroups, lattice_from_generators, volume
+
+
+def tf_points(lat):
+    """The lattice's points as TFPoints, in canonical order."""
+    return [TFPoint(lat.n, k, l) for k, l in lat.as_array().tolist()]
 
 
 def shift(k, l, g):
@@ -26,9 +31,14 @@ def shifted(points, g):
     return np.array([shift(k, l, g) for k, l in points])
 
 
+def is_hermitian(mat, tol=1e-12):
+    """mat equals its conjugate transpose to tol relative to its Frobenius norm."""
+    return bool(np.linalg.norm(mat - mat.conj().T) <= tol * max(np.linalg.norm(mat), 1e-300))
+
+
 def system_columns(sys):
     return np.stack(
-        [shift(p.k, p.l, w.values) for w in sys.windows for p in sys.lattice.points], axis=1
+        [shift(k, l, w.values) for w in sys.windows for k, l in sys.lattice.as_array()], axis=1
     )
 
 
@@ -49,8 +59,8 @@ def frame_operator_direct(sys):
     """Rank-one terms accumulated in canonical order."""
     S = np.zeros((sys.n, sys.n), dtype=complex)
     for w in sys.windows:
-        for p in sys.lattice.points:
-            col = shift(p.k, p.l, w.values)
+        for k, l in sys.lattice.as_array():
+            col = shift(k, l, w.values)
             S += np.outer(col, col.conj())
     return S
 
@@ -72,7 +82,7 @@ def stft_sample(f, g, k, l):
 
 
 def analysis_coefficients(f, g, lat):
-    return np.array([stft_sample(f, g, p.k, p.l) for p in lat.points])
+    return np.array([stft_sample(f, g, k, l) for k, l in lat.as_array()])
 
 
 def figa_residual(f1, f2, g1, g2, lat):
@@ -86,15 +96,15 @@ def figa_residual(f1, f2, g1, g2, lat):
 def reconstruct(f, sys, duals):
     out = np.zeros(sys.n, dtype=complex)
     for w, d in zip(sys.windows, duals):
-        for c, p in zip(analysis_coefficients(f, d, sys.lattice), sys.lattice.points):
-            out += c * shift(p.k, p.l, w.values)
+        for c, (k, l) in zip(analysis_coefficients(f, d, sys.lattice), sys.lattice.as_array()):
+            out += c * shift(k, l, w.values)
     return out
 
 
 def act_left(a, g):
     out = np.zeros(g.n, dtype=complex)
-    for c, p in zip(a.coeffs, a.lattice.points):
-        out += c * shift(p.k, p.l, g.values)
+    for c, (k, l) in zip(a.coeffs, a.lattice.as_array()):
+        out += c * shift(k, l, g.values)
     return out
 
 
@@ -102,32 +112,32 @@ def act_right(g, b):
     """vol^{-1} sum b(mu) pi(mu)^H g, with pi(p)^H = cocycle(p, p) pi(-p)."""
     n = g.n
     out = np.zeros(n, dtype=complex)
-    for c, p in zip(b.coeffs, b.lattice.points):
-        coc = np.exp(-2j * np.pi * ((p.k * p.l) % n) / n)
-        out += c * coc * shift(-p.k, -p.l, g.values)
+    for c, (k, l) in zip(b.coeffs, b.lattice.as_array()):
+        coc = np.exp(-2j * np.pi * ((k * l) % n) / n)
+        out += c * coc * shift(-k, -l, g.values)
     return n / b.lattice.size * out
 
 
 def right_operator(b):
     n = b.lattice.n
     out = np.zeros((n, n), dtype=complex)
-    for c, p in zip(b.coeffs, b.lattice.points):
-        out += c * shift_matrix(p.k, p.l, n).conj().T
+    for c, (k, l) in zip(b.coeffs, b.lattice.as_array()):
+        out += c * shift_matrix(k, l, n).conj().T
     return n / b.lattice.size * out
 
 
 def represent(a):
     n = a.lattice.n
     out = np.zeros((n, n), dtype=complex)
-    for c, p in zip(a.coeffs, a.lattice.points):
-        out += c * shift_matrix(p.k, p.l, n)
+    for c, (k, l) in zip(a.coeffs, a.lattice.as_array()):
+        out += c * shift_matrix(k, l, n)
     return out
 
 
 def coefficients_of(mat, lat):
     """a(lam) = trace(A pi(lam)^H) / N, one point at a time."""
     n = lat.n
-    return np.array([np.vdot(shift_matrix(p.k, p.l, n), mat) / n for p in lat.points])
+    return np.array([np.vdot(shift_matrix(k, l, n), mat) / n for k, l in lat.as_array()])
 
 
 # Lattices the oracles run over: every subgroup for small N, plus sheared

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ncgabor import Signal, lattice_from_generators, random_signal
+from ncgabor import Signal, lattice_from_generators, random_signal, tight_multiwindow
 from ncgabor.cli import main
 from ncgabor.serialize import lattice_from_dict, signal_from_dict, signal_to_dict
 
@@ -165,13 +165,14 @@ def test_missing_file_exits_two(capsys):
 
 
 def test_multiwindow_verb(capsys, rng):
-    g1 = json.dumps(signal_to_dict(random_signal(8, rng)))
-    g2 = json.dumps(signal_to_dict(random_signal(8, rng)))
+    ws = [random_signal(8, rng), random_signal(8, rng)]
     code, out, _ = run(
         capsys,
         "multiwindow",
         "--n", "8", "--gens", "(4,0),(0,4)",
-        "--window", g1, "--window", g2,
+        "--window", json.dumps(signal_to_dict(ws[0])),
+        "--window", json.dumps(signal_to_dict(ws[1])),
+        "--emit-windows",
     )
     assert code == 0
     payload = json.loads(out)
@@ -179,6 +180,10 @@ def test_multiwindow_verb(capsys, rng):
     assert payload["window_count"] == 2
     assert payload["vol"] == "2/1"
     assert payload["residual"] < 1e-9
+    # the windows the check tightened, emitted as they are
+    expect = tight_multiwindow(ws, lattice_from_generators(8, [(4, 0), (0, 4)]))
+    emitted = [signal_from_dict(d).values for d in payload["tight_windows"]]
+    assert all(np.array_equal(e, t.values) for e, t in zip(emitted, expect, strict=True))
 
 
 def test_multiwindow_single_window_not_frame(capsys, rng):
@@ -296,6 +301,29 @@ def test_modnorm_weight_overflow_exits_three(capsys, rng, tmp_path):
     assert out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["modnorm", "--signal", delta_json(4), "--window", delta_json(4), "--s", "nan"],
+        ["modnorm", "--signal", delta_json(4), "--window", delta_json(4), "--s", "inf"],
+        ["modnorm", "--signal", delta_json(4), "--window", delta_json(4),
+         "--weight", '{"family":"polynomial","s":NaN}'],
+        ["grs", "--weight", '{"family":"exponential","b":NaN}'],
+        ["grs", "--weight", '{"family":"subexponential","b":1,"beta":Infinity}'],
+        ["grs", "--weight", '{"family":"custom","table":[[0,0,1],[1,0,Infinity]]}'],
+        ["grs", "--weight", '{"family":"custom","table":[[0,0,1],[1,0,2]],"power":NaN}'],
+    ],
+    ids=["s-nan", "s-inf", "polynomial-nan", "exponential-nan", "beta-inf", "table-inf",
+         "power-nan"],
+)
+def test_non_finite_weight_parameters_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "finite" in err
 
 
 @pytest.mark.parametrize(

@@ -37,8 +37,8 @@ from ncgabor import (
     twisted_conv,
     unit,
 )
-from ncgabor.algebra import INVERTIBILITY_TOL
-from ncgabor.core import _shifted
+from ncgabor.algebra import INVERTIBILITY_TOL, _fiber_windows
+from ncgabor.core import _shifted, _translates
 from ncgabor.frames import FRAME_DECISION_TOL
 import oracles
 from oracles import oracle_cases
@@ -65,6 +65,17 @@ def test_shifted_matches_loop_oracle(rng):
         h = random_signal(lat.n, rng)
         both = _shifted(pts, np.stack([g.values, h.values]))
         assert_close(both[1], oracles.shifted(pts, h.values))
+        # translates by negative shifts and shifts >= N, one window and two
+        ks = np.concatenate([pts[:, 0], -pts[:, 0] - 1, pts[:, 0] + lat.n, [-3 * lat.n - 1]])
+        translates = np.stack([ks, np.zeros_like(ks)], axis=1)
+        assert_close(_translates(ks, g.values), oracles.shifted(translates, g.values))
+        assert_close(_translates(ks, np.stack([g.values, h.values]))[1],
+                     oracles.shifted(translates, h.values))
+        # the windows at the fiber points (i*a, i*s mod b), the first point per time shift
+        fiber = pts[:: lat.n // lat.basis[2]]
+        assert_close(_fiber_windows(lat, g.values), oracles.shifted(fiber, g.values))
+        assert_close(_fiber_windows(lat, np.stack([g.values, h.values]))[1],
+                     oracles.shifted(fiber, h.values))
         k, l = (int(x) for x in rng.integers(lat.n, size=2))
         assert_close(tf_shift(TFPoint(lat.n, k, l), g).values, oracles.shift(k, l, g.values))
         assert_close(shift_matrix(TFPoint(lat.n, k, l)), oracles.shift_matrix(k, l, lat.n))

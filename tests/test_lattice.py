@@ -10,6 +10,7 @@ from ncgabor import (
     Lattice,
     TFPoint,
     adjoint_lattice,
+    delta_seq,
     enumerate_subgroups,
     full_lattice,
     lattice_from_generators,
@@ -19,7 +20,12 @@ from ncgabor import (
     volume,
 )
 from ncgabor.algebra import _involution_tables
-from oracles import oracle_cases
+from oracles import oracle_cases, tf_points
+
+
+def point_pairs(lat):
+    """The lattice's points as (k, l) tuples, in canonical order."""
+    return [(k, l) for k, l in lat.as_array().tolist()]
 
 
 def brute_force_closure(n, gens):
@@ -36,24 +42,24 @@ def test_separable_closure_example():
     lat = lattice_from_generators(12, [(2, 0), (0, 3)])
     assert lat.size == 24
     expect = brute_force_closure(12, [(2, 0), (0, 3)])
-    assert [(p.k, p.l) for p in lat.points] == expect
+    assert point_pairs(lat) == expect
 
 
 def test_trivial_and_full():
-    assert [(p.k, p.l) for p in trivial_lattice(4).points] == [(0, 0)]
+    assert point_pairs(trivial_lattice(4)) == [(0, 0)]
     assert full_lattice(4).size == 16
 
 
 def test_lattice_invariants():
     lat = lattice_from_generators(12, [(2, 1), (0, 6)])
-    pts = {(p.k, p.l) for p in lat.points}
+    pts = set(point_pairs(lat))
     assert (0, 0) in pts
     for a in pts:
         assert ((-a[0]) % 12, (-a[1]) % 12) in pts
         for b in pts:
             assert ((a[0] + b[0]) % 12, (a[1] + b[1]) % 12) in pts
     assert 144 % lat.size == 0
-    assert list(lat.points) == sorted(lat.points, key=lambda p: (p.k, p.l))
+    assert point_pairs(lat) == sorted(point_pairs(lat))
 
 
 def test_generators_reduced_mod_n():
@@ -69,7 +75,7 @@ def test_bad_order_rejected():
 def brute_force_commutant(lat):
     """Independent oracle: matrix commutation against every lattice shift."""
     n = lat.n
-    mats = [shift_matrix(p) for p in lat.points]
+    mats = [shift_matrix(p) for p in tf_points(lat)]
     out = []
     for m in range(n):
         for nn in range(n):
@@ -83,13 +89,13 @@ def test_adjoint_example_against_matrix_commutant():
     lat = lattice_from_generators(12, [(2, 0), (0, 3)])
     adj = adjoint_lattice(lat)
     assert adj.size == 6
-    assert [(p.k, p.l) for p in adj.points] == brute_force_commutant(lat)
+    assert point_pairs(adj) == brute_force_commutant(lat)
     gen_set = {(p.k, p.l) for p in adj.generators}
     assert gen_set == {(4, 0), (0, 6)}
 
 
 def test_adjoint_of_full_and_trivial():
-    assert [(p.k, p.l) for p in adjoint_lattice(full_lattice(6)).points] == [(0, 0)]
+    assert point_pairs(adjoint_lattice(full_lattice(6))) == [(0, 0)]
     adj = adjoint_lattice(trivial_lattice(6))
     assert adj.size == 36
 
@@ -99,15 +105,15 @@ def test_adjoint_duality_and_pairing_all_subgroups():
         for lat in enumerate_subgroups(n):
             adj = adjoint_lattice(lat)
             assert lat.size * adj.size == n * n
-            assert adjoint_lattice(adj).points == lat.points
+            assert point_pairs(adjoint_lattice(adj)) == point_pairs(lat)
 
 
 def test_adjoint_commutation_witness(rng, lattices):
     for lat in lattices:
         adj = adjoint_lattice(lat)
         for _ in range(5):
-            p = lat.points[int(rng.integers(lat.size))]
-            q = adj.points[int(rng.integers(adj.size))]
+            p = tf_points(lat)[int(rng.integers(lat.size))]
+            q = tf_points(adj)[int(rng.integers(adj.size))]
             A, B = shift_matrix(p), shift_matrix(q)
             assert np.abs(A @ B - B @ A).max() < 1e-12
 
@@ -121,7 +127,7 @@ def test_volume_values():
 def test_volume_critical_density():
     lat = lattice_from_generators(6, [(1, 1)])
     assert volume(lat) == 1
-    assert adjoint_lattice(lat).points == lat.points  # self-dual diagonal
+    assert point_pairs(adjoint_lattice(lat)) == point_pairs(lat)  # self-dual diagonal
 
 
 def exhaustive_subgroups(n):
@@ -144,7 +150,7 @@ def exhaustive_subgroups(n):
 
 def test_enumerate_subgroups_exhaustive_oracle():
     for n in (2, 3):
-        enumerated = {frozenset((p.k, p.l) for p in lat.points) for lat in enumerate_subgroups(n)}
+        enumerated = {frozenset(point_pairs(lat)) for lat in enumerate_subgroups(n)}
         assert enumerated == exhaustive_subgroups(n)
 
 
@@ -152,12 +158,12 @@ def test_enumerate_subgroups_structural():
     lats = enumerate_subgroups(4)
     seen = set()
     for lat in lats:
-        pts = frozenset((p.k, p.l) for p in lat.points)
+        pts = frozenset(point_pairs(lat))
         assert pts not in seen
         seen.add(pts)
         assert 16 % lat.size == 0
         regenerated = lattice_from_generators(4, [(p.k, p.l) for p in lat.generators])
-        assert regenerated.points == lat.points
+        assert point_pairs(regenerated) == point_pairs(lat)
 
 
 # ---- brute-force oracles for what the library computes from the normal-form
@@ -200,7 +206,7 @@ def normal_form_oracle(n, points):
 
 def conv_tables_oracle(lat):
     """Difference indices by dict lookup and cocycles by direct evaluation."""
-    n, pts = lat.n, [(p.k, p.l) for p in lat.points]
+    n, pts = lat.n, point_pairs(lat)
     lookup = {p: i for i, p in enumerate(pts)}
     sub = np.array(
         [[lookup[((pi[0] - pj[0]) % n, (pi[1] - pj[1]) % n)] for pj in pts] for pi in pts],
@@ -213,7 +219,7 @@ def conv_tables_oracle(lat):
 
 
 def involution_tables_oracle(lat):
-    n, pts = lat.n, [(p.k, p.l) for p in lat.points]
+    n, pts = lat.n, point_pairs(lat)
     lookup = {p: i for i, p in enumerate(pts)}
     neg = np.array([lookup[(-k % n, -l % n)] for k, l in pts], dtype=np.int64)
     arr = np.array(pts, dtype=np.int64)
@@ -228,24 +234,24 @@ def _pairs(points):
 @pytest.mark.parametrize("n", (4, 6, 8, 9, 12))
 def test_enumerate_subgroups_matches_pairwise_closures(n):
     lats = enumerate_subgroups(n)
-    sets = [frozenset(_pairs(lat.points)) for lat in lats]
+    sets = [frozenset(point_pairs(lat)) for lat in lats]
     assert len(set(sets)) == len(sets)
     assert set(sets) == subgroups_oracle(n)
-    keys = [(lat.size, _pairs(lat.points)) for lat in lats]
+    keys = [(lat.size, point_pairs(lat)) for lat in lats]
     assert keys == sorted(keys)
 
 
 def test_lattice_tables_match_brute_force_oracles(rng):
     for lat in oracle_cases():
         n = lat.n
-        pts = _pairs(lat.points)
+        pts = point_pairs(lat)
         assert pts == brute_force_closure(n, _pairs(lat.generators))
         assert lat.as_array().tolist() == [list(p) for p in pts]
         assert lat.basis == normal_form_oracle(n, pts)
 
         adj = adjoint_lattice(lat)
-        assert _pairs(adj.points) == adjoint_oracle(lat)
-        assert adj.basis == normal_form_oracle(n, _pairs(adj.points))
+        assert point_pairs(adj) == adjoint_oracle(lat)
+        assert adj.basis == normal_form_oracle(n, point_pairs(adj))
         a, s, b = adj.basis
         assert _pairs(adj.generators) == [(a, s)][: a < n] + [(0, b)][: b < n]
 
@@ -279,15 +285,15 @@ def test_equal_subgroups_are_one_lattice():
 
 def test_index_of_and_membership():
     lat = lattice_from_generators(12, [(2, 1), (0, 6)])
-    for i, p in enumerate(lat.points):
-        assert lat.index_of(TFPoint(12, p.k - 12, p.l + 24)) == i
-        assert p in lat
-    assert TFPoint(12, 1, 0) not in lat
+    k, l = lat.as_array().T
+    assert lat.indices(k - 12, l + 24).tolist() == list(range(lat.size))
+    assert lat.indices(1, 0) == -1
     with pytest.raises(KeyError, match="not in lattice"):
-        lat.index_of(TFPoint(12, 2, 0))
+        delta_seq(lat, TFPoint(12, 2, 0))
     assert lat.as_array().flags.writeable is False
-    seq = CoeffSeq(lat, np.arange(lat.size) + 0j)
-    assert seq[TFPoint(12, 4, 2)] == lat.index_of(TFPoint(12, 4, 2))
+    seq = delta_seq(lat, TFPoint(12, 4, 2), 3.0)
+    assert np.flatnonzero(seq.coeffs).tolist() == [lat.indices(4, 2)]
+    assert seq.coeffs[lat.indices(4, 2)] == 3.0
 
 
 def test_invalid_basis_rejected():

@@ -38,15 +38,15 @@ from ncgabor import (
     volume,
 )
 from conftest import SEEDS, matrix_lattices
+from oracles import tf_points
 
 
 def test_inner_left_delta_full_lattice():
     n = 4
     d = Signal.delta(n)
     seq = inner_left(d, d, full_lattice(n))
-    for p in seq.lattice.points:
-        expect = 1.0 if p.k == 0 else 0.0
-        assert seq[p] == pytest.approx(expect)
+    for (k, _), c in zip(seq.lattice.as_array(), seq.coeffs):
+        assert c == pytest.approx(1.0 if k == 0 else 0.0)
 
 
 def test_inner_left_orthogonal_vanishes():
@@ -101,7 +101,7 @@ def test_act_left_unit_and_delta(rng):
     lat = lattice_from_generators(8, [(2, 0), (0, 2)])
     g = random_signal(8, rng)
     np.testing.assert_allclose(act_left(unit(lat), g).values, g.values, atol=1e-14)
-    p = lat.points[5]
+    p = tf_points(lat)[5]
     np.testing.assert_allclose(
         act_left(delta_seq(lat, p), g).values, tf_shift(p, g).values, atol=1e-14
     )
@@ -138,7 +138,7 @@ def test_act_right_dense_matrix_oracle(rng):
     g = random_signal(8, rng)
     b = CoeffSeq(adj, rng.standard_normal(adj.size) + 1j * rng.standard_normal(adj.size))
     dense = np.zeros((8, 8), dtype=complex)
-    for c, q in zip(b.coeffs, adj.points):
+    for c, q in zip(b.coeffs, tf_points(adj)):
         dense += c * shift_matrix(q).conj().T
     expect = (1.0 / float(volume(lat))) * dense @ g.values
     np.testing.assert_allclose(act_right(g, b, lat).values, expect, atol=1e-11)
@@ -185,7 +185,7 @@ def test_frame_type_operator_direct_sum_oracle(rng):
     lat = lattice_from_generators(n, [(2, 0), (0, 3)])
     g, h, f = (random_signal(n, rng) for _ in range(3))
     expect = np.zeros(n, dtype=complex)
-    for p in lat.points:
+    for p in tf_points(lat):
         expect += np.vdot(tf_shift(p, g).values, f.values) * tf_shift(p, h).values
     got = frame_type_operator(g, h, lat, f)
     np.testing.assert_allclose(got.values, expect, atol=1e-11 * np.linalg.norm(expect))
@@ -272,6 +272,29 @@ def test_module_frame_verdict_matches_stacked_system(lattices):
             ws = [random_signal(lat.n, rng) for _ in range(count)]
             report = module_frame_check(ws, lat)
             assert report.is_module_frame == frame_bounds(GaborSystem(tuple(ws), lat)).is_frame
+
+
+def test_module_frame_check_builds_no_dense_operator(lattices, monkeypatch):
+    # the residual ||S_tight - I||_F is read on the adjoint lattice, so no
+    # route of module_frame_check may assemble an N x N frame operator
+    import ncgabor
+    from ncgabor import algebra, frames, module
+
+    def refuse(*args):
+        raise AssertionError("module_frame_check built a dense matrix")
+
+    for mod in (ncgabor, algebra, frames, module):
+        for name in ("represent", "frame_operator"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    for lat in lattices:
+        rng = np.random.default_rng(SEEDS[3])
+        need = max(1, math.ceil(float(volume(lat))))
+        for count in (need, need + 1):
+            report = module_frame_check([random_signal(lat.n, rng) for _ in range(count)], lat)
+            if report.is_module_frame:
+                assert report.residual < 1e-10
+                assert len(report.tight_windows) == count
 
 
 def test_module_reconstruction_identity(rng):
