@@ -24,26 +24,34 @@ gives the bands band[i, t] = represent(c)[t, (t - i*a) mod N], and the fold
 of the bands times the conjugate phase, over N, recovers c; with the windows
 shifted to the fiber points as rows they are Gabor synthesis and analysis
 (frames.py), the Zak-domain factorization of Gabor frames: _fiber_windows
-is the windows' translates times the phase that _phase_tables caches.
+is the windows' translates times the phase that _band_phase caches.
 
 In the order t = r + a*q, M = N/a, represent(x) is block diagonal: a blocks
-of size M x M, block_r[q, q'] = band[(q - q') mod M, r + a*q] (the rational
-noncommutative torus as a matrix bundle).  Up to the phase each band repeats
-with period N/b in t, so the first h = ceil((N/b)/a) rows of each block, the
-times t < N/b, determine an element, and their fold gives it back.  Products
-multiply those rows of one element's blocks by the other's blocks, inversion
-is a batched inverse after a values-only SVD of the blocks (whose singular
-values are the whole matrix's), and the spectrum is the blocks' eigenvalues.
-Only represent and coefficients_of build N x N arrays.
+of size M x M, block_r[q, q'] = band[(q - q') mod M, r + a*q].  Up to its
+phase each band has period N/b in t, so moving q and q' on by c = M/gcd(M, b),
+the least step with a*c = 0 mod N/b, multiplies block entry [q, q'] by
+exp(2*pi*i*s*a*c*(q - q')/N).  Write q = rho + c*u with rho < c, u < K = M/c.
+The twist tw[q] = exp(pi*i*s*a*c*(2*u*rho + c*u*(u - K))/N) takes that factor
+off (the sum of the steps' turns up to u, less their mean over the K steps,
+so that tw has period M), which leaves each block block-circulant with K x K
+blocks of c x c, and a length-K DFT over u splits it into K sectors.  So
+represent(x) is unitarily equivalent to a*K = N/c sectors of size c x c: the
+rational noncommutative torus as a matrix bundle over its centre L ∩ L°, with
+c^2 = |L| / |L ∩ L°|.  _sectors gathers the sector entries from the band
+spectra (one length-N/b inverse FFT per time shift, not the tile) and takes
+one length-K FFT; _coeffs_of_sectors inverts the FFT, gathers the bands at the
+times t < N/b and folds them.  Products multiply sectors, inversion is a
+batched inverse after a values-only SVD of the sectors (whose singular values
+are the whole matrix's), the spectrum is their eigenvalues, and frames.py runs
+every frame design on the sectors of the frame element, where c = 1 at
+integer redundancy.  Only represent and coefficients_of build N x N arrays.
 
-A product takes a*h*M^2, about (N/b + a)*M^2, multiply-adds, against the
-|L|^2 = M^2 (N/b)^2 of summing over pairs of lattice points, but its blocks
-hold N^2/a entries for N^2/(a*b) coefficients: for large b, e.g. (1, 0),
-(0, N/2), building them dominates, and splitting the blocks by the lattice's
-centre would remove that b-fold redundancy.
+A product takes N*c^2 multiply-adds besides the FFTs, against the
+|L|^2 = (N/a)^2 (N/b)^2 of summing over pairs of lattice points.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -148,7 +156,7 @@ def _require_same_lattice(a: CoeffSeq, b: CoeffSeq) -> Lattice:
 def twisted_conv(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
     """Twisted convolution; matches operator composition under represent()."""
     lat = _require_same_lattice(a, b)
-    return CoeffSeq(lat, _coeffs_of_blocks(_blocks(a, _head_rows(lat)) @ _blocks(b), lat))
+    return CoeffSeq(lat, _coeffs_of_sectors(_sectors(a) @ _sectors(b), lat))
 
 
 def involution(a: CoeffSeq) -> CoeffSeq:
@@ -163,12 +171,6 @@ def weighted_norm(a: CoeffSeq, v: Weight, s: float) -> float:
         raise ValueError("weight exponent s must be >= 0")
     lifts = _lifted(a.lattice.as_array(), a.lattice.n)
     return float(np.abs(a.coeffs) @ v.power(s)._grid(lifts[:, 0], lifts[:, 1]))
-
-
-def _head_rows(lat: Lattice) -> int:
-    """h = ceil((N/b) / a): the rows q < h of the blocks hold every time t < N/b."""
-    a, _, b = lat.basis
-    return -(-(lat.n // b) // a)
 
 
 def _fiber_points(lat: Lattice) -> np.ndarray:
@@ -197,22 +199,16 @@ def _fold(bands: np.ndarray, lat: Lattice) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _phase_tables(lat: Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The band phase exp(2*pi*i*sigma_i*t/N) (N/a, N), its conjugate over N/b
-    at the times t < N/b, and where band[i, t] (t < N/b) sits in the
-    flattened head rows of the blocks (_coeffs_of_blocks)."""
-    n, a = lat.n, lat.basis[0]
-    m, p, h = n // a, n // lat.basis[2], _head_rows(lat)
-    phase = _shifted(_fiber_points(lat), np.ones(n, dtype=complex))
-    i, t = np.arange(m)[:, None], np.arange(p)[None, :]
-    return phase, phase[:, :p].conj() / p, ((t % a) * h + t // a) * m + (t // a - i) % m
+def _band_phase(lat: Lattice) -> np.ndarray:
+    """The band phase exp(2*pi*i*sigma_i*t/N), (N/a, N)."""
+    return _shifted(_fiber_points(lat), np.ones(lat.n, dtype=complex))
 
 
 def _fiber_windows(lat: Lattice, g: np.ndarray) -> np.ndarray:
     """The windows g [..., N] shifted to the fiber points, [..., N/a, N]: their
     translates by i*a times the cached band phase."""
     out = _translates(_fiber_points(lat)[:, 0], g)
-    out *= _phase_tables(lat)[0]
+    out *= _band_phase(lat)
     return out
 
 
@@ -227,29 +223,71 @@ def _bands(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _block_index(m: int, a: int) -> np.ndarray:
-    """idx[r, q, q'] = ((q - q') mod M) * N + r + a*q: where block entry
-    [q, q'] of block r sits in the flattened bands.  Read-only."""
-    q = np.arange(m)
-    idx = (q[:, None] - q[None, :]) % m * (m * a) + a * q[:, None] + np.arange(a)[:, None, None]
-    idx.setflags(write=False)
-    return idx
+def _sector_tables(lat: Lattice) -> tuple[np.ndarray, ...]:
+    """The twist tw (K, c); where sector entry [r, d, rho, rho'] sits in the
+    flattened band spectra (a, K, c, c), with its band phase times
+    conj(tw[d, rho]); and where band[i, t < N/b] sits in the flattened
+    inverse-DFT sectors (N/a, N/b), with tw[q] conj(tw[q']) times the fold's
+    conjugate band phase over N/b.  All phases are exp(pi*i*e/N) for integers
+    e mod 2N.  Read-only."""
+    n, (a, s, b) = lat.n, lat.basis
+    m, p = n // a, n // b
+    c = m // math.gcd(m, b)
+    k = m // c
+    u, rho = np.divmod(np.arange(m), c)
+    turn = (s * a * c) % (2 * n) * ((2 * u * rho + c * u * (u - k)) % (2 * n)) % (2 * n)
+
+    def band_turn(i, t):  # 2*sigma_i*t mod 2N
+        return 2 * ((i * s % b) * t % n)
+
+    q = np.arange(m).reshape(1, k, c, 1)
+    i, t = (q - np.arange(c)) % m, np.arange(a).reshape(-1, 1, 1, 1) + a * q
+    fwd_at, fwd_phase = i * p + t % p, band_turn(i, t) - turn[q]
+    i, t = np.arange(m)[:, None], np.arange(p)
+    q, q2 = t // a, (t // a - i) % m
+    (u, rho), (u2, rho2) = np.divmod(q, c), np.divmod(q2, c)
+    back_at = (((t % a) * k + (u - u2) % k) * c + rho) * c + rho2
+    back_phase = turn[q] - turn[q2] - band_turn(i, t)
+    tables = (
+        np.exp(1j * np.pi * turn / n).reshape(k, c),
+        fwd_at,
+        np.exp(1j * np.pi * (fwd_phase % (2 * n)) / n),
+        back_at,
+        np.exp(1j * np.pi * (back_phase % (2 * n)) / n) / p,
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
-def _blocks(x: CoeffSeq, rows: int | None = None) -> np.ndarray:
-    """The a diagonal blocks (a, N/a, N/a) of represent(x) in the order
-    t = r + a*q, or only their first rows."""
-    lat, a = x.lattice, x.lattice.basis[0]
-    bands = _tile(x.coeffs, lat, _phase_tables(lat)[0])
-    return bands.reshape(-1)[_block_index(lat.n // a, a)[:, :rows]]
+def _sectors(x: CoeffSeq) -> np.ndarray:
+    """The a*K sectors of represent(x), (a, K, c, c): the twisted length-K DFT
+    of its blocks, gathered from the band spectra."""
+    lat = x.lattice
+    _, at, phase, _, _ = _sector_tables(lat)
+    spec = np.fft.ifft(x.coeffs.reshape(-1, lat.n // lat.basis[2]), axis=-1, norm="forward")
+    return np.fft.fft(spec.reshape(-1)[at] * phase, axis=1)
 
 
-def _coeffs_of_blocks(head: np.ndarray, lat: Lattice) -> np.ndarray:
-    """Coefficients of the span element whose blocks begin with the rows head,
-    shape (a, _head_rows(lat), N/a): the fold of its bands at the times
-    t < N/b with their phase and scale taken off."""
-    _, head_conj, where = _phase_tables(lat)
-    return _fold(head.reshape(-1)[where] * head_conj, lat)
+def _coeffs_of_sectors(sectors: np.ndarray, lat: Lattice) -> np.ndarray:
+    """Coefficients of the span element with the given sectors (a, K, c, c):
+    the fold of its bands at the times t < N/b."""
+    _, _, _, at, phase = _sector_tables(lat)
+    return _fold(np.fft.ifft(sectors, axis=1).reshape(-1)[at] * phase, lat)
+
+
+def _sector_vectors(v: np.ndarray, lat: Lattice) -> np.ndarray:
+    """Vectors v [w, N] in the sectors' basis, [a, K, c, w]: represent(x) @ v.T
+    there is _sectors(x) @ _sector_vectors(v, lat)."""
+    tw = _sector_tables(lat)[0]
+    fibered = v.reshape(len(v), -1, lat.basis[0]).T.reshape(-1, *tw.shape, len(v))
+    return np.fft.fft(fibered * tw[..., None].conj(), axis=1, norm="ortho")
+
+
+def _vectors_of_sectors(y: np.ndarray, lat: Lattice) -> np.ndarray:
+    """The inverse of _sector_vectors: [a, K, c, w] to [w, N]."""
+    out = np.fft.ifft(y, axis=1, norm="ortho") * _sector_tables(lat)[0][..., None]
+    return out.reshape(lat.basis[0], -1, y.shape[-1]).T.reshape(y.shape[-1], lat.n)
 
 
 def represent(a: CoeffSeq) -> OperatorMatrix:
@@ -260,7 +298,7 @@ def represent(a: CoeffSeq) -> OperatorMatrix:
     """
     lat, n = a.lattice, a.lattice.n
     mat = np.zeros((n, n), dtype=complex)  # before the temporaries, so they free from the heap top
-    mat[_bands(lat)] = _tile(a.coeffs, lat, _phase_tables(lat)[0])
+    mat[_bands(lat)] = _tile(a.coeffs, lat, _band_phase(lat))
     mat.setflags(write=False)  # handed over: OperatorMatrix shares it rather than copying
     return OperatorMatrix(n, mat)
 
@@ -282,7 +320,7 @@ def coefficients_of(A, lat: Lattice) -> tuple[CoeffSeq, float]:
     n = lat.n
     if mat.shape != (n, n):
         raise DimensionMismatch(f"matrix shape {mat.shape} does not match order {n}")
-    seq = CoeffSeq(lat, _fold(mat[_bands(lat)] * _phase_tables(lat)[0].conj(), lat) / n)
+    seq = CoeffSeq(lat, _fold(mat[_bands(lat)] * _band_phase(lat).conj(), lat) / n)
     residual = float(np.linalg.norm(mat - represent(seq).entries))
     return seq, residual
 
@@ -290,18 +328,17 @@ def coefficients_of(A, lat: Lattice) -> tuple[CoeffSeq, float]:
 def invert_in_algebra(a: CoeffSeq) -> CoeffSeq:
     """Invert an element within the span of its lattice's shifts.
 
-    The fiber blocks' singular values together are those of the whole
-    represented matrix, so they give the verdict; the inverse is then taken
-    block by block.  It lands back in the span: the finite shadow of
-    spectral invariance, which the tests check against the dense inverse.
+    The sectors' singular values together are those of the whole represented
+    matrix, so they give the verdict; the inverse is then taken sector by
+    sector.  It lands back in the span: the finite shadow of spectral
+    invariance, which the tests check against the dense inverse.
     """
-    blocks = _blocks(a)
-    svals = np.linalg.svd(blocks, compute_uv=False)
+    sectors = _sectors(a)
+    svals = np.linalg.svd(sectors, compute_uv=False)
     smallest = float(svals.min())
     if smallest <= INVERTIBILITY_TOL * svals.max():
         raise SingularElement(smallest)
-    head = np.linalg.inv(blocks)[:, : _head_rows(a.lattice)]
-    return CoeffSeq(a.lattice, _coeffs_of_blocks(head, a.lattice))
+    return CoeffSeq(a.lattice, _coeffs_of_sectors(np.linalg.inv(sectors), a.lattice))
 
 
 def trace_tau(a: CoeffSeq) -> complex:
@@ -310,5 +347,5 @@ def trace_tau(a: CoeffSeq) -> complex:
 
 
 def spectrum(a: CoeffSeq) -> np.ndarray:
-    """Eigenvalues (with multiplicity) of the represented matrix, block by block."""
-    return np.linalg.eigvals(_blocks(a)).ravel()
+    """Eigenvalues (with multiplicity) of the represented matrix, sector by sector."""
+    return np.linalg.eigvals(_sectors(a)).ravel()

@@ -10,16 +10,18 @@ the Janssen coefficients summed over the windows (the A(L°)-valued inner
 product <g, g> of the Morita equivalence).  janssen_representation returns
 them for a pair of windows; the frame element is the same computation on the
 stacked windows.  Everything the designs need comes from the algebra's
-fiber blocks of that element (algebra._blocks): L°'s first basis entry is
-N/b, so they are N/b blocks of size b x b.  One batched eigendecomposition of
-them gives the frame bounds and verdict and applies S^-1 (dual windows) or
-S^-1/2 (tight windows) to every window; frame_operator is represent of the
-element.  Analysis and synthesis are the algebra's coefficient-band pair
-(algebra._fold, algebra._tile) with the windows shifted to the lattice's
-fiber points as rows (algebra._fiber_windows: the translates times the
-lattice's cached band phase): analysis folds f times their conjugate, one
-length-N/b FFT per time shift; synthesis tiles the coefficients, one
-length-N/b inverse FFT per time shift, and sums the rows.  The fundamental
+sectors of that element (algebra._sectors): L°'s basis is (N/b, s°), (0, N/a),
+so they are N/c sectors of size c x c, c = b/gcd(b, N/a), and c = 1 (the
+Zak-domain diagonalization of Zibulski-Zeevi) when the redundancy |L|/N is
+an integer.  One batched eigendecomposition of the sectors gives the frame
+bounds and verdict and applies S^-1 (dual windows) or S^-1/2 (tight windows)
+to every window in the sectors' basis (algebra._sector_vectors);
+frame_operator is represent of the element.  Analysis and synthesis are the
+algebra's coefficient-band pair (algebra._fold, algebra._tile) with the
+windows shifted to the lattice's fiber points as rows (algebra._fiber_windows:
+the translates times the lattice's cached band phase): analysis folds f times
+their conjugate, one length-N/b FFT per time shift; synthesis tiles the
+coefficients, one length-N/b inverse FFT per time shift, and sums the rows.  The fundamental
 identity below is the two-sided inner-product form of the same expansion.
 """
 from __future__ import annotations
@@ -30,7 +32,17 @@ import numpy as np
 
 from .core import DimensionMismatch, Signal
 from .lattice import Lattice, adjoint_lattice, volume
-from .algebra import CoeffSeq, OperatorMatrix, _blocks, _fiber_windows, _fold, _tile, represent
+from .algebra import (
+    CoeffSeq,
+    OperatorMatrix,
+    _fiber_windows,
+    _fold,
+    _sector_vectors,
+    _sectors,
+    _tile,
+    _vectors_of_sectors,
+    represent,
+)
 
 __all__ = [
     "GaborSystem",
@@ -97,10 +109,14 @@ def _windows(sys: GaborSystem) -> np.ndarray:
 
 def _janssen(h: np.ndarray, g: np.ndarray, lat: Lattice) -> CoeffSeq:
     """vol^{-1} sum_w <h_w, pi(mu) g_w> on the adjoint lattice, summed over
-    the leading (window) axes that h and g pair."""
+    the leading (window) axes that h and g pair; OverflowError past the float
+    range."""
     adj = adjoint_lattice(lat)
-    coeffs = _analysis(h, g, adj).reshape(-1, adj.size).sum(axis=0)
-    return CoeffSeq(adj, (1.0 / float(volume(lat))) * coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = (1.0 / float(volume(lat))) * _analysis(h, g, adj).reshape(-1, adj.size).sum(axis=0)
+    if not np.all(np.isfinite(coeffs)):
+        raise OverflowError("the Janssen coefficients exceed the float range")
+    return CoeffSeq(adj, coeffs)
 
 
 def _frame_element(sys: GaborSystem) -> CoeffSeq:
@@ -115,14 +131,14 @@ def frame_operator(sys: GaborSystem) -> OperatorMatrix:
 
 
 def _bounds(eigs: np.ndarray) -> FrameBounds:
-    """Frame bounds and verdict from the eigenvalues of every fiber block."""
+    """Frame bounds and verdict from the eigenvalues of every sector."""
     lower, upper = float(eigs.min()), float(eigs.max())
     return FrameBounds(lower, upper, upper > 0 and lower > FRAME_DECISION_TOL * upper)
 
 
 def frame_bounds(sys: GaborSystem) -> FrameBounds:
     """Extreme eigenvalues of the frame operator and the frame verdict."""
-    return _bounds(np.linalg.eigvalsh(_blocks(_frame_element(sys))))
+    return _bounds(np.linalg.eigvalsh(_sectors(_frame_element(sys))))
 
 
 def hermitian_inverse_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -140,19 +156,18 @@ def hermitian_inverse_sqrt(mat: np.ndarray) -> np.ndarray:
 def _frame_power(sys: GaborSystem, power: float) -> list[Signal]:
     """S^power applied to every window, S the frame operator of the system.
 
-    One eigendecomposition of the frame element's fiber blocks gives both
-    the frame verdict and the power, applied to each window's fibers block
-    by block: block r holds the times t = r + m*q.
+    One eigendecomposition of the frame element's sectors gives both the
+    frame verdict and the power, applied to the windows in the sectors' basis.
     """
-    eigs, vecs = np.linalg.eigh(_blocks(_frame_element(sys)))
+    elem = _frame_element(sys)
+    eigs, vecs = np.linalg.eigh(_sectors(elem))
     bounds = _bounds(eigs)
     if not bounds.is_frame:
         del vecs  # the traceback keeps this frame's locals alive as long as the exception
         raise NotAFrame(bounds.lower)
-    m = len(eigs)
-    fibered = _windows(sys).reshape(len(sys.windows), -1, m).T  # [r, q, window]
-    out = vecs @ ((vecs.conj().transpose(0, 2, 1) @ fibered) * eigs[:, :, None] ** power)
-    return [Signal(sys.n, row) for row in out.T.reshape(len(sys.windows), sys.n)]
+    y = _sector_vectors(_windows(sys), elem.lattice)
+    y = vecs @ ((vecs.conj().swapaxes(-1, -2) @ y) * eigs[..., None] ** power)
+    return [Signal(sys.n, row) for row in _vectors_of_sectors(y, elem.lattice)]
 
 
 def canonical_dual(sys: GaborSystem) -> list[Signal]:

@@ -303,6 +303,18 @@ def test_modnorm_weight_overflow_exits_three(capsys, rng, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["bounds", "dual"])
+def test_frame_element_overflow_exits_three(capsys, verb):
+    # a finite window whose frame element leaves the float range: |g|^2 ~ 1e320;
+    # pytest turns any RuntimeWarning into an error, so this also asserts none is raised
+    big = json.dumps({"n": 8, "re": [1e160, 1e160] + [0] * 6, "im": [0] * 8})
+    code, out, err = run(capsys, verb, "--n", "8", "--gens", "(2,0),(0,2)", "--window", big)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "float range" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

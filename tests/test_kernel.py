@@ -2,12 +2,18 @@
 
 Runs over every subgroup for N in {4, 6, 8, 9, 12} plus sheared lattices at
 N in {48, 96}, at 1e-12 relative to the largest oracle entry.  The fiber
-routes of the frame computations (block-diagonal frame operator, per-shift
-analysis, tiled synthesis) are checked against the dense G G^H route with
-one and two windows, and those of the lattice algebra (product, inversion,
-spectrum from the diagonal blocks of represent) against dense matrix
-products, inverses, SVDs and eigenvalues of the loop-built shift sums.
+routes of the frame computations (frame designs on the sectors of the frame
+element, per-shift analysis, tiled synthesis) are checked against the dense
+G G^H route with one and two windows, and those of the lattice algebra
+(product, inversion, spectrum on the sectors of represent) against dense
+matrix products, inverses, SVDs and eigenvalues of the loop-built shift sums.
+The sectors themselves are pinned to the matrix bundle over the centre
+L ∩ L°: for X = L and X = L°, with basis (a, s), (0, b) and M = N/a, they are
+a*K sectors of size c x c with c^2 |L ∩ L°| = |X| and K = M/c, and in their
+basis represent(x) acts on vectors as the sectors do.
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -37,7 +43,13 @@ from ncgabor import (
     twisted_conv,
     unit,
 )
-from ncgabor.algebra import INVERTIBILITY_TOL, _fiber_windows
+from ncgabor.algebra import (
+    INVERTIBILITY_TOL,
+    _fiber_windows,
+    _sector_vectors,
+    _sectors,
+    _vectors_of_sectors,
+)
 from ncgabor.core import _shifted, _translates
 from ncgabor.frames import FRAME_DECISION_TOL
 import oracles
@@ -100,7 +112,7 @@ def test_system_columns_and_reconstruct_match_loop_oracles(rng):
 
 
 def test_frame_designs_match_dense_oracle(rng):
-    # bounds, verdict, dual and tight windows from the fiber blocks against one eigh of G G^H;
+    # bounds, verdict, dual and tight windows from the sectors against one eigh of G G^H;
     # both routes perturb S^power g by up to eps * (B/A)^|power|, so the window
     # tolerance scales with the frame's condition number
     for lat in oracle_cases():
@@ -160,3 +172,19 @@ def test_algebra_fiber_routes_match_dense_oracles(rng):
         with pytest.raises(SingularElement) as raised:
             invert_in_algebra(singular)
         assert raised.value.smallest_singular_value <= INVERTIBILITY_TOL * svals[0]
+
+
+def test_sectors_are_the_matrix_bundle_over_the_centre(rng):
+    # c comes from the centre counted on the two point sets, not from the sector code
+    for lat in oracle_cases():
+        adj = adjoint_lattice(lat)
+        centre = set(map(tuple, lat.as_array().tolist())) & set(map(tuple, adj.as_array().tolist()))
+        for x in (lat, adj):
+            c = math.isqrt(x.size // len(centre))
+            assert c * c * len(centre) == x.size
+            seq = rand_seq(x, rng)
+            sectors = _sectors(seq)
+            assert sectors.shape == (x.basis[0], x.n // x.basis[0] // c, c, c)
+            v = np.stack([random_signal(x.n, rng).values for _ in range(2)])
+            acted = _vectors_of_sectors(sectors @ _sector_vectors(v, x), x)
+            assert_close(acted, (oracles.represent(seq) @ v.T).T)
