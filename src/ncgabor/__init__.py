@@ -64,7 +64,6 @@ from .frames import (
     reconstruct,
 )
 from .module import (
-    MinWindowsResult,
     ModuleFrameReport,
     act_left,
     act_right,

@@ -40,11 +40,13 @@ rational noncommutative torus as a matrix bundle over its centre L ∩ L°, with
 c^2 = |L| / |L ∩ L°|.  _sectors gathers the sector entries from the band
 spectra (one length-N/b inverse FFT per time shift, not the tile) and takes
 one length-K FFT; _coeffs_of_sectors inverts the FFT, gathers the bands at the
-times t < N/b and folds them.  Products multiply sectors, inversion is a
-batched inverse after a values-only SVD of the sectors (whose singular values
-are the whole matrix's), the spectrum is their eigenvalues, and frames.py runs
-every frame design on the sectors of the frame element, where c = 1 at
-integer redundancy.  Only represent and coefficients_of build N x N arrays.
+times t < N/b and folds them.  The way back is read off the forward gather,
+which names every band entry: it takes the first copy of each and undoes its
+phase, so the two directions cannot disagree.  Products multiply sectors,
+inversion is a batched inverse after a values-only SVD of the sectors (whose
+singular values are the whole matrix's), the spectrum is their eigenvalues,
+and frames.py runs every frame design on the sectors of the frame element,
+where c = 1 at integer redundancy.  Only represent and coefficients_of build N x N arrays.
 
 A product takes N*c^2 multiply-adds besides the FFTs, against the
 |L|^2 = (N/a)^2 (N/b)^2 of summing over pairs of lattice points.
@@ -57,7 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DimensionMismatch, TFPoint, _frozen, _lifted, _shifted, _translates
+from .core import DimensionMismatch, TFPoint, _check_same_n, _frozen, _lifted, _shifted, _translates
 from .lattice import Lattice
 from .weights import Weight
 
@@ -129,6 +131,7 @@ def unit(lat: Lattice) -> CoeffSeq:
 
 
 def delta_seq(lat: Lattice, p: TFPoint, value: complex = 1.0) -> CoeffSeq:
+    _check_same_n(lat.n, p.n)
     i = int(lat.indices(p.k, p.l))
     if i < 0:
         raise KeyError(f"point ({p.k},{p.l}) not in lattice")
@@ -226,34 +229,26 @@ def _bands(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
 def _sector_tables(lat: Lattice) -> tuple[np.ndarray, ...]:
     """The twist tw (K, c); where sector entry [r, d, rho, rho'] sits in the
     flattened band spectra (a, K, c, c), with its band phase times
-    conj(tw[d, rho]); and where band[i, t < N/b] sits in the flattened
-    inverse-DFT sectors (N/a, N/b), with tw[q] conj(tw[q']) times the fold's
-    conjugate band phase over N/b.  All phases are exp(pi*i*e/N) for integers
-    e mod 2N.  Read-only."""
+    conj(tw[d, rho]); and the way back, read off that forward gather: where
+    the first copy of each band entry [i, t < N/b] sits in it, (N/a, N/b),
+    with the conjugate of its phase over N/b.  The forward phases are
+    exp(pi*i*e/N) for integers e mod 2N.  Read-only."""
     n, (a, s, b) = lat.n, lat.basis
     m, p = n // a, n // b
     c = m // math.gcd(m, b)
     k = m // c
     u, rho = np.divmod(np.arange(m), c)
     turn = (s * a * c) % (2 * n) * ((2 * u * rho + c * u * (u - k)) % (2 * n)) % (2 * n)
-
-    def band_turn(i, t):  # 2*sigma_i*t mod 2N
-        return 2 * ((i * s % b) * t % n)
-
     q = np.arange(m).reshape(1, k, c, 1)
     i, t = (q - np.arange(c)) % m, np.arange(a).reshape(-1, 1, 1, 1) + a * q
-    fwd_at, fwd_phase = i * p + t % p, band_turn(i, t) - turn[q]
-    i, t = np.arange(m)[:, None], np.arange(p)
-    q, q2 = t // a, (t // a - i) % m
-    (u, rho), (u2, rho2) = np.divmod(q, c), np.divmod(q2, c)
-    back_at = (((t % a) * k + (u - u2) % k) * c + rho) * c + rho2
-    back_phase = turn[q] - turn[q2] - band_turn(i, t)
+    fwd_at, fwd_phase = i * p + t % p, 2 * ((i * s % b) * t % n) - turn[q]
+    back_at = np.unique(fwd_at, return_index=True)[1].reshape(m, p)
     tables = (
         np.exp(1j * np.pi * turn / n).reshape(k, c),
         fwd_at,
         np.exp(1j * np.pi * (fwd_phase % (2 * n)) / n),
         back_at,
-        np.exp(1j * np.pi * (back_phase % (2 * n)) / n) / p,
+        np.exp(1j * np.pi * (-fwd_phase.reshape(-1)[back_at] % (2 * n)) / n) / p,
     )
     for table in tables:
         table.setflags(write=False)

@@ -4,7 +4,9 @@ Verbs operate on JSON artifacts (signals, lattices, weights) given inline or
 as file paths, and emit machine-readable JSON or CSV on stdout or to --out.
 Exit codes: 0 success, 2 input validation error, 3 numerical failure (not a
 frame, singular element, overflow, failed selftest): every ArithmeticError
-a verb raises exits 3 with one error line.
+a verb raises exits 3 with one error line.  Verbs run with numpy overflow and
+invalid operations raising, and JSON output refuses NaN and infinity, so a
+result past the float range is an overflow too, never non-JSON output.
 """
 from __future__ import annotations
 
@@ -92,7 +94,12 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, payload) -> None:
-    _emit(args, json.dumps(payload, indent=2))
+    """Strict JSON only: a NaN or infinity in the payload is an overflow."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise OverflowError(f"the result leaves the float range ({exc})") from None
+    _emit(args, text)
 
 
 def _cmd_adjoint(args) -> int:
@@ -174,7 +181,7 @@ def _cmd_figa(args) -> int:
 
 def _cmd_multiwindow(args) -> int:
     sys_ = _system_from_args(args)
-    report = module_frame_check(list(sys_.windows), sys_.lattice, seed=args.seed)
+    report = module_frame_check(list(sys_.windows), sys_.lattice)
     payload = serialize.module_report_to_dict(report)
     if report.is_module_frame and args.emit_windows:
         payload["tight_windows"] = [serialize.signal_to_dict(t) for t in report.tight_windows]
@@ -269,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     figa.add_argument("--g1", type=str)
     figa.add_argument("--g2", type=str)
     multi = add("multiwindow", _cmd_multiwindow, "module-frame check for several windows",
-                *lattice, "--window", "--seed")
+                *lattice, "--window")
     multi.add_argument("--emit-windows", action="store_true", help="include tightened windows")
     modnorm = add("modnorm", _cmd_modnorm, "mixed weighted STFT norm", "--window", "--weight")
     modnorm.add_argument("--signal", type=str, help="signal JSON (inline or file)")
@@ -287,7 +294,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(over="raise", invalid="raise"):
+            return args.fn(args)
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR

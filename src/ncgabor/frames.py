@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, Signal
+from .core import Signal, _check_same_n
 from .lattice import Lattice, adjoint_lattice, volume
 from .algebra import (
     CoeffSeq,
@@ -82,11 +82,7 @@ class GaborSystem:
         if not self.windows:
             raise ValueError("a Gabor system needs at least one window")
         object.__setattr__(self, "windows", tuple(self.windows))
-        for w in self.windows:
-            if w.n != self.lattice.n:
-                raise DimensionMismatch(
-                    f"window of length {w.n} on a lattice of order {self.lattice.n}"
-                )
+        _check_same_n(self.lattice.n, *(w.n for w in self.windows))
         if all(w.is_zero() for w in self.windows):
             raise ValueError("at least one window must be nonzero")
 
@@ -193,8 +189,7 @@ def _synthesis(coeffs: np.ndarray, g: np.ndarray, lat: Lattice) -> np.ndarray:
 
 def analysis_coefficients(f: Signal, g: Signal, lat: Lattice) -> np.ndarray:
     """Samples <f, pi(lam) g> over the lattice, in canonical order."""
-    if f.n != lat.n or g.n != lat.n:
-        raise DimensionMismatch("signal length does not match lattice order")
+    _check_same_n(lat.n, f.n, g.n)
     return _analysis(f.values, g.values, lat)
 
 
@@ -205,8 +200,7 @@ def janssen_representation(g: Signal, h: Signal, lat: Lattice) -> CoeffSeq:
     lattice; representing them reproduces the operator that maps f to
     sum <f, pi(lam) g> pi(lam) h over the original lattice.
     """
-    if g.n != lat.n or h.n != lat.n:
-        raise DimensionMismatch("window length does not match lattice order")
+    _check_same_n(lat.n, g.n, h.n)
     return _janssen(h.values, g.values, lat)
 
 
@@ -224,8 +218,7 @@ def figa_check(
       RHS = vol^{-1} sum_adjoint <f1, pi f2> <pi g2, g1>.
     The identity holds for every quadruple in the finite model.
     """
-    if any(x.n != lat.n for x in (f1, f2, g1, g2)):
-        raise DimensionMismatch("signal length does not match lattice order")
+    _check_same_n(lat.n, f1.n, f2.n, g1.n, g2.n)
     sigs = np.stack([f1.values, f2.values, g1.values, g2.values])
     on_lat = _analysis(sigs[[0, 1]], sigs[[2, 3]], lat)  # <f1, pi g1>, <f2, pi g2>
     on_adj = _analysis(sigs[[0, 2]], sigs[[1, 3]], adjoint_lattice(lat))  # <f1, pi f2>, <g1, pi g2>
@@ -240,7 +233,6 @@ def reconstruct(f: Signal, sys: GaborSystem, duals: list[Signal]) -> Signal:
         raise ValueError(
             f"{len(duals)} dual windows for {len(sys.windows)} system windows"
         )
-    if f.n != sys.n or any(d.n != sys.n for d in duals):
-        raise DimensionMismatch("signal or dual length does not match the system's order")
+    _check_same_n(sys.n, f.n, *(d.n for d in duals))
     coeffs = _analysis(f.values, np.stack([d.values for d in duals]), sys.lattice)
     return Signal(sys.n, _synthesis(coeffs, _windows(sys), sys.lattice))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, Signal, _lifted, stft
+from .core import Signal, _check_same_n, _lifted, stft
 from .weights import Weight
 
 __all__ = [
@@ -59,8 +59,7 @@ def _lp(values: np.ndarray, p: float, axis: int) -> np.ndarray:
 
 def mod_norm(f: Signal, spec: ModNormSpec) -> float:
     """Weighted mixed norm: inner l^p over time, outer l^q over frequency."""
-    if f.n != spec.window.n:
-        raise DimensionMismatch("signal and window lengths differ")
+    _check_same_n(f.n, spec.window.n)
     weighted = np.abs(stft(f, spec.window).values) * _lifted_weight_table(spec.m, f.n)
     per_frequency = _lp(weighted, spec.p, axis=0)
     return float(_lp(per_frequency, spec.q, axis=0))

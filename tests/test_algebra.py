@@ -4,6 +4,7 @@ import pytest
 
 from ncgabor import (
     CoeffSeq,
+    DimensionMismatch,
     SingularElement,
     TFPoint,
     Weight,
@@ -28,6 +29,12 @@ from oracles import is_hermitian
 
 def rand_seq(lat, rng):
     return CoeffSeq(lat, rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size))
+
+
+def test_delta_seq_rejects_another_group_order():
+    lat = lattice_from_generators(8, [(2, 0), (0, 2)])
+    with pytest.raises(DimensionMismatch):
+        delta_seq(lat, TFPoint(12, 10, 2))  # (10, 2) reduced mod 8 would be the point (2, 2)
 
 
 def test_delta_convolution():

@@ -1,9 +1,13 @@
 """End-to-end CLI behavior: verbs, exit codes, artifact round trips."""
+import io
 import json
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncgabor import Signal, lattice_from_generators, random_signal, tight_multiwindow
 from ncgabor.cli import main
@@ -18,6 +22,15 @@ def run(capsys, *argv):
 
 def delta_json(n):
     return json.dumps(signal_to_dict(Signal.delta(n)))
+
+
+def window_json(re, im=None):
+    return json.dumps({"n": len(re), "re": list(re), "im": list(im or [0] * len(re))})
+
+
+BIG = window_json([1e160, 1e160] + [0] * 6)  # |g|^2 ~ 1e320
+WIDE = window_json([1e100] * 8)  # every sample in range, their sums of products not
+LATTICE = ["--n", "8", "--gens", "(2,0),(0,2)"]
 
 
 def test_adjoint_example(capsys):
@@ -305,14 +318,69 @@ def test_modnorm_weight_overflow_exits_three(capsys, rng, tmp_path):
 
 @pytest.mark.parametrize("verb", ["bounds", "dual"])
 def test_frame_element_overflow_exits_three(capsys, verb):
-    # a finite window whose frame element leaves the float range: |g|^2 ~ 1e320;
+    # a finite window whose frame element leaves the float range;
     # pytest turns any RuntimeWarning into an error, so this also asserts none is raised
-    big = json.dumps({"n": 8, "re": [1e160, 1e160] + [0] * 6, "im": [0] * 8})
-    code, out, err = run(capsys, verb, "--n", "8", "--gens", "(2,0),(0,2)", "--window", big)
+    code, out, err = run(capsys, verb, *LATTICE, "--window", BIG)
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert "float range" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figa", *LATTICE, "--f1", BIG, "--f2", BIG, "--g1", delta_json(8), "--g2", delta_json(8)],
+        ["modnorm", "--signal", BIG, "--window", BIG],
+        # overflows inside a BLAS dot product, which sets no numpy flag
+        ["figa", *LATTICE, "--f1", WIDE, "--f2", WIDE, "--g1", WIDE, "--g2", WIDE],
+    ],
+    ids=["figa", "modnorm", "figa-blas"],
+)
+def test_results_past_the_float_range_exit_three(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+_finite = st.floats(min_value=-1e200, max_value=1e200, allow_nan=False, allow_infinity=False)
+_window = st.lists(_finite, min_size=16, max_size=16).map(lambda v: window_json(v[:8], v[8:]))
+
+
+@st.composite
+def _requests(draw):
+    verb = draw(st.sampled_from(
+        ["bounds", "dual", "tight", "janssen", "multiwindow", "figa", "modnorm"]
+    ))
+    if verb == "figa":
+        return [verb, *LATTICE] + [a for flag in ("--f1", "--f2", "--g1", "--g2")
+                                   for a in (flag, draw(_window))]
+    if verb == "modnorm":
+        return [verb, "--signal", draw(_window), "--window", draw(_window)]
+    count = 2 if verb == "multiwindow" else 1
+    return [verb, *LATTICE] + [a for _ in range(count) for a in ("--window", draw(_window))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=_requests())
+def test_cli_contract_on_any_finite_windows(argv):
+    # exit 0 with strict JSON, or exit 2 or 3 with one error line and no output
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in out + err
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -346,8 +414,10 @@ def test_non_finite_weight_parameters_exit_two(capsys, argv):
         ["vol", "--n", "8", "--gens", "(2,0),(0,2)", "--window", "missing.json",
          "--trials", "-5", "--seed", "-3"],
         ["grs", "--n", "-1", "--gens", "garbage"],
+        ["multiwindow", "--n", "8", "--gens", "(4,0),(0,4)", "--window", delta_json(8),
+         "--seed", "1"],
     ],
-    ids=["reference", "threads", "vol-unread-options", "grs-lattice"],
+    ids=["reference", "threads", "vol-unread-options", "grs-lattice", "multiwindow-seed"],
 )
 def test_removed_options_rejected_by_argparse(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -45,6 +45,7 @@ from ncgabor import (
 )
 from ncgabor.algebra import (
     INVERTIBILITY_TOL,
+    _coeffs_of_sectors,
     _fiber_windows,
     _sector_vectors,
     _sectors,
@@ -188,3 +189,5 @@ def test_sectors_are_the_matrix_bundle_over_the_centre(rng):
             v = np.stack([random_signal(x.n, rng).values for _ in range(2)])
             acted = _vectors_of_sectors(sectors @ _sector_vectors(v, x), x)
             assert_close(acted, (oracles.represent(seq) @ v.T).T)
+            # the way back, read off the forward gather, returns the coefficients
+            assert_close(_coeffs_of_sectors(sectors, x), seq.coeffs)

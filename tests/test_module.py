@@ -38,7 +38,7 @@ from ncgabor import (
     volume,
 )
 from conftest import SEEDS, matrix_lattices
-from oracles import tf_points
+from oracles import oracle_cases, tf_points
 
 
 def test_inner_left_delta_full_lattice():
@@ -350,27 +350,13 @@ def test_tight_multiwindow_rejects_non_frame(rng):
         tight_multiwindow([random_signal(8, rng)], lat)
 
 
-def test_min_windows_redundant_lattice():
-    lat = lattice_from_generators(8, [(2, 0), (0, 2)])  # vol 1/2
-    res = min_windows(lat, trials=40, seed=SEEDS[0])
-    assert res.lower_bound == 1
-    assert res.achieved == 1
-
-
-def test_min_windows_undersampled_lattice():
-    lat = lattice_from_generators(8, [(4, 0), (0, 4)])  # vol 2
-    res = min_windows(lat, trials=40, seed=SEEDS[1])
-    assert res.lower_bound == 2
-    assert res.achieved == 2
-    assert res.success_rates[0] == 0.0  # one window can never reach rank 8
-
-
-def test_min_windows_full_lattice():
-    res = min_windows(full_lattice(6), trials=10, seed=SEEDS[2])
-    assert res.lower_bound == 1
-    assert res.achieved == 1
-
-
-def test_min_windows_parameter_error():
-    with pytest.raises(ValueError):
-        min_windows(full_lattice(6), trials=0, seed=1)
+def test_min_windows_is_the_rank_bound():
+    # both halves of the rank bound: ceil(vol) windows make a frame (the
+    # witness inside min_windows), and one window fewer never does
+    rng = np.random.default_rng(SEEDS[2])
+    for lat in oracle_cases():
+        need = math.ceil(volume(lat))
+        assert min_windows(lat) == need
+        if need > 1:
+            fewer = tuple(random_signal(lat.n, rng) for _ in range(need - 1))
+            assert not frame_bounds(GaborSystem(fewer, lat)).is_frame
