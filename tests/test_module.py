@@ -350,6 +350,22 @@ def test_tight_multiwindow_rejects_non_frame(rng):
         tight_multiwindow([random_signal(8, rng)], lat)
 
 
+def test_min_windows_redundant_lattice():
+    lat = lattice_from_generators(8, [(2, 0), (0, 2)])  # vol 1/2
+    assert min_windows(lat) == 1
+
+
+def test_min_windows_undersampled_lattice(rng):
+    lat = lattice_from_generators(8, [(4, 0), (0, 4)])  # vol 2
+    assert min_windows(lat) == 2
+    # one window can never reach rank 8
+    assert not frame_bounds(GaborSystem((random_signal(8, rng),), lat)).is_frame
+
+
+def test_min_windows_full_lattice():
+    assert min_windows(full_lattice(6)) == 1
+
+
 def test_min_windows_is_the_rank_bound():
     # both halves of the rank bound: ceil(vol) windows make a frame (the
     # witness inside min_windows), and one window fewer never does
