@@ -25,6 +25,8 @@ of the bands times the conjugate phase, over N, recovers c; with the windows
 shifted to the fiber points as rows they are Gabor synthesis and analysis
 (frames.py), the Zak-domain factorization of Gabor frames: _fiber_windows
 is the windows' translates times the phase that _band_phase caches.
+represent scatters the bands through the band index (t - i*a) mod N and
+coefficients_of gathers them; _band_index caches it, read-only, per lattice.
 
 In the order t = r + a*q, M = N/a, represent(x) is block diagonal: a blocks
 of size M x M, block_r[q, q'] = band[(q - q') mod M, r + a*q].  Up to its
@@ -215,14 +217,21 @@ def _fiber_windows(lat: Lattice, g: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
+def _band_index(lat: Lattice) -> np.ndarray:
+    """The band index (t - i*a) mod N, (N/a, N) intp, read-only."""
+    t = np.arange(lat.n, dtype=np.intp)
+    index = (t - t[:: lat.basis[0], None]) % lat.n
+    index.setflags(write=False)
+    return index
+
+
 def _bands(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
     """Index of the diagonal bands at the lattice's time shifts k_i = i*a.
 
     mat[_bands(lat)][i, t] = mat[t, (t - k_i) mod N].
     """
-    t = np.arange(lat.n)
-    ks = np.arange(0, lat.n, lat.basis[0])
-    return t[None, :], (t[None, :] - ks[:, None]) % lat.n
+    return np.arange(lat.n), _band_index(lat)
 
 
 @lru_cache(maxsize=64)

@@ -58,11 +58,13 @@ def _check_same_n(*ns: int) -> int:
 def _frozen(values) -> np.ndarray:
     """values as a read-only complex array, never freezing the caller's own.
 
-    A writable complex array is the caller's and is copied; a read-only one
-    is shared, and any other input is converted into a fresh array anyway.
+    A writable complex array is the caller's and is copied, and so is a
+    read-only view, whose base may still be written; a read-only array that
+    owns its data is shared, and any other input is converted into a fresh
+    array anyway.
     """
     arr = np.asarray(values, dtype=complex)
-    if arr is values and arr.flags.writeable:
+    if arr is values and (arr.flags.writeable or arr.base is not None):
         arr = arr.copy()
     arr.setflags(write=False)
     return arr

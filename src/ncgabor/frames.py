@@ -15,7 +15,11 @@ so they are N/c sectors of size c x c, c = b/gcd(b, N/a), and c = 1 (the
 Zak-domain diagonalization of Zibulski-Zeevi) when the redundancy |L|/N is
 an integer.  One batched eigendecomposition of the sectors gives the frame
 bounds and verdict and applies S^-1 (dual windows) or S^-1/2 (tight windows)
-to every window in the sectors' basis (algebra._sector_vectors);
+to every window in the sectors' basis (algebra._sector_vectors).  It is
+taken once per system and kept, read-only, on the frozen system, whose
+windows are Signals (read-only values that alias no writable view), so
+frame_bounds, canonical_dual and canonical_tight on one system build the
+frame element and run eigh once between them.
 frame_operator is represent of the element.  Analysis and synthesis are the
 algebra's coefficient-band pair (algebra._fold, algebra._tile) with the
 windows shifted to the lattice's fiber points as rows (algebra._fiber_windows:
@@ -27,6 +31,7 @@ identity below is the two-sided inner-product form of the same expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,16 +84,32 @@ class GaborSystem:
     lattice: Lattice
 
     def __post_init__(self) -> None:
-        if not self.windows:
+        if not isinstance(self.lattice, Lattice):
+            raise TypeError(f"the lattice must be a Lattice, got {type(self.lattice).__name__}")
+        windows = tuple(self.windows)
+        if not windows:
             raise ValueError("a Gabor system needs at least one window")
-        object.__setattr__(self, "windows", tuple(self.windows))
-        _check_same_n(self.lattice.n, *(w.n for w in self.windows))
-        if all(w.is_zero() for w in self.windows):
+        for w in windows:
+            if not isinstance(w, Signal):
+                raise TypeError(f"every window must be a Signal, got {type(w).__name__}")
+        object.__setattr__(self, "windows", windows)
+        _check_same_n(self.lattice.n, *(w.n for w in windows))
+        if all(w.is_zero() for w in windows):
             raise ValueError("at least one window must be nonzero")
 
     @property
     def n(self) -> int:
         return self.lattice.n
+
+    @cached_property
+    def _spectrum(self) -> tuple[Lattice, np.ndarray, np.ndarray]:
+        """L° and the eigenvalues and eigenvectors of the frame element's
+        sectors, read-only: one eigh for the system's whole life."""
+        elem = _frame_element(self)
+        eigs, vecs = np.linalg.eigh(_sectors(elem))
+        eigs.setflags(write=False)
+        vecs.setflags(write=False)
+        return elem.lattice, eigs, vecs
 
 
 @dataclass(frozen=True)
@@ -134,7 +155,7 @@ def _bounds(eigs: np.ndarray) -> FrameBounds:
 
 def frame_bounds(sys: GaborSystem) -> FrameBounds:
     """Extreme eigenvalues of the frame operator and the frame verdict."""
-    return _bounds(np.linalg.eigvalsh(_sectors(_frame_element(sys))))
+    return _bounds(sys._spectrum[1])
 
 
 def hermitian_inverse_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -152,18 +173,16 @@ def hermitian_inverse_sqrt(mat: np.ndarray) -> np.ndarray:
 def _frame_power(sys: GaborSystem, power: float) -> list[Signal]:
     """S^power applied to every window, S the frame operator of the system.
 
-    One eigendecomposition of the frame element's sectors gives both the
-    frame verdict and the power, applied to the windows in the sectors' basis.
+    The system's eigendecomposition of the frame element's sectors gives both
+    the frame verdict and the power, applied to the windows in the sectors' basis.
     """
-    elem = _frame_element(sys)
-    eigs, vecs = np.linalg.eigh(_sectors(elem))
+    adj, eigs, vecs = sys._spectrum
     bounds = _bounds(eigs)
     if not bounds.is_frame:
-        del vecs  # the traceback keeps this frame's locals alive as long as the exception
         raise NotAFrame(bounds.lower)
-    y = _sector_vectors(_windows(sys), elem.lattice)
+    y = _sector_vectors(_windows(sys), adj)
     y = vecs @ ((vecs.conj().swapaxes(-1, -2) @ y) * eigs[..., None] ** power)
-    return [Signal(sys.n, row) for row in _vectors_of_sectors(y, elem.lattice)]
+    return [Signal(sys.n, row) for row in _vectors_of_sectors(y, adj)]
 
 
 def canonical_dual(sys: GaborSystem) -> list[Signal]:

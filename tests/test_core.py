@@ -215,19 +215,30 @@ def test_signal_from_a_strided_view():
 
 
 def test_value_types_leave_the_callers_array_writable():
-    # they used to freeze the caller's own complex array in place
+    # they used to freeze the caller's own complex array in place; a
+    # read-only view still aliases memory its base can write, so it is copied too
     v = np.zeros(4, dtype=complex)
     square = np.zeros((2, 2), dtype=complex)
-    stored = (
-        Signal(4, v).values,
-        CoeffSeq(full_lattice(2), v).coeffs,
-        PhaseSpaceArray(2, square).values,
-        OperatorMatrix(2, square).entries,
-    )
+    v_view, square_view = v[:], square[:]
+    for arr in (v_view, square_view):
+        arr.setflags(write=False)
+    stored = [
+        held
+        for vec, mat in ((v, square), (v_view, square_view))
+        for held in (
+            Signal(4, vec).values,
+            CoeffSeq(full_lattice(2), vec).coeffs,
+            PhaseSpaceArray(2, mat).values,
+            OperatorMatrix(2, mat).entries,
+        )
+    ]
     v[0] = 1
     square[0, 0] = 1
     for held in stored:
         assert not held.any() and not held.flags.writeable
+    frozen = np.zeros(4, dtype=complex)
+    frozen.setflags(write=False)
+    assert Signal(4, frozen).values is frozen  # a read-only array that owns its data is shared
 
 
 def test_tfpoint_reduction_and_lift():

@@ -62,6 +62,31 @@ def test_all_zero_system_rejected():
         GaborSystem((Signal.zero(4),), lat)
 
 
+def test_system_takes_only_signals_on_a_lattice(rng):
+    # the system caches its spectrum, so its windows must be immutable Signals
+    class DuckWindow:
+        n, values = 8, np.ones(8, dtype=complex)
+
+        def is_zero(self):
+            return False
+
+    lat = lattice_from_generators(8, [(2, 0), (0, 2)])
+    for window in (np.ones(8), DuckWindow()):
+        with pytest.raises(TypeError, match="Signal"):
+            GaborSystem((window,), lat)
+    with pytest.raises(TypeError, match="Lattice"):
+        GaborSystem((random_signal(8, rng),), lat.as_array())
+    # a read-only view of a writable array is copied, so the spectrum holds
+    base = np.ones(8, dtype=complex)
+    view = base[:]
+    view.setflags(write=False)
+    sys = GaborSystem((Signal(8, view), Signal(8, np.arange(8.0))), lat)
+    bounds = frame_bounds(sys)
+    base[0] = 9
+    assert sys.windows[0].values[0] == 1
+    assert frame_bounds(GaborSystem(sys.windows, lat)) == bounds
+
+
 def test_undersampled_rank_deficiency(rng):
     lat = lattice_from_generators(8, [(4, 0), (0, 4)])
     g = random_signal(8, rng)
@@ -338,18 +363,64 @@ def test_signals_of_another_order_rejected(rng):
         reconstruct(random_signal(24, rng), sys, [random_signal(24, rng)])
 
 
+def count_builds(monkeypatch) -> dict:
+    """Count frame-element builds and eigh calls from here on."""
+    calls = {"_frame_element": 0, "eigh": 0}
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(owner, name, call)
+
+    counted(frames, "_frame_element")
+    counted(np.linalg, "eigh")
+    return calls
+
+
 @pytest.mark.parametrize(
     "design",
     [canonical_dual, canonical_tight, lambda sys: tight_multiwindow(sys.windows, sys.lattice)],
     ids=["dual", "tight", "multiwindow"],
 )
 def test_design_builds_the_frame_operator_once(monkeypatch, rng, design):
-    calls = []
-    build = frames._frame_element
-    monkeypatch.setattr(frames, "_frame_element", lambda sys: calls.append(sys) or build(sys))
     lat = lattice_from_generators(8, [(4, 0), (0, 4)])
-    design(GaborSystem((random_signal(8, rng), random_signal(8, rng)), lat))
-    assert len(calls) == 1
+    sys = GaborSystem((random_signal(8, rng), random_signal(8, rng)), lat)
+    calls = count_builds(monkeypatch)
+    design(sys)
+    assert calls == {"_frame_element": 1, "eigh": 1}
+
+
+@pytest.mark.parametrize("count", [2, 1], ids=["frame", "not-a-frame"])
+def test_one_system_answers_every_design_from_one_spectrum(monkeypatch, rng, count):
+    # |L| = 4 on Z_8: two windows make a frame, one cannot
+    lat = lattice_from_generators(8, [(4, 0), (0, 4)])
+    sys = GaborSystem(tuple(random_signal(8, rng) for _ in range(count)), lat)
+    calls = count_builds(monkeypatch)
+    assert frame_bounds(sys).is_frame == (count == 2)
+    for design in (canonical_dual, canonical_tight):
+        if count == 2:
+            design(sys)
+        else:
+            with pytest.raises(NotAFrame):
+                design(sys)
+    assert calls == {"_frame_element": 1, "eigh": 1}
+    _, eigs, vecs = sys._spectrum
+    assert not eigs.flags.writeable and not vecs.flags.writeable
+
+
+def test_reused_system_designs_match_a_fresh_one(rng):
+    lat = lattice_from_generators(12, [(2, 1), (0, 6)])
+    windows = (random_signal(12, rng), random_signal(12, rng))
+    reused = GaborSystem(windows, lat)
+    frame_bounds(reused)
+    for design in (canonical_dual, canonical_tight, canonical_dual):
+        got = design(reused)
+        fresh = design(GaborSystem(windows, lat))
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(got, fresh))
 
 
 def test_multiwindow_dual_reconstructs(rng):

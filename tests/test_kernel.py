@@ -10,7 +10,8 @@ matrix products, inverses, SVDs and eigenvalues of the loop-built shift sums.
 The sectors themselves are pinned to the matrix bundle over the centre
 L ∩ L°: for X = L and X = L°, with basis (a, s), (0, b) and M = N/a, they are
 a*K sectors of size c x c with c^2 |L ∩ L°| = |X| and K = M/c, and in their
-basis represent(x) acts on vectors as the sectors do.
+basis represent(x) acts on vectors as the sectors do.  Each lattice's cached
+band index gathers the windows' translates to the fiber points bit for bit.
 """
 import math
 
@@ -45,7 +46,9 @@ from ncgabor import (
 )
 from ncgabor.algebra import (
     INVERTIBILITY_TOL,
+    _band_index,
     _coeffs_of_sectors,
+    _fiber_points,
     _fiber_windows,
     _sector_vectors,
     _sectors,
@@ -92,6 +95,21 @@ def test_shifted_matches_loop_oracle(rng):
         k, l = (int(x) for x in rng.integers(lat.n, size=2))
         assert_close(tf_shift(TFPoint(lat.n, k, l), g).values, oracles.shift(k, l, g.values))
         assert_close(shift_matrix(TFPoint(lat.n, k, l)), oracles.shift_matrix(k, l, lat.n))
+
+
+def test_band_index_rows_are_the_fiber_translates(rng):
+    # the cached index of represent and coefficients_of gathers the windows'
+    # translates to the fiber points, the rows _fiber_windows takes
+    for base in oracle_cases():
+        for lat in (base, adjoint_lattice(base)):
+            index = _band_index(lat)
+            assert index.shape == (lat.n // lat.basis[0], lat.n)
+            assert index.dtype == np.intp and not index.flags.writeable
+            assert index is _band_index(lat)
+            ks = _fiber_points(lat)[:, 0]
+            g = np.stack([random_signal(lat.n, rng).values for _ in range(2)])
+            for windows in (g[0], g):
+                assert np.array_equal(windows[..., index], _translates(ks, windows))
 
 
 def systems(lat, rng):
