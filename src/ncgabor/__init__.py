@@ -26,12 +26,11 @@ from .lattice import (
     volume,
 )
 from .weights import (
+    GRS_CONSISTENT,
+    GRS_INCONCLUSIVE,
+    GRS_VIOLATES,
     GrsReport,
-    ModerateReport,
-    SubmultiplicativityReport,
     Weight,
-    check_moderate,
-    check_submultiplicative,
     grs_probe,
 )
 from .algebra import (
@@ -59,7 +58,6 @@ from .frames import (
     figa_check,
     frame_bounds,
     frame_operator,
-    hermitian_inverse_sqrt,
     janssen_representation,
     reconstruct,
 )
@@ -68,7 +66,6 @@ from .module import (
     act_left,
     act_right,
     associativity_residual,
-    frame_type_operator,
     inner_left,
     inner_right,
     min_windows,
@@ -78,12 +75,6 @@ from .module import (
     right_operator,
     tight_multiwindow,
 )
-from .modspaces import (
-    EquivalenceRatios,
-    ModNormSpec,
-    feichtinger_norm,
-    mod_norm,
-    window_equivalence_ratio,
-)
+from .modspaces import ModNormSpec, feichtinger_norm, mod_norm
 
 __version__ = "0.1.0"

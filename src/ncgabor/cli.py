@@ -6,7 +6,9 @@ Exit codes: 0 success, 2 input validation error, 3 numerical failure (not a
 frame, singular element, overflow, failed selftest): every ArithmeticError
 a verb raises exits 3 with one error line.  Verbs run with numpy overflow and
 invalid operations raising, and JSON output refuses NaN and infinity, so a
-result past the float range is an overflow too, never non-JSON output.
+result past the float range is an overflow too, never non-JSON output.  A
+request too large for memory exits 2 with one error line when its allocation
+fails; no budget refuses it before it allocates.
 """
 from __future__ import annotations
 
@@ -301,6 +303,9 @@ def main(argv=None) -> int:
         return NUMERICAL_ERROR
     except (ValueError, KeyError, DimensionMismatch, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return VALIDATION_ERROR
+    except MemoryError as exc:
+        print(f"error: the request is too large for the available memory ({exc})", file=sys.stderr)
         return VALIDATION_ERROR
 
 

@@ -61,11 +61,9 @@ __all__ = [
     "figa_check",
     "reconstruct",
     "analysis_coefficients",
-    "hermitian_inverse_sqrt",
 ]
 
 FRAME_DECISION_TOL = 1e-10
-EIGENVALUE_FLOOR_REL = 1e-14
 
 
 class NotAFrame(ArithmeticError):
@@ -156,18 +154,6 @@ def _bounds(eigs: np.ndarray) -> FrameBounds:
 def frame_bounds(sys: GaborSystem) -> FrameBounds:
     """Extreme eigenvalues of the frame operator and the frame verdict."""
     return _bounds(sys._spectrum[1])
-
-
-def hermitian_inverse_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Inverse square root of a Hermitian PSD matrix by eigendecomposition.
-
-    Eigenvalues below EIGENVALUE_FLOOR_REL times the largest contribute
-    nothing instead of amplifying numerically null directions.
-    """
-    eigs, vecs = np.linalg.eigh(mat)
-    floor = eigs[-1] * EIGENVALUE_FLOOR_REL
-    inv = np.where(eigs > floor, 1.0 / np.sqrt(np.where(eigs > floor, eigs, 1.0)), 0.0)
-    return (vecs * inv) @ vecs.conj().T
 
 
 def _frame_power(sys: GaborSystem, power: float) -> list[Signal]:

@@ -19,13 +19,7 @@ import numpy as np
 from .core import Signal, _check_same_n, _lifted, stft
 from .weights import Weight
 
-__all__ = [
-    "ModNormSpec",
-    "EquivalenceRatios",
-    "mod_norm",
-    "feichtinger_norm",
-    "window_equivalence_ratio",
-]
+__all__ = ["ModNormSpec", "mod_norm", "feichtinger_norm"]
 
 
 @dataclass(frozen=True)
@@ -70,42 +64,3 @@ def feichtinger_norm(f: Signal, v: Weight, s: float, window: Signal) -> float:
     if s < 0:
         raise ValueError("weight exponent s must be >= 0")
     return mod_norm(f, ModNormSpec(1.0, 1.0, v.power(s), window))
-
-
-@dataclass(frozen=True)
-class EquivalenceRatios:
-    min_ratio: float
-    max_ratio: float
-    used: int
-
-
-def window_equivalence_ratio(
-    fs,
-    g1: Signal,
-    g2: Signal,
-    p: float,
-    q: float,
-    m: Weight | None = None,
-) -> EquivalenceRatios:
-    """Observed range of mod-norm ratios between two analysis windows.
-
-    Samples mod_norm(f; g1) / mod_norm(f; g2) over the given signals,
-    skipping numerically zero norms; the spread estimates the equivalence
-    constant of the two windows.
-    """
-    if g1.is_zero() or g2.is_zero():
-        raise ValueError("analysis windows must be nonzero")
-    weight = m if m is not None else Weight.one()
-    spec1 = ModNormSpec(p, q, weight, g1)
-    spec2 = ModNormSpec(p, q, weight, g2)
-    ratios = []
-    for f in fs:
-        n1, n2 = mod_norm(f, spec1), mod_norm(f, spec2)
-        if n1 <= 1e-300 or n2 <= 1e-300:
-            continue
-        ratios.append(n1 / n2)
-    if not ratios:
-        raise ValueError("no usable sample signals (all norms vanished)")
-    return EquivalenceRatios(
-        min_ratio=min(ratios), max_ratio=max(ratios), used=len(ratios)
-    )

@@ -59,7 +59,6 @@ __all__ = [
     "act_left",
     "act_right",
     "right_operator",
-    "frame_type_operator",
     "associativity_residual",
     "module_frame_check",
     "module_frame_identity_residual",
@@ -111,11 +110,6 @@ def act_right(g: Signal, b: CoeffSeq, lat: Lattice | None = None) -> Signal:
 def right_operator(b: CoeffSeq) -> OperatorMatrix:
     """Matrix of a right-algebra element: vol^{-1} sum b(mu) pi(mu)^H."""
     return represent(_right_element(b))
-
-
-def frame_type_operator(g: Signal, h: Signal, lat: Lattice, f: Signal) -> Signal:
-    """Apply the (g, h) frame-type operator: analyze against g, synthesize with h."""
-    return act_left(inner_left(f, g, lat), h)
 
 
 def associativity_residual(f: Signal, g: Signal, h: Signal, lat: Lattice) -> float:

@@ -43,6 +43,7 @@ from .weights import (
 from .algebra import (
     CoeffSeq,
     coefficients_of,
+    delta_seq,
     invert_in_algebra,
     involution,
     represent,
@@ -60,7 +61,6 @@ from .frames import (
     figa_check,
     frame_bounds,
     frame_operator,
-    hermitian_inverse_sqrt,
     janssen_representation,
     reconstruct,
 )
@@ -269,12 +269,20 @@ def _check_weight_power(rng):
     return worst
 
 
+def _submult_constant(v: Weight) -> float:
+    """C in v(p + q) <= C v(p) v(q): (5/4)^(s/2) for polynomial(s), attained
+    at p = q = (1, 0), and 1 for the other families."""
+    return 1.25 ** (v.s / 2) if v.family == "polynomial" else 1.0
+
+
 def _check_submultiplicative(rng):
-    """Largest sampled v(p + q) / (v(p) v(q)) over p, q != 0, minus 1: a
-    zero p or q gives exactly 1 and would hide the other ratios."""
-    p, q = rng.integers(-50, 51, size=(2, 2, 400))
-    p, q = np.compress(p.any(axis=0) & q.any(axis=0), (p, q), axis=-1)
-    ratios = [v._grid(*(p + q)) / (v._grid(*p) * v._grid(*q)) for v in _FAMILIES]
+    """Largest v(p + q) / (C v(p) v(q)) over every p, q in [-6, 6]^2, minus 1,
+    C the family's constant."""
+    axis = np.arange(-6, 7)
+    p = np.stack(np.meshgrid(axis, axis)).reshape(2, -1, 1)
+    q = p.reshape(2, 1, -1)
+    ratios = [v._grid(*(p + q)) / (_submult_constant(v) * v._grid(*p) * v._grid(*q))
+              for v in _FAMILIES]
     return float(np.max(ratios)) - 1.0
 
 
@@ -330,17 +338,22 @@ def _check_involution_rep(rng):
 
 
 def _check_norm_submult(rng):
-    """max(||a # b|| / (||a|| ||b||) - 1 over the v^s-weighted norms, s = 0, 1, 2,
-    and the relative gap between the v-weighted norms of a* and a)."""
+    """max(||a # b|| / (C ||a|| ||b||) - 1 over the v^s-weighted norms, s = 0, 1, 2,
+    C the constant of v^s, on random pairs and on delta_(1,0) # delta_(1,0), where
+    C is attained; and the relative gap between the v-weighted norms of a* and a)."""
     v = Weight.polynomial(1)
+    delta = delta_seq(lattice_from_generators(8, ((1, 0),)), TFPoint(8, 1, 0))
     worst = -1.0
+    pairs = [(delta, delta)]
     for lat in _lattices():
         a, b = _rand_seq(lat, rng), _rand_seq(lat, rng)
-        for s in (0.0, 1.0, 2.0):
-            product = weighted_norm(a, v, s) * weighted_norm(b, v, s)
-            worst = max(worst, weighted_norm(twisted_conv(a, b), v, s) / product - 1.0)
+        pairs.append((a, b))
         norm = weighted_norm(a, v, 1.0)
         worst = max(worst, abs(weighted_norm(involution(a), v, 1.0) - norm) / norm)
+    for a, b in pairs:
+        for s in (0.0, 1.0, 2.0):
+            bound = _submult_constant(v.power(s)) * weighted_norm(a, v, s) * weighted_norm(b, v, s)
+            worst = max(worst, weighted_norm(twisted_conv(a, b), v, s) / bound - 1.0)
     return worst
 
 
@@ -452,11 +465,26 @@ def _check_tight_parseval(rng):
     return worst
 
 
+_EIGENVALUE_FLOOR_REL = 1e-14
+
+
+def _hermitian_inverse_sqrt(mat: np.ndarray) -> np.ndarray:
+    """Inverse square root of a Hermitian PSD matrix by eigendecomposition.
+
+    Eigenvalues below _EIGENVALUE_FLOOR_REL times the largest contribute
+    nothing instead of amplifying numerically null directions.
+    """
+    eigs, vecs = np.linalg.eigh(mat)
+    floor = eigs[-1] * _EIGENVALUE_FLOOR_REL
+    inv = np.where(eigs > floor, 1.0 / np.sqrt(np.where(eigs > floor, eigs, 1.0)), 0.0)
+    return (vecs * inv) @ vecs.conj().T
+
+
 def _check_tight_span(rng):
     worst = 0.0
     for lat in _frame_lattices():
         S = frame_operator(GaborSystem((random_signal(lat.n, rng),), lat)).entries
-        root = hermitian_inverse_sqrt(S)
+        root = _hermitian_inverse_sqrt(S)
         _, residual = coefficients_of(root, adjoint_lattice(lat))
         worst = max(worst, residual / np.linalg.norm(root))
     return worst

@@ -2,7 +2,8 @@
 
 Complex numbers serialize as [re, im] pairs and rationals as "p/q" strings,
 so integer and rational data round-trip bit-exactly and floats survive at
-full double precision.  Parsers raise ValueError naming the offending field.
+full double precision.  Parsers raise ValueError naming the offending field,
+also when a field has the wrong JSON type or the document is not an object.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import PhaseSpaceArray, Signal
+from .core import Signal
 from .lattice import Lattice, lattice_from_generators
 from .algebra import CoeffSeq
 from .frames import FrameBounds
@@ -31,16 +32,38 @@ __all__ = [
     "module_report_to_dict",
     "fraction_to_str",
     "fraction_from_str",
-    "phase_space_to_csv",
-    "phase_space_from_csv",
     "grs_report_to_csv",
 ]
 
 
-def _require(mapping: dict, field: str, context: str):
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_list_of(ok, length=None):
+    """A test for a JSON list of items passing ok, of the given length if any."""
+    return lambda x: isinstance(x, list) and length in (None, len(x)) and all(map(ok, x))
+
+
+def _require(mapping, field: str, context: str, what: str = "", ok=None):
+    """mapping[field]; ValueError naming the field when mapping is not a JSON
+    object, lacks the field, or ok rejects the value (which is not `what`)."""
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{context} JSON must be an object, got {type(mapping).__name__}")
     if field not in mapping:
         raise ValueError(f"{context} JSON is missing field {field!r}")
-    return mapping[field]
+    value = mapping[field]
+    if ok is not None and not ok(value):
+        raise ValueError(f"{context} field {field!r} must be {what}, got {value!r:.60}")
+    return value
+
+
+def _number(mapping, field: str, context: str) -> float:
+    return float(_require(mapping, field, context, "a number", _is_number))
 
 
 def fraction_to_str(x: Fraction) -> str:
@@ -64,12 +87,12 @@ def signal_to_dict(f: Signal) -> dict:
 
 
 def signal_from_dict(d: dict) -> Signal:
-    n = _require(d, "n", "signal")
-    re = _require(d, "re", "signal")
-    im = _require(d, "im", "signal")
+    n = _require(d, "n", "signal", "an integer", _is_int)
+    re = _require(d, "re", "signal", "a list of numbers", _is_list_of(_is_number))
+    im = _require(d, "im", "signal", "a list of numbers", _is_list_of(_is_number))
     if len(re) != n or len(im) != n:
         raise ValueError(f"signal field 're'/'im' length must equal n={n}")
-    return Signal(int(n), np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float))
+    return Signal(n, np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float))
 
 
 def lattice_to_dict(lat: Lattice) -> dict:
@@ -77,12 +100,10 @@ def lattice_to_dict(lat: Lattice) -> dict:
 
 
 def lattice_from_dict(d: dict) -> Lattice:
-    n = _require(d, "n", "lattice")
-    gens = _require(d, "generators", "lattice")
-    for g in gens:
-        if len(g) != 2:
-            raise ValueError(f"lattice field 'generators' entry {g!r} is not a pair")
-    return lattice_from_generators(int(n), [(int(k), int(l)) for k, l in gens])
+    n = _require(d, "n", "lattice", "an integer", _is_int)
+    pairs = _is_list_of(_is_list_of(_is_int, 2))
+    gens = _require(d, "generators", "lattice", "a list of integer pairs", pairs)
+    return lattice_from_generators(n, [tuple(g) for g in gens])
 
 
 def coeffseq_to_dict(a: CoeffSeq) -> dict:
@@ -94,7 +115,8 @@ def coeffseq_to_dict(a: CoeffSeq) -> dict:
 
 def coeffseq_from_dict(d: dict) -> CoeffSeq:
     lat = lattice_from_dict(_require(d, "lattice", "coefficient sequence"))
-    raw = _require(d, "coeffs", "coefficient sequence")
+    raw = _require(d, "coeffs", "coefficient sequence", "a list of [re, im] pairs",
+                   _is_list_of(_is_list_of(_is_number, 2)))
     if len(raw) != lat.size:
         raise ValueError(
             f"coefficient sequence field 'coeffs' has {len(raw)} entries, lattice has {lat.size} points"
@@ -122,23 +144,18 @@ def weight_to_dict(v: Weight) -> dict:
 def weight_from_dict(d: dict) -> Weight:
     family = _require(d, "family", "weight")
     if family == "polynomial":
-        return Weight.polynomial(float(_require(d, "s", "weight")))
+        return Weight.polynomial(_number(d, "s", "weight"))
     if family == "subexponential":
-        return Weight.subexponential(
-            float(_require(d, "b", "weight")), float(_require(d, "beta", "weight"))
-        )
+        return Weight.subexponential(_number(d, "b", "weight"), _number(d, "beta", "weight"))
     if family == "exponential":
-        return Weight.exponential(float(_require(d, "b", "weight")))
+        return Weight.exponential(_number(d, "b", "weight"))
     if family == "custom":
-        table = {}
-        for entry in _require(d, "table", "weight"):
-            if len(entry) != 3:
-                raise ValueError(f"weight field 'table' entry {entry!r} is not [x, y, value]")
-            x, y, val = entry
-            table[(int(x), int(y))] = float(val)
-        w = Weight.custom(table)
-        power = d.get("power", 1.0)
-        return w.power(float(power)) if power != 1.0 else w
+        entry = lambda e: _is_list_of(_is_number, 3)(e) and _is_int(e[0]) and _is_int(e[1])
+        what = "a list of [x, y, value] entries"
+        table = _require(d, "table", "weight", what, _is_list_of(entry))
+        w = Weight.custom({(x, y): float(val) for x, y, val in table})
+        power = _number(d, "power", "weight") if "power" in d else 1.0
+        return w.power(power) if power != 1.0 else w
     raise ValueError(f"weight field 'family' has unknown value {family!r}")
 
 
@@ -154,33 +171,6 @@ def module_report_to_dict(r: ModuleFrameReport) -> dict:
         "window_count": r.window_count,
         "vol": fraction_to_str(r.vol),
     }
-
-
-def phase_space_to_csv(arr: PhaseSpaceArray) -> str:
-    out = io.StringIO()
-    out.write("k,l,re,im\n")
-    for k in range(arr.n):
-        for l in range(arr.n):
-            val = arr.values[k, l]
-            out.write(f"{k},{l},{float(val.real)!r},{float(val.imag)!r}\n")
-    return out.getvalue()
-
-
-def phase_space_from_csv(text: str) -> PhaseSpaceArray:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0].replace(" ", "") != "k,l,re,im":
-        raise ValueError("phase-space CSV must start with header 'k,l,re,im'")
-    entries = {}
-    for ln in lines[1:]:
-        k, l, re, im = ln.split(",")
-        entries[(int(k), int(l))] = complex(float(re), float(im))
-    n = max(k for k, _ in entries) + 1
-    if len(entries) != n * n:
-        raise ValueError(f"phase-space CSV has {len(entries)} rows, expected {n * n}")
-    vals = np.zeros((n, n), dtype=complex)
-    for (k, l), v in entries.items():
-        vals[k, l] = v
-    return PhaseSpaceArray(n, vals)
 
 
 def grs_report_to_csv(report: GrsReport) -> str:

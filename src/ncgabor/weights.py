@@ -1,4 +1,4 @@
-"""Submultiplicative weights on Z^2 and growth diagnostics.
+"""Weights on Z^2 and growth diagnostics.
 
 Weights live on the full integer lattice, not on Z_N x Z_N: growth along rays
 is what the diagnostics probe, and dilation has no meaning mod N.  Finite
@@ -10,7 +10,10 @@ Built-in families (|p| is the Euclidean norm of the integer pair):
     subexponential(b, beta): exp(b |p|^beta),   b > 0, 0 < beta < 1
     exponential(b):          exp(b |p|),        b > 0
 
-plus finite lookup tables for constructed examples.  The ray diagnostic
+plus finite lookup tables for constructed examples.  The subexponential and
+exponential families are submultiplicative, v(p+q) <= v(p) v(q).  The
+polynomial family is so only up to the constant (5/4)^(s/2), attained at
+p = q = (1, 0): v(2, 0) / v(1, 0)^2 = (5/4)^(s/2).  The ray diagnostic
 samples v(n*p)^(1/n) along dyadic n; a limit of 1 separates weights whose
 weighted algebras behave spectrally like the unweighted one (polynomial,
 subexponential) from genuinely exponential growth.  Thresholds and dyadic
@@ -28,11 +31,7 @@ import numpy as np
 __all__ = [
     "Weight",
     "GrsReport",
-    "SubmultiplicativityReport",
-    "ModerateReport",
-    "check_submultiplicative",
     "grs_probe",
-    "check_moderate",
     "GRS_CONSISTENT",
     "GRS_VIOLATES",
     "GRS_INCONCLUSIVE",
@@ -50,7 +49,8 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 @dataclass(frozen=True)
 class Weight:
-    """A positive symmetric submultiplicative function on Z^2."""
+    """A positive symmetric weight on Z^2, v(p+q) <= C v(p) v(q) with the
+    family's constant C (module docstring); a lookup table states none."""
 
     family: str
     s: float = 0.0
@@ -156,49 +156,6 @@ class Weight:
 
 
 @dataclass(frozen=True)
-class SubmultiplicativityReport:
-    max_violation: float
-    passed: bool
-    samples: int
-
-
-def _sample_pairs(v: Weight, sample_count: int, seed: int, radius: int):
-    rng = np.random.default_rng(seed)
-    if v.family == "custom":
-        keys = sorted(v.table.keys())
-        pairs = []
-        for p in keys:
-            for q in keys:
-                if (p[0] + q[0], p[1] + q[1]) in v.table:
-                    pairs.append((p, q))
-        if not pairs:
-            return []
-        if len(pairs) <= sample_count:
-            return pairs
-        picks = rng.choice(len(pairs), size=sample_count, replace=False)
-        return [pairs[i] for i in picks]
-    ps = rng.integers(-radius, radius + 1, size=(sample_count, 2))
-    qs = rng.integers(-radius, radius + 1, size=(sample_count, 2))
-    return [(tuple(p), tuple(q)) for p, q in zip(ps, qs)]
-
-
-def check_submultiplicative(
-    v: Weight, sample_count: int, seed: int, radius: int = 50
-) -> SubmultiplicativityReport:
-    """Sampled check of v(p+q) <= v(p) v(q); reports the worst ratio."""
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    pairs = _sample_pairs(v, sample_count, seed, radius)
-    worst = 0.0
-    for p, q in pairs:
-        ratio = v((p[0] + q[0], p[1] + q[1])) / (v(p) * v(q))
-        worst = max(worst, ratio)
-    return SubmultiplicativityReport(
-        max_violation=worst, passed=worst <= 1.0 + 1e-12, samples=len(pairs)
-    )
-
-
-@dataclass(frozen=True)
 class GrsReport:
     """Dyadic ray samples v(n*p)^(1/n) and the resulting growth verdict."""
 
@@ -236,39 +193,3 @@ def grs_probe(v: Weight, p, n_max: int) -> GrsReport:
     else:
         verdict = GRS_INCONCLUSIVE
     return GrsReport(point=(x, y), samples=tuple(samples), verdict=verdict)
-
-
-@dataclass(frozen=True)
-class ModerateReport:
-    """Sampled lower bound for the moderateness constant of m against v."""
-
-    constant_estimate: float
-    stable: bool
-
-
-def check_moderate(
-    m: Weight, v: Weight, sample_count: int, seed: int, radius: int = 50
-) -> ModerateReport:
-    """Estimate sup m(p+q) / (v(p) m(q)) by sampling at two ranges.
-
-    The estimate at the half range is compared against the full range; an
-    estimate that keeps growing with the range is flagged as unstable
-    (m is then not moderate with respect to v on the sampled window).
-    """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-
-    def estimate(rad: int, seed_offset: int) -> float:
-        rng = np.random.default_rng(seed + seed_offset)
-        ps = rng.integers(-rad, rad + 1, size=(sample_count, 2))
-        qs = rng.integers(-rad, rad + 1, size=(sample_count, 2))
-        worst = 0.0
-        for p, q in zip(ps, qs):
-            ratio = m((int(p[0] + q[0]), int(p[1] + q[1]))) / (v(tuple(p)) * m(tuple(q)))
-            worst = max(worst, ratio)
-        return worst
-
-    half = estimate(max(1, radius // 2), 1)
-    full = estimate(radius, 2)
-    stable = math.isfinite(full) and full <= 1.5 * max(half, 1e-300)
-    return ModerateReport(constant_estimate=full, stable=stable)

@@ -3,9 +3,10 @@
 The module-axiom and multi-window criteria draw fresh inputs per matrix
 lattice with their own seeds, so they cover inputs the registry's seed-0
 entries do not.  Run with `pytest tests/test_acceptance.py -v -s` to see one
-pass line per criterion.
+pass line per criterion.  The last test pins the package's public surface.
 """
 import math
+from types import ModuleType
 
 import numpy as np
 
@@ -29,6 +30,8 @@ from ncgabor import (
     twisted_conv,
     volume,
 )
+import ncgabor
+import ncgabor.serialize
 from conftest import SEEDS, matrix_lattices
 
 
@@ -124,3 +127,21 @@ def test_ac8_multiwindow_module_frames():
         "AC-8 module frames equal multi-window frames: PASS "
         f"(bridge {worst_bridge:.2e}, single {single}/100, double {double}/100)"
     )
+
+
+def test_public_surface_is_the_modules_all():
+    modules = ("core", "lattice", "weights", "algebra", "frames", "module", "modspaces")
+    declared = set().union(*(getattr(ncgabor, m).__all__ for m in modules))
+    exported = {
+        name for name, value in vars(ncgabor).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert exported == declared
+    deleted = {
+        "check_submultiplicative", "check_moderate", "_sample_pairs",
+        "SubmultiplicativityReport", "ModerateReport", "window_equivalence_ratio",
+        "EquivalenceRatios", "frame_type_operator", "hermitian_inverse_sqrt",
+        "EIGENVALUE_FLOOR_REL", "phase_space_to_csv", "phase_space_from_csv",
+    }
+    for module in (ncgabor, ncgabor.serialize, *(getattr(ncgabor, m) for m in modules)):
+        assert not deleted & set(vars(module)), module.__name__

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncgabor import Signal, lattice_from_generators, random_signal, tight_multiwindow
+from ncgabor import cli
 from ncgabor.cli import main
 from ncgabor.serialize import lattice_from_dict, signal_from_dict, signal_to_dict
 
@@ -349,27 +350,60 @@ def _reject_constant(name):
 
 
 _finite = st.floats(min_value=-1e200, max_value=1e200, allow_nan=False, allow_infinity=False)
-_window = st.lists(_finite, min_size=16, max_size=16).map(lambda v: window_json(v[:8], v[8:]))
+_wrong = st.sampled_from([None, 5, [5], "5"])  # null, number, list and string
+_gens = st.lists(st.tuples(st.integers(-30, 50), st.integers(-30, 50)), max_size=3).map(
+    lambda pairs: ",".join(f"({k},{l})" for k, l in pairs)
+)
+_WEIGHTS = (
+    {"family": "polynomial", "s": 2},
+    {"family": "subexponential", "b": 1, "beta": 0.5},
+    {"family": "exponential", "b": 1},
+    {"family": "custom", "table": [[0, 0, 1], [1, 0, 2], [0, 1, 2]]},
+)
+
+
+def _spoiled(draw, doc):
+    """doc as JSON, one in four times with one field replaced by a wrong-typed value."""
+    doc = dict(doc)
+    if draw(st.integers(0, 3)) == 0:
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(_wrong)
+    return json.dumps(doc)
+
+
+@st.composite
+def _window(draw, n):
+    values = draw(st.lists(draw(st.sampled_from([st.floats(-4, 4), _finite])),
+                           min_size=2 * n, max_size=2 * n))
+    return _spoiled(draw, {"n": n, "re": values[:n], "im": values[n:]})
 
 
 @st.composite
 def _requests(draw):
+    n = draw(st.integers(2, 24))
     verb = draw(st.sampled_from(
-        ["bounds", "dual", "tight", "janssen", "multiwindow", "figa", "modnorm"]
+        ["adjoint", "vol", "bounds", "dual", "tight", "janssen", "multiwindow", "figa", "modnorm"]
     ))
+    lattice = [verb, "--n", str(n), "--gens", draw(_gens)]
+    if verb in ("adjoint", "vol"):
+        return lattice
     if verb == "figa":
-        return [verb, *LATTICE] + [a for flag in ("--f1", "--f2", "--g1", "--g2")
-                                   for a in (flag, draw(_window))]
+        if draw(st.booleans()):
+            return [*lattice, "--trials", "2"]
+        return lattice + [a for flag in ("--f1", "--f2", "--g1", "--g2")
+                          for a in (flag, draw(_window(n)))]
     if verb == "modnorm":
-        return [verb, "--signal", draw(_window), "--window", draw(_window)]
+        return [verb, "--signal", draw(_window(n)), "--window", draw(_window(n)),
+                "--weight", _spoiled(draw, draw(st.sampled_from(_WEIGHTS)))]
     count = 2 if verb == "multiwindow" else 1
-    return [verb, *LATTICE] + [a for _ in range(count) for a in ("--window", draw(_window))]
+    return lattice + [a for _ in range(count) for a in ("--window", draw(_window(n)))]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(argv=_requests())
 def test_cli_contract_on_any_finite_windows(argv):
-    # exit 0 with strict JSON, or exit 2 or 3 with one error line and no output
+    # over N in 2..24, 0-3 generators of any sign and size, finite windows and
+    # wrong-typed JSON fields: exit 0 with strict JSON, or exit 2 or 3 with
+    # one error line and no output
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
@@ -381,6 +415,42 @@ def test_cli_contract_on_any_finite_windows(argv):
     else:
         assert out == ""
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grs", "--weight", '{"family":"polynomial","s":null}'],
+        ["grs", "--weight", '{"family":"polynomial","s":[1]}'],
+        ["grs", "--weight", '{"family":"custom","table":5}'],
+        ["grs", "--weight", '{"family":"custom","table":[5]}'],
+        ["bounds", "--n", "4", "--gens", "(1,0)", "--window", '{"n":4,"re":5,"im":5}'],
+        ["grs", "--weight", "FIVE"],
+        ["bounds", "--n", "4", "--gens", "(1,0)", "--window", "FIVE"],
+    ],
+    ids=["s-null", "s-list", "table-number", "table-entry-number", "re-number",
+         "weight-file-number", "window-file-number"],
+)
+def test_malformed_json_fields_exit_two(capsys, tmp_path, argv):
+    # FIVE stands for a file that holds the JSON number 5
+    five = tmp_path / "five.json"
+    five.write_text("5")
+    code, out, err = run(capsys, *(str(five) if a == "FIVE" else a for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_allocation_failure_exits_two(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(cli, "figa_check", exhausted)
+    code, out, err = run(capsys, "figa", "--n", "8", "--gens", "(1,0),(0,1)", "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "too large" in err
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,6 @@ from ncgabor import (
     random_signal,
     stft,
     tf_shift,
-    window_equivalence_ratio,
 )
 from ncgabor.modspaces import _lifted_weight_table
 from conftest import SEEDS
@@ -141,15 +140,21 @@ def test_shift_covariance_bound(rng):
         assert mod_norm(tf_shift(mu, f), spec) <= bound * (1 + 1e-10)
 
 
+def window_ratios(fs, g1, g2, p, q):
+    """mod_norm(f; g1) / mod_norm(f; g2) over the signals fs, flat weight."""
+    spec1, spec2 = (ModNormSpec(p, q, Weight.one(), g) for g in (g1, g2))
+    return np.array([mod_norm(f, spec1) / mod_norm(f, spec2) for f in fs])
+
+
 def test_window_equivalence_scalar_multiple(rng):
     n = 8
     g1 = random_signal(n, rng)
     c = 2.0 - 1.0j
     g2 = Signal(n, c * g1.values)
     fs = [random_signal(n, rng) for _ in range(10)]
-    ratios = window_equivalence_ratio(fs, g1, g2, 1.0, 1.0)
-    assert ratios.min_ratio == pytest.approx(1 / abs(c), rel=1e-10)
-    assert ratios.max_ratio == pytest.approx(1 / abs(c), rel=1e-10)
+    ratios = window_ratios(fs, g1, g2, 1.0, 1.0)
+    assert ratios.min() == pytest.approx(1 / abs(c), rel=1e-10)
+    assert ratios.max() == pytest.approx(1 / abs(c), rel=1e-10)
 
 
 def test_window_equivalence_shifted_window(rng):
@@ -159,8 +164,8 @@ def test_window_equivalence_shifted_window(rng):
     g1 = random_signal(n, rng)
     g2 = tf_shift(TFPoint(n, 3, 5), g1)
     fs = [random_signal(n, rng) for _ in range(50)]
-    ratios = window_equivalence_ratio(fs, g1, g2, 1.0, 2.0)
-    assert 0.5 <= ratios.min_ratio <= ratios.max_ratio <= 2.0
+    ratios = window_ratios(fs, g1, g2, 1.0, 2.0)
+    assert 0.5 <= ratios.min() <= ratios.max() <= 2.0
 
 
 def test_window_equivalence_independent_windows():
@@ -170,16 +175,7 @@ def test_window_equivalence_independent_windows():
         rng = np.random.default_rng(seed)
         g1, g2 = random_signal(n, rng), random_signal(n, rng)
         fs = [random_signal(n, rng) for _ in range(100)]
-        ratios = window_equivalence_ratio(fs, g1, g2, 1.0, 1.0)
-        assert ratios.used == 100
-        spreads.append(ratios.max_ratio / ratios.min_ratio)
+        ratios = window_ratios(fs, g1, g2, 1.0, 1.0)
+        assert ratios.shape == (100,) and np.all(ratios > 0)
+        spreads.append(ratios.max() / ratios.min())
     assert all(s < 1e3 for s in spreads)
-
-
-def test_window_equivalence_rejects_zero_windows(rng):
-    n = 6
-    g = random_signal(n, rng)
-    with pytest.raises(ValueError):
-        window_equivalence_ratio([g], Signal.zero(n), g, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        window_equivalence_ratio([Signal.zero(n)], g, g, 1.0, 1.0)

@@ -11,7 +11,6 @@ from ncgabor import (
     Weight,
     lattice_from_generators,
     random_signal,
-    stft,
 )
 from ncgabor.module import ModuleFrameReport
 from ncgabor.serialize import (
@@ -24,8 +23,6 @@ from ncgabor.serialize import (
     lattice_from_dict,
     lattice_to_dict,
     module_report_to_dict,
-    phase_space_from_csv,
-    phase_space_to_csv,
     signal_from_dict,
     signal_to_dict,
     weight_from_dict,
@@ -115,18 +112,6 @@ def test_module_report_dict_with_infinite_residual():
     assert d["residual"] is None
     assert d["vol"] == "2/1"
     json.dumps(d)  # must stay strict-JSON serializable
-
-
-def test_phase_space_csv_round_trip(rng):
-    f, g = random_signal(5, rng), random_signal(5, rng)
-    arr = stft(f, g)
-    back = phase_space_from_csv(phase_space_to_csv(arr))
-    assert back.values.tolist() == arr.values.tolist()
-
-
-def test_phase_space_csv_bad_header():
-    with pytest.raises(ValueError, match="header"):
-        phase_space_from_csv("a,b,c\n1,2,3\n")
 
 
 def test_grs_csv_shape():

@@ -1,12 +1,11 @@
-"""Weight families, submultiplicativity, growth probes, moderateness."""
+"""Weight families, the polynomial submultiplicativity constant, growth probes."""
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncgabor import Weight, check_moderate, check_submultiplicative, grs_probe
-from ncgabor.weights import GRS_CONSISTENT, GRS_INCONCLUSIVE, GRS_VIOLATES
+from ncgabor import GRS_CONSISTENT, GRS_INCONCLUSIVE, GRS_VIOLATES, Weight, grs_probe
 
 
 def test_polynomial_values():
@@ -68,20 +67,6 @@ def test_polynomial_submultiplicative_exhaustive_small_range():
     assert violators == {
         (p, p) for p in (((1, 0)), ((-1, 0)), ((0, 1)), ((0, -1)))
     }
-
-
-def test_sampled_submultiplicativity_passes():
-    for v in (Weight.polynomial(2), Weight.subexponential(1, 0.5), Weight.exponential(1)):
-        report = check_submultiplicative(v, 1000, seed=7)
-        assert report.passed
-        assert report.max_violation <= 1.0 + 1e-12
-
-
-def test_custom_table_violation_detected():
-    v = Weight.custom({(1, 0): 1.0, (2, 0): 3.0})
-    report = check_submultiplicative(v, 100, seed=0)
-    assert not report.passed
-    assert report.max_violation == pytest.approx(3.0)
 
 
 def test_custom_table_lookup_error():
@@ -147,24 +132,6 @@ def test_grs_inconclusive_possible():
     # decreasing but still far above 1 at the probe depth
     report = grs_probe(Weight.subexponential(8.0, 0.9), (5, 5), 16)
     assert report.verdict == GRS_INCONCLUSIVE
-
-
-def test_moderate_self():
-    v = Weight.polynomial(2)
-    report = check_moderate(v, v, 500, seed=3)
-    assert report.stable
-    assert report.constant_estimate <= 1.0 + 1e-12
-
-
-def test_moderate_constant_one_weight():
-    report = check_moderate(Weight.one(), Weight.polynomial(2), 500, seed=3)
-    assert report.stable
-    assert report.constant_estimate <= 1.0 + 1e-12
-
-
-def test_not_moderate_flagged():
-    report = check_moderate(Weight.polynomial(4), Weight.polynomial(2), 800, seed=3)
-    assert not report.stable
 
 
 def test_weight_family_validation():
