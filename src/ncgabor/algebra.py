@@ -41,14 +41,14 @@ represent(x) is unitarily equivalent to a*K = N/c sectors of size c x c: the
 rational noncommutative torus as a matrix bundle over its centre L ∩ L°, with
 c^2 = |L| / |L ∩ L°|.  _sectors gathers the sector entries from the band
 spectra (one length-N/b inverse FFT per time shift, not the tile) and takes
-one length-K FFT; _coeffs_of_sectors inverts the FFT, gathers the bands at the
-times t < N/b and folds them.  The way back is read off the forward gather,
-which names every band entry: it takes the first copy of each and undoes its
-phase, so the two directions cannot disagree.  Products multiply sectors,
+one length-K FFT.  The gather names every band entry N*c/|L| times, so the
+way back, _coeffs_of_sectors, is that map's adjoint over its norm (the copies
+summed, over their count): the orthogonal projection onto the span, exact
+on it and the nearest span element off it.  Products multiply sectors,
 inversion is a batched inverse after a values-only SVD of the sectors (whose
 singular values are the whole matrix's), the spectrum is their eigenvalues,
-and frames.py runs every frame design on the sectors of the frame element,
-where c = 1 at integer redundancy.  Only represent and coefficients_of build N x N arrays.
+and frames.py builds the frame element as the projection of the windows'
+Gram in L°'s sectors.  Only represent and coefficients_of build N x N arrays.
 
 A product takes N*c^2 multiply-adds besides the FFTs, against the
 |L|^2 = (N/a)^2 (N/b)^2 of summing over pairs of lattice points.
@@ -236,12 +236,10 @@ def _bands(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=64)
 def _sector_tables(lat: Lattice) -> tuple[np.ndarray, ...]:
-    """The twist tw (K, c); where sector entry [r, d, rho, rho'] sits in the
-    flattened band spectra (a, K, c, c), with its band phase times
-    conj(tw[d, rho]); and the way back, read off that forward gather: where
-    the first copy of each band entry [i, t < N/b] sits in it, (N/a, N/b),
-    with the conjugate of its phase over N/b.  The forward phases are
-    exp(pi*i*e/N) for integers e mod 2N.  Read-only."""
+    """The twist tw (K, c), and where sector entry [r, d, rho, rho'] sits in
+    the flattened band spectra (a, K, c, c), with its band phase times
+    conj(tw[d, rho]): exp(pi*i*e/N) for integers e mod 2N.  The gather names
+    every band entry [i, t < N/b] N*c/|L| times.  Read-only."""
     n, (a, s, b) = lat.n, lat.basis
     m, p = n // a, n // b
     c = m // math.gcd(m, b)
@@ -250,15 +248,9 @@ def _sector_tables(lat: Lattice) -> tuple[np.ndarray, ...]:
     turn = (s * a * c) % (2 * n) * ((2 * u * rho + c * u * (u - k)) % (2 * n)) % (2 * n)
     q = np.arange(m).reshape(1, k, c, 1)
     i, t = (q - np.arange(c)) % m, np.arange(a).reshape(-1, 1, 1, 1) + a * q
-    fwd_at, fwd_phase = i * p + t % p, 2 * ((i * s % b) * t % n) - turn[q]
-    back_at = np.unique(fwd_at, return_index=True)[1].reshape(m, p)
-    tables = (
-        np.exp(1j * np.pi * turn / n).reshape(k, c),
-        fwd_at,
-        np.exp(1j * np.pi * (fwd_phase % (2 * n)) / n),
-        back_at,
-        np.exp(1j * np.pi * (-fwd_phase.reshape(-1)[back_at] % (2 * n)) / n) / p,
-    )
+    phase = (2 * ((i * s % b) * t % n) - turn[q]) % (2 * n)
+    tw = np.exp(1j * np.pi * turn / n).reshape(k, c)
+    tables = (tw, i * p + t % p, np.exp(1j * np.pi * phase / n))
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -268,16 +260,21 @@ def _sectors(x: CoeffSeq) -> np.ndarray:
     """The a*K sectors of represent(x), (a, K, c, c): the twisted length-K DFT
     of its blocks, gathered from the band spectra."""
     lat = x.lattice
-    _, at, phase, _, _ = _sector_tables(lat)
+    _, at, phase = _sector_tables(lat)
     spec = np.fft.ifft(x.coeffs.reshape(-1, lat.n // lat.basis[2]), axis=-1, norm="forward")
     return np.fft.fft(spec.reshape(-1)[at] * phase, axis=1)
 
 
 def _coeffs_of_sectors(sectors: np.ndarray, lat: Lattice) -> np.ndarray:
-    """Coefficients of the span element with the given sectors (a, K, c, c):
-    the fold of its bands at the times t < N/b."""
-    _, _, _, at, phase = _sector_tables(lat)
-    return _fold(np.fft.ifft(sectors, axis=1).reshape(-1)[at] * phase, lat)
+    """Coefficients of the span element nearest the sectors (a, K, c, c), the
+    orthogonal projection: _sectors' adjoint (an inverse FFT over K, the
+    conjugate phase, a sum over each band entry's copies, the fold) over the
+    copy count and N/b."""
+    _, at, phase = _sector_tables(lat)
+    p, at = lat.n // lat.basis[2], at.ravel()
+    back = (np.fft.ifft(sectors, axis=1) * phase.conj()).ravel()
+    bands = np.bincount(at, back.real, lat.size) + 1j * np.bincount(at, back.imag, lat.size)
+    return _fold(bands.reshape(-1, p) / (at.size // lat.size * p), lat)
 
 
 def _sector_vectors(v: np.ndarray, lat: Lattice) -> np.ndarray:

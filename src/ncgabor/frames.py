@@ -1,31 +1,31 @@
 """Gabor systems and frame operators on Z_N.
 
 A Gabor system is the family of all lattice shifts of one or more windows.
-Its frame operator commutes with every lattice shift, so it lies in the
-algebra of the adjoint lattice L°: it is the represented element
+Its frame operator S = sum_lam pi(lam) (sum_w g_w g_w^H) pi(lam)^H averages
+the windows' Gram over the lattice, so it commutes with every lattice shift
+and lies in the algebra of the adjoint lattice L°: it is |L| times the
+orthogonal projection of the Gram onto the span of L°'s shifts, the element
 
     vol^{-1} sum_w <g_w, pi(mu) g_w>,  mu in L°,
 
-the Janssen coefficients summed over the windows (the A(L°)-valued inner
-product <g, g> of the Morita equivalence).  janssen_representation returns
-them for a pair of windows; the frame element is the same computation on the
-stacked windows.  Everything the designs need comes from the algebra's
-sectors of that element (algebra._sectors): L°'s basis is (N/b, s°), (0, N/a),
-so they are N/c sectors of size c x c, c = b/gcd(b, N/a), and c = 1 (the
-Zak-domain diagonalization of Zibulski-Zeevi) when the redundancy |L|/N is
-an integer.  One batched eigendecomposition of the sectors gives the frame
-bounds and verdict and applies S^-1 (dual windows) or S^-1/2 (tight windows)
-to every window in the sectors' basis (algebra._sector_vectors).  It is
-taken once per system and kept, read-only, on the frozen system, whose
-windows are Signals (read-only values that alias no writable view), so
-frame_bounds, canonical_dual and canonical_tight on one system build the
-frame element and run eigh once between them.
+of Janssen coefficients summed over the windows (the A(L°)-valued inner
+product <g, g> of the Morita equivalence).  It is built in L°'s sectors
+(algebra._sectors): L°'s basis is (N/b, s°), (0, N/a), so they are N/c
+sectors of size c x c, c = b/gcd(b, N/a), and c = 1 (the Zak-domain
+diagonalization of Zibulski-Zeevi) when the redundancy |L|/N is an integer.
+The windows in the sectors' basis (algebra._sector_vectors) give the Gram's
+c x c diagonal blocks, one batched matmul, and the algebra's way back
+(algebra._coeffs_of_sectors) projects them; janssen_representation is the
+same computation for a pair of windows.  One batched eigendecomposition of
+the element's sectors gives the frame bounds and verdict and applies S^-1
+(dual windows) or S^-1/2 (tight windows) to every window in that basis.  It
+is taken once per system and kept, read-only, on the frozen system, whose
+windows are Signals (read-only values that alias no writable view).
 frame_operator is represent of the element.  Analysis and synthesis are the
 algebra's coefficient-band pair (algebra._fold, algebra._tile) with the
-windows shifted to the lattice's fiber points as rows (algebra._fiber_windows:
-the translates times the lattice's cached band phase): analysis folds f times
-their conjugate, one length-N/b FFT per time shift; synthesis tiles the
-coefficients, one length-N/b inverse FFT per time shift, and sums the rows.  The fundamental
+windows shifted to the lattice's fiber points as rows (algebra._fiber_windows):
+analysis folds f times their conjugate, synthesis tiles the coefficients and
+sums the rows, one length-N/b FFT per time shift each.  The fundamental
 identity below is the two-sided inner-product form of the same expansion.
 """
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .lattice import Lattice, adjoint_lattice, volume
 from .algebra import (
     CoeffSeq,
     OperatorMatrix,
+    _coeffs_of_sectors,
     _fiber_windows,
     _fold,
     _sector_vectors,
@@ -123,13 +124,15 @@ def _windows(sys: GaborSystem) -> np.ndarray:
 
 
 def _janssen(h: np.ndarray, g: np.ndarray, lat: Lattice) -> CoeffSeq:
-    """vol^{-1} sum_w <h_w, pi(mu) g_w> on the adjoint lattice, summed over
-    the leading (window) axes that h and g pair; OverflowError past the float
-    range."""
+    """vol^{-1} sum_w <h_w, pi(mu) g_w> on the adjoint lattice, for windows
+    the rows of h and g: |L| times the projection onto A(L°) of their Gram
+    sum_w h_w g_w^H, read in L°'s sectors.  OverflowError past the float range."""
     adj = adjoint_lattice(lat)
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = (1.0 / float(volume(lat))) * _analysis(h, g, adj).reshape(-1, adj.size).sum(axis=0)
-    if not np.all(np.isfinite(coeffs)):
+        yh = _sector_vectors(h.reshape(-1, lat.n), adj)
+        yg = yh if g is h else _sector_vectors(g.reshape(-1, lat.n), adj)
+        coeffs = lat.size * _coeffs_of_sectors(yh @ yg.conj().swapaxes(-1, -2), adj)
+    if not np.all(np.isfinite(coeffs)):  # a BLAS matmul sets no numpy flag
         raise OverflowError("the Janssen coefficients exceed the float range")
     return CoeffSeq(adj, coeffs)
 

@@ -1,4 +1,6 @@
 """Frame operators, adjoint-lattice expansion, duals, tight windows, reconstruction."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -157,13 +159,36 @@ def test_frame_bounds_full_lattice_unit_window(rng):
     assert b.is_frame
 
 
-def test_frame_bounds_translation_basis():
+def test_frame_bounds_translation_basis(rng):
     n = 8
     lat = lattice_from_generators(n, [(1, 0)])
     b = frame_bounds(GaborSystem((Signal.delta(n),), lat))
     assert b.lower == pytest.approx(1.0, rel=1e-12)
     assert b.upper == pytest.approx(1.0, rel=1e-12)
     assert b.is_frame
+    # a random window on every translate at N=4096: S is circulant with
+    # eigenvalues |g^|^2, so the designs are closed forms in g^, and they stay
+    # O(N) in memory (no N x N array and no N/a x N fiber windows)
+    n = 4096
+    g = random_signal(n, rng)
+    sys = GaborSystem((g,), lattice_from_generators(n, [(1, 0)]))
+    tracemalloc.start()
+    try:
+        b, (dual,), (tight,) = frame_bounds(sys), canonical_dual(sys), canonical_tight(sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    spec = np.fft.fft(g.values)
+    eigs = np.abs(spec) ** 2
+    assert abs(b.lower - eigs.min()) <= 1e-12 * eigs.max()
+    assert abs(b.upper - eigs.max()) <= 1e-12 * eigs.max()
+    # the closed forms: g^/|g^|^2 for the dual, |g^| = 1 for the tight window,
+    # each to 1e-12 scaled by (B/A)^|power| as in the dense-oracle comparison
+    for got, power in ((dual, -1.0), (tight, -0.5)):
+        expect = np.fft.ifft(spec * eigs**power)
+        tol = 1e-12 * (eigs.max() / eigs.min()) ** -power * max(1.0, np.abs(expect).max())
+        assert np.abs(got.values - expect).max() <= tol
 
 
 def test_canonical_dual_tight_case(rng):

@@ -10,7 +10,8 @@ matrix products, inverses, SVDs and eigenvalues of the loop-built shift sums.
 The sectors themselves are pinned to the matrix bundle over the centre
 L ∩ L°: for X = L and X = L°, with basis (a, s), (0, b) and M = N/a, they are
 a*K sectors of size c x c with c^2 |L ∩ L°| = |X| and K = M/c, and in their
-basis represent(x) acts on vectors as the sectors do.  Each lattice's cached
+basis represent(x) acts on vectors as the sectors do; the way back projects
+any sectors orthogonally onto the span.  Each lattice's cached
 band index gathers the windows' translates to the fiber points bit for bit.
 """
 import math
@@ -34,6 +35,7 @@ from ncgabor import (
     frame_bounds,
     frame_operator,
     invert_in_algebra,
+    janssen_representation,
     random_signal,
     reconstruct,
     represent,
@@ -128,6 +130,12 @@ def test_system_columns_and_reconstruct_match_loop_oracles(rng):
                 analysis_coefficients(f, duals[-1], lat),
                 oracles.analysis_coefficients(f, duals[-1], lat),
             )
+            # the frame-type operator of two different windows
+            pts, g, h = lat.as_array(), sys.windows[0], duals[-1]
+            assert_close(
+                represent(janssen_representation(g, h, lat)).entries,
+                oracles.shifted(pts, h.values).T @ oracles.shifted(pts, g.values).conj(),
+            )
 
 
 def test_frame_designs_match_dense_oracle(rng):
@@ -207,5 +215,11 @@ def test_sectors_are_the_matrix_bundle_over_the_centre(rng):
             v = np.stack([random_signal(x.n, rng).values for _ in range(2)])
             acted = _vectors_of_sectors(sectors @ _sector_vectors(v, x), x)
             assert_close(acted, (oracles.represent(seq) @ v.T).T)
-            # the way back, read off the forward gather, returns the coefficients
+            # the way back, the forward gather's adjoint, returns the coefficients on
+            # the span and projects orthogonally onto it: a rank-one matrix lies off it
             assert_close(_coeffs_of_sectors(sectors, x), seq.coeffs)
+            y = _sector_vectors(v, x)
+            assert_close(
+                _coeffs_of_sectors(y[..., :1] @ y[..., 1:].conj().swapaxes(-1, -2), x),
+                oracles.coefficients_of(np.outer(v[0], v[1].conj()), x),
+            )
