@@ -23,7 +23,7 @@ length N/b.  With the band phase exp(2*pi*i*sigma_i*t/N) as rows the tile
 gives the bands band[i, t] = represent(c)[t, (t - i*a) mod N], and the fold
 of the bands times the conjugate phase, over N, recovers c; with the windows
 shifted to the fiber points as rows they are Gabor synthesis and analysis
-(frames.py), the Zak-domain factorization of Gabor frames: _fiber_windows
+(module.py, frames.py), the Zak-domain factorization of Gabor frames: _fiber_windows
 is the windows' translates times the phase that _band_phase caches.
 represent scatters the bands through the band index (t - i*a) mod N and
 coefficients_of gathers them; _band_index caches it, read-only, per lattice.
@@ -39,16 +39,18 @@ so that tw has period M), which leaves each block block-circulant with K x K
 blocks of c x c, and a length-K DFT over u splits it into K sectors.  So
 represent(x) is unitarily equivalent to a*K = N/c sectors of size c x c: the
 rational noncommutative torus as a matrix bundle over its centre L ∩ L°, with
-c^2 = |L| / |L ∩ L°|.  _sectors gathers the sector entries from the band
-spectra (one length-N/b inverse FFT per time shift, not the tile) and takes
-one length-K FFT.  The gather names every band entry N*c/|L| times, so the
-way back, _coeffs_of_sectors, is that map's adjoint over its norm (the copies
-summed, over their count): the orthogonal projection onto the span, exact
-on it and the nearest span element off it.  Products multiply sectors,
-inversion is a batched inverse after a values-only SVD of the sectors (whose
-singular values are the whole matrix's), the spectrum is their eigenvalues,
-and frames.py builds the frame element as the projection of the windows'
-Gram in L°'s sectors.  Only represent and coefficients_of build N x N arrays.
+c^2 = |L| / |L ∩ L°|.  The band spectra (N/a, N/b), one length-N/b inverse
+FFT per time shift of the coefficients (not the tile), hold every sector
+entry: _gather reads them and takes one length-K FFT.  It names every band
+entry N*c/|L| times, so _scatter, its adjoint over that count, takes sectors
+back to band spectra, and _gather after _scatter is the orthogonal
+projection onto the span inside the sectors, exact on it and the nearest
+span element off it; _sectors and _coeffs_of_sectors add the FFTs over N/b.
+Products multiply sectors, inversion is a batched inverse after a
+values-only SVD of the sectors (whose singular values are the whole
+matrix's), the spectrum is their eigenvalues, and frames.py builds the frame
+element and reconstruction's mixed element as projections of windows' Grams
+in L°'s sectors.  Only represent and coefficients_of build N x N arrays.
 
 A product takes N*c^2 multiply-adds besides the FFTs, against the
 |L|^2 = (N/a)^2 (N/b)^2 of summing over pairs of lattice points.
@@ -236,10 +238,10 @@ def _bands(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=64)
 def _sector_tables(lat: Lattice) -> tuple[np.ndarray, ...]:
-    """The twist tw (K, c), and where sector entry [r, d, rho, rho'] sits in
-    the flattened band spectra (a, K, c, c), with its band phase times
-    conj(tw[d, rho]): exp(pi*i*e/N) for integers e mod 2N.  The gather names
-    every band entry [i, t < N/b] N*c/|L| times.  Read-only."""
+    """The twist tw (K, c), where sector entry [r, d, rho, rho'] sits in the
+    flattened band spectra (a, K, c, c), its band phase times conj(tw[d, rho])
+    (exp(pi*i*e/N), e integer mod 2N), and the order sorting that index, which
+    lines up the N*c/|L| copies the gather takes of each band entry.  Read-only."""
     n, (a, s, b) = lat.n, lat.basis
     m, p = n // a, n // b
     c = m // math.gcd(m, b)
@@ -250,31 +252,39 @@ def _sector_tables(lat: Lattice) -> tuple[np.ndarray, ...]:
     i, t = (q - np.arange(c)) % m, np.arange(a).reshape(-1, 1, 1, 1) + a * q
     phase = (2 * ((i * s % b) * t % n) - turn[q]) % (2 * n)
     tw = np.exp(1j * np.pi * turn / n).reshape(k, c)
-    tables = (tw, i * p + t % p, np.exp(1j * np.pi * phase / n))
+    at = i * p + t % p
+    tables = (tw, at, np.exp(1j * np.pi * phase / n), np.argsort(at, axis=None, kind="stable"))
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
-def _sectors(x: CoeffSeq) -> np.ndarray:
-    """The a*K sectors of represent(x), (a, K, c, c): the twisted length-K DFT
-    of its blocks, gathered from the band spectra."""
-    lat = x.lattice
-    _, at, phase = _sector_tables(lat)
-    spec = np.fft.ifft(x.coeffs.reshape(-1, lat.n // lat.basis[2]), axis=-1, norm="forward")
+def _gather(spec: np.ndarray, lat: Lattice) -> np.ndarray:
+    """The sectors (a, K, c, c) of the span element with band spectra spec
+    (N/a, N/b): the gather, then the twisted length-K DFT of its blocks."""
+    _, at, phase, _ = _sector_tables(lat)
     return np.fft.fft(spec.reshape(-1)[at] * phase, axis=1)
 
 
+def _scatter(sectors: np.ndarray, lat: Lattice) -> np.ndarray:
+    """The gather's adjoint over the copy count, to band spectra (N/a, N/b):
+    an inverse FFT over K, the conjugate phase, each band entry's copies
+    summed over their count.  _gather after it projects onto the span."""
+    _, _, phase, order = _sector_tables(lat)
+    back = (np.fft.ifft(sectors, axis=1) * phase.conj()).reshape(-1)[order]
+    count = order.size // lat.size
+    return back.reshape(-1, lat.n // lat.basis[2], count).sum(axis=-1) / count
+
+
+def _sectors(x: CoeffSeq) -> np.ndarray:
+    """The sectors of represent(x), gathered from its band spectra."""
+    p = x.lattice.n // x.lattice.basis[2]
+    return _gather(np.fft.ifft(x.coeffs.reshape(-1, p), axis=-1, norm="forward"), x.lattice)
+
+
 def _coeffs_of_sectors(sectors: np.ndarray, lat: Lattice) -> np.ndarray:
-    """Coefficients of the span element nearest the sectors (a, K, c, c), the
-    orthogonal projection: _sectors' adjoint (an inverse FFT over K, the
-    conjugate phase, a sum over each band entry's copies, the fold) over the
-    copy count and N/b."""
-    _, at, phase = _sector_tables(lat)
-    p, at = lat.n // lat.basis[2], at.ravel()
-    back = (np.fft.ifft(sectors, axis=1) * phase.conj()).ravel()
-    bands = np.bincount(at, back.real, lat.size) + 1j * np.bincount(at, back.imag, lat.size)
-    return _fold(bands.reshape(-1, p) / (at.size // lat.size * p), lat)
+    """Coefficients of the span element nearest the sectors (a, K, c, c)."""
+    return np.fft.fft(_scatter(sectors, lat), axis=-1, norm="forward").reshape(-1)
 
 
 def _sector_vectors(v: np.ndarray, lat: Lattice) -> np.ndarray:

@@ -10,22 +10,26 @@ orthogonal projection of the Gram onto the span of L°'s shifts, the element
 
 of Janssen coefficients summed over the windows (the A(L°)-valued inner
 product <g, g> of the Morita equivalence).  It is built in L°'s sectors
-(algebra._sectors): L°'s basis is (N/b, s°), (0, N/a), so they are N/c
+(algebra.py): L°'s basis is (N/b, s°), (0, N/a), so they are N/c
 sectors of size c x c, c = b/gcd(b, N/a), and c = 1 (the Zak-domain
 diagonalization of Zibulski-Zeevi) when the redundancy |L|/N is an integer.
 The windows in the sectors' basis (algebra._sector_vectors) give the Gram's
-c x c diagonal blocks, one batched matmul, and the algebra's way back
-(algebra._coeffs_of_sectors) projects them; janssen_representation is the
-same computation for a pair of windows.  One batched eigendecomposition of
-the element's sectors gives the frame bounds and verdict and applies S^-1
-(dual windows) or S^-1/2 (tight windows) to every window in that basis.  It
-is taken once per system and kept, read-only, on the frozen system, whose
-windows are Signals (read-only values that alias no writable view).
-frame_operator is represent of the element.  Analysis and synthesis are the
-algebra's coefficient-band pair (algebra._fold, algebra._tile) with the
-windows shifted to the lattice's fiber points as rows (algebra._fiber_windows):
-analysis folds f times their conjugate, synthesis tiles the coefficients and
-sums the rows, one length-N/b FFT per time shift each.  The fundamental
+c x c diagonal blocks, one batched matmul; the gather's adjoint
+(algebra._scatter) projects them to L°'s band spectra, whence the
+coefficients (janssen_representation) or the sectors (algebra._gather).
+One batched eigendecomposition of the element's sectors gives the frame
+bounds and verdict and applies S^-1 (dual windows) or S^-1/2 (tight
+windows) to every window in that basis.  It is taken once per system and
+kept, read-only, on the frozen system with the windows' w*N sector
+coordinates; its windows are Signals (read-only, aliasing no writable view).
+reconstruct is the right action of the mixed Janssen (Wexler-Raz) element
+|L| P(sum_w g_w gamma_w^H) of A(L°), windows g and duals gamma, on f's
+coordinates in L°'s sectors: it forms no coefficients on L.  frame_operator
+is represent of the element.  Analysis folds f times the conjugate of the
+windows shifted to the lattice's fiber points (algebra._fold,
+algebra._fiber_windows), one length-N/b FFT per time shift; only it
+(analysis_coefficients, figa_check, the module's inner products and
+actions) still holds those (N/a) x N rows per window.  The fundamental
 identity below is the two-sided inner-product form of the same expansion.
 """
 from __future__ import annotations
@@ -40,12 +44,11 @@ from .lattice import Lattice, adjoint_lattice, volume
 from .algebra import (
     CoeffSeq,
     OperatorMatrix,
-    _coeffs_of_sectors,
     _fiber_windows,
     _fold,
+    _gather,
+    _scatter,
     _sector_vectors,
-    _sectors,
-    _tile,
     _vectors_of_sectors,
     represent,
 )
@@ -101,14 +104,16 @@ class GaborSystem:
         return self.lattice.n
 
     @cached_property
-    def _spectrum(self) -> tuple[Lattice, np.ndarray, np.ndarray]:
-        """L° and the eigenvalues and eigenvectors of the frame element's
-        sectors, read-only: one eigh for the system's whole life."""
-        elem = _frame_element(self)
-        eigs, vecs = np.linalg.eigh(_sectors(elem))
-        eigs.setflags(write=False)
-        vecs.setflags(write=False)
-        return elem.lattice, eigs, vecs
+    def _spectrum(self) -> tuple[Lattice, np.ndarray, np.ndarray, np.ndarray]:
+        """L°, the windows in its sectors' basis, and the eigenvalues and
+        eigenvectors of the frame element's sectors, read-only: one transform
+        of the windows and one eigh for the system's whole life."""
+        adj = adjoint_lattice(self.lattice)
+        y = _sector_vectors(_windows(self), adj)
+        eigs, vecs = np.linalg.eigh(_gather(_projected_gram(y, y, self.lattice), adj))
+        for arr in (y, eigs, vecs):
+            arr.setflags(write=False)
+        return adj, y, eigs, vecs
 
 
 @dataclass(frozen=True)
@@ -123,18 +128,26 @@ def _windows(sys: GaborSystem) -> np.ndarray:
     return np.stack([w.values for w in sys.windows])
 
 
+def _projected_gram(yh: np.ndarray, yg: np.ndarray, lat: Lattice) -> np.ndarray:
+    """|L| times the projection onto A(L°) of the Gram sum_w h_w g_w^H, for
+    windows given in L°'s sectors' basis as yh and yg [..., w]: the band
+    spectra on L° of vol^{-1} sum_w <h_w, pi(mu) g_w>.  OverflowError past
+    the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bands = lat.size * _scatter(yh @ yg.conj().swapaxes(-1, -2), adjoint_lattice(lat))
+    if not np.all(np.isfinite(bands)):  # a BLAS matmul sets no numpy flag
+        raise OverflowError("the Janssen coefficients exceed the float range")
+    return bands
+
+
 def _janssen(h: np.ndarray, g: np.ndarray, lat: Lattice) -> CoeffSeq:
     """vol^{-1} sum_w <h_w, pi(mu) g_w> on the adjoint lattice, for windows
-    the rows of h and g: |L| times the projection onto A(L°) of their Gram
-    sum_w h_w g_w^H, read in L°'s sectors.  OverflowError past the float range."""
+    the rows of h and g."""
     adj = adjoint_lattice(lat)
-    with np.errstate(over="ignore", invalid="ignore"):
-        yh = _sector_vectors(h.reshape(-1, lat.n), adj)
-        yg = yh if g is h else _sector_vectors(g.reshape(-1, lat.n), adj)
-        coeffs = lat.size * _coeffs_of_sectors(yh @ yg.conj().swapaxes(-1, -2), adj)
-    if not np.all(np.isfinite(coeffs)):  # a BLAS matmul sets no numpy flag
-        raise OverflowError("the Janssen coefficients exceed the float range")
-    return CoeffSeq(adj, coeffs)
+    yh = _sector_vectors(h.reshape(-1, lat.n), adj)
+    yg = yh if g is h else _sector_vectors(g.reshape(-1, lat.n), adj)
+    bands = _projected_gram(yh, yg, lat)
+    return CoeffSeq(adj, np.fft.fft(bands, axis=-1, norm="forward").reshape(-1))
 
 
 def _frame_element(sys: GaborSystem) -> CoeffSeq:
@@ -156,7 +169,7 @@ def _bounds(eigs: np.ndarray) -> FrameBounds:
 
 def frame_bounds(sys: GaborSystem) -> FrameBounds:
     """Extreme eigenvalues of the frame operator and the frame verdict."""
-    return _bounds(sys._spectrum[1])
+    return _bounds(sys._spectrum[2])
 
 
 def _frame_power(sys: GaborSystem, power: float) -> list[Signal]:
@@ -165,11 +178,10 @@ def _frame_power(sys: GaborSystem, power: float) -> list[Signal]:
     The system's eigendecomposition of the frame element's sectors gives both
     the frame verdict and the power, applied to the windows in the sectors' basis.
     """
-    adj, eigs, vecs = sys._spectrum
+    adj, y, eigs, vecs = sys._spectrum
     bounds = _bounds(eigs)
     if not bounds.is_frame:
         raise NotAFrame(bounds.lower)
-    y = _sector_vectors(_windows(sys), adj)
     y = vecs @ ((vecs.conj().swapaxes(-1, -2) @ y) * eigs[..., None] ** power)
     return [Signal(sys.n, row) for row in _vectors_of_sectors(y, adj)]
 
@@ -188,11 +200,6 @@ def _analysis(f: np.ndarray, g: np.ndarray, lat: Lattice) -> np.ndarray:
     """<f, pi(lam) g> as [..., |L|] in canonical order; leading axes of g are
     further windows, and leading axes of f pair with them."""
     return _fold(f[..., None, :] * np.conj(_fiber_windows(lat, g)), lat)
-
-
-def _synthesis(coeffs: np.ndarray, g: np.ndarray, lat: Lattice) -> np.ndarray:
-    """sum c[..., lam] pi(lam) g over the lattice, summed over windows too."""
-    return _tile(coeffs, lat, _fiber_windows(lat, g)).reshape(-1, lat.n).sum(axis=0)
 
 
 def analysis_coefficients(f: Signal, g: Signal, lat: Lattice) -> np.ndarray:
@@ -236,11 +243,14 @@ def figa_check(
 
 
 def reconstruct(f: Signal, sys: GaborSystem, duals: list[Signal]) -> Signal:
-    """Analyze against the duals, synthesize with the system windows."""
-    if len(duals) != len(sys.windows):
-        raise ValueError(
-            f"{len(duals)} dual windows for {len(sys.windows)} system windows"
-        )
+    """sum_lam <f, pi(lam) gamma> pi(lam) g, summed over the windows g and
+    their duals gamma: the mixed element |L| P(g gamma^H) of A(L°), the
+    Janssen representation of the pair, applied to f in L°'s sectors."""
+    w = len(sys.windows)
+    if len(duals) != w:
+        raise ValueError(f"{len(duals)} dual windows for {w} system windows")
     _check_same_n(sys.n, f.n, *(d.n for d in duals))
-    coeffs = _analysis(f.values, np.stack([d.values for d in duals]), sys.lattice)
-    return Signal(sys.n, _synthesis(coeffs, _windows(sys), sys.lattice))
+    adj = adjoint_lattice(sys.lattice)
+    y = _sector_vectors(np.stack([v.values for v in (*sys.windows, *duals, f)]), adj)
+    mixed = _gather(_projected_gram(y[..., :w], y[..., w:-1], sys.lattice), adj)
+    return Signal(sys.n, _vectors_of_sectors(mixed @ y[..., -1:], adj)[0])

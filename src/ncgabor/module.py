@@ -40,13 +40,21 @@ import numpy as np
 
 from .core import DimensionMismatch, Signal, _check_same_n, random_signal
 from .lattice import Lattice, adjoint_lattice, volume
-from .algebra import CoeffSeq, OperatorMatrix, involution, represent, twisted_conv, unit
+from .algebra import (
+    CoeffSeq,
+    OperatorMatrix,
+    _fiber_windows,
+    _tile,
+    involution,
+    represent,
+    twisted_conv,
+    unit,
+)
 from .frames import (
     GaborSystem,
     NotAFrame,
     _analysis,
     _frame_element,
-    _synthesis,
     analysis_coefficients,
     canonical_tight,
     frame_bounds,
@@ -88,7 +96,8 @@ def inner_right(f: Signal, g: Signal, lat: Lattice) -> CoeffSeq:
 def act_left(a: CoeffSeq, g: Signal) -> Signal:
     """Left action: sum a(lam) pi(lam) g, equal to represent(a) applied to g."""
     _check_same_n(a.lattice.n, g.n)
-    return Signal(g.n, _synthesis(a.coeffs, g.values, a.lattice))
+    lat = a.lattice
+    return Signal(g.n, _tile(a.coeffs, lat, _fiber_windows(lat, g.values)).sum(axis=0))
 
 
 def _right_element(b: CoeffSeq) -> CoeffSeq:

@@ -456,6 +456,19 @@ def _check_dual_reconstruction(rng):
     return worst
 
 
+def _check_wexler_raz(rng):
+    """The Wexler-Raz identity: the canonical dual gamma of g satisfies
+    vol^{-1} <gamma, pi(mu) g> = [mu == 0] on the adjoint lattice, the unit
+    of its algebra; largest coefficient error."""
+    worst = 0.0
+    for lat in _frame_lattices():
+        g = random_signal(lat.n, rng)
+        (dual,) = canonical_dual(GaborSystem((g,), lat))
+        got = janssen_representation(g, dual, lat)
+        worst = max(worst, float(np.abs(got.coeffs - unit(got.lattice).coeffs).max()))
+    return worst
+
+
 def _check_tight_parseval(rng):
     worst = 0.0
     for lat in _frame_lattices():
@@ -738,6 +751,7 @@ REGISTRY = (
     ("adjoint-lattice expansion of frame operator", 1e-10, _check_janssen),
     ("fundamental identity", 1e-10, _check_figa),
     ("canonical dual reconstruction", 1e-9, _check_dual_reconstruction),
+    ("wexler-raz identity of the canonical dual", 1e-10, _check_wexler_raz),
     ("canonical tight parseval", 1e-9, _check_tight_parseval),
     ("tightening stays in adjoint span", 1e-9, _check_tight_span),
     ("non-frame rejection", 0, _check_nonframe_rejection),

@@ -167,14 +167,16 @@ def test_frame_bounds_translation_basis(rng):
     assert b.upper == pytest.approx(1.0, rel=1e-12)
     assert b.is_frame
     # a random window on every translate at N=4096: S is circulant with
-    # eigenvalues |g^|^2, so the designs are closed forms in g^, and they stay
-    # O(N) in memory (no N x N array and no N/a x N fiber windows)
+    # eigenvalues |g^|^2, so the designs are closed forms in g^, and they and
+    # the reconstruction stay O(N) in memory (no N x N array and no N/a x N
+    # fiber windows)
     n = 4096
-    g = random_signal(n, rng)
+    g, f = random_signal(n, rng), random_signal(n, rng)
     sys = GaborSystem((g,), lattice_from_generators(n, [(1, 0)]))
     tracemalloc.start()
     try:
         b, (dual,), (tight,) = frame_bounds(sys), canonical_dual(sys), canonical_tight(sys)
+        out = reconstruct(f, sys, [dual])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -189,6 +191,19 @@ def test_frame_bounds_translation_basis(rng):
         expect = np.fft.ifft(spec * eigs**power)
         tol = 1e-12 * (eigs.max() / eigs.min()) ** -power * max(1.0, np.abs(expect).max())
         assert np.abs(got.values - expect).max() <= tol
+    # f back, to the dual's tolerance
+    tol = 1e-12 * (eigs.max() / eigs.min()) * max(1.0, np.abs(f.values).max())
+    assert np.abs(out.values - f.values).max() <= tol
+
+
+def test_reconstruct_past_the_float_range_raises_overflow():
+    # finite windows whose mixed element |L| P(g gamma^H) leaves the float range;
+    # pytest turns any RuntimeWarning into an error, so this also asserts none is raised
+    n = 12
+    g = Signal(n, np.full(n, 1e200))
+    sys = GaborSystem((g,), lattice_from_generators(n, [(2, 0), (0, 3)]))
+    with pytest.raises(OverflowError, match="float range"):
+        reconstruct(Signal.delta(n), sys, [g])
 
 
 def test_canonical_dual_tight_case(rng):
@@ -389,8 +404,8 @@ def test_signals_of_another_order_rejected(rng):
 
 
 def count_builds(monkeypatch) -> dict:
-    """Count frame-element builds and eigh calls from here on."""
-    calls = {"_frame_element": 0, "eigh": 0}
+    """Count projected-Gram builds, window transforms and eigh calls from here on."""
+    calls = {"_projected_gram": 0, "_sector_vectors": 0, "eigh": 0}
 
     def counted(owner, name):
         inner = getattr(owner, name)
@@ -401,7 +416,8 @@ def count_builds(monkeypatch) -> dict:
 
         monkeypatch.setattr(owner, name, call)
 
-    counted(frames, "_frame_element")
+    counted(frames, "_projected_gram")
+    counted(frames, "_sector_vectors")
     counted(np.linalg, "eigh")
     return calls
 
@@ -416,7 +432,7 @@ def test_design_builds_the_frame_operator_once(monkeypatch, rng, design):
     sys = GaborSystem((random_signal(8, rng), random_signal(8, rng)), lat)
     calls = count_builds(monkeypatch)
     design(sys)
-    assert calls == {"_frame_element": 1, "eigh": 1}
+    assert calls == {"_projected_gram": 1, "_sector_vectors": 1, "eigh": 1}
 
 
 @pytest.mark.parametrize("count", [2, 1], ids=["frame", "not-a-frame"])
@@ -432,9 +448,9 @@ def test_one_system_answers_every_design_from_one_spectrum(monkeypatch, rng, cou
         else:
             with pytest.raises(NotAFrame):
                 design(sys)
-    assert calls == {"_frame_element": 1, "eigh": 1}
-    _, eigs, vecs = sys._spectrum
-    assert not eigs.flags.writeable and not vecs.flags.writeable
+    assert calls == {"_projected_gram": 1, "_sector_vectors": 1, "eigh": 1}
+    _, y, eigs, vecs = sys._spectrum
+    assert not any(arr.flags.writeable for arr in (y, eigs, vecs))
 
 
 def test_reused_system_designs_match_a_fresh_one(rng):
