@@ -25,8 +25,8 @@ of the bands times the conjugate phase, over N, recovers c; with the windows
 shifted to the fiber points as rows they are Gabor synthesis and analysis
 (module.py, frames.py), the Zak-domain factorization of Gabor frames: _fiber_windows
 is the windows' translates times the phase that _band_phase caches.
-represent scatters the bands through the band index (t - i*a) mod N and
-coefficients_of gathers them; _band_index caches it, read-only, per lattice.
+represent writes the bands through the flat index t*N + (t - i*a) mod N and
+coefficients_of reads them; _band_index caches it, read-only, per lattice.
 
 In the order t = r + a*q, M = N/a, represent(x) is block diagonal: a blocks
 of size M x M, block_r[q, q'] = band[(q - q') mod M, r + a*q].  Up to its
@@ -39,20 +39,29 @@ so that tw has period M), which leaves each block block-circulant with K x K
 blocks of c x c, and a length-K DFT over u splits it into K sectors.  So
 represent(x) is unitarily equivalent to a*K = N/c sectors of size c x c: the
 rational noncommutative torus as a matrix bundle over its centre L ∩ L°, with
-c^2 = |L| / |L ∩ L°|.  The band spectra (N/a, N/b), one length-N/b inverse
-FFT per time shift of the coefficients (not the tile), hold every sector
-entry: _gather reads them and takes one length-K FFT.  It names every band
-entry N*c/|L| times, so _scatter, its adjoint over that count, takes sectors
-back to band spectra, and _gather after _scatter is the orthogonal
-projection onto the span inside the sectors, exact on it and the nearest
-span element off it; _sectors and _coeffs_of_sectors add the FFTs over N/b.
-Products multiply sectors, inversion is a batched inverse after a
-values-only SVD of the sectors (whose singular values are the whole
-matrix's), the spectrum is their eigenvalues, and frames.py builds the frame
-element and reconstruction's mixed element as projections of windows' Grams
-in L°'s sectors.  Only represent and coefficients_of build N x N arrays.
+c^2 = |L| / |L ∩ L°|.  They are q' = N*c/|L| = b/gcd(M, b) copies of the
+|L|/c^2 distinct sectors, one per character of the centre (Rieffel 1988),
+and the commutant A(L°) intertwines the copies: mu = h*(N/b, (N/b)*s/a) in
+L°, h the inverse of M/gcd(M, b) mod q', has time a/q' mod a, and pi(j*mu)
+carries sector (r, d), r < a/q', to copy j at (r + j*a/q', d + j*s/q') mod
+(a, K), by a cyclic shift in rho times a phase.  The sectors' basis takes
+copy j as the image under pi(j*mu) of its representative's, so represent(x)
+acts on every copy as on the representative: _sector_vectors reads v at
+t + j*h*N/b (mu's time) times the twist and pi(j*mu)'s phase, then takes one
+length-K FFT, to coordinates [q', a/q', K, c, w].  The element's sectors are
+the distinct ones, r < a/q', and they name each entry of the band spectra
+(N/a, N/b) once: _sectors takes one length-N/b inverse FFT per time shift of
+the coefficients, the gather and one length-K FFT, and _coeffs_of_sectors
+inverts it through the inverse index.  In this basis A(L) is each sector
+repeated over its copies, so the orthogonal projection of a matrix onto the
+span is the mean over the copies of its diagonal blocks: frames.py builds the
+frame element and reconstruction's mixed element so, with no FFT.  Products
+multiply sectors, inversion is a batched inverse after a values-only SVD
+(the sectors' singular values are the matrix's up to multiplicity), and the
+spectrum is their eigenvalues, each repeated q' times.  Only represent and
+coefficients_of build N x N arrays.
 
-A product takes N*c^2 multiply-adds besides the FFTs, against the
+A product takes |L|*c multiply-adds besides the FFTs, against the
 |L|^2 = (N/a)^2 (N/b)^2 of summing over pairs of lattice points.
 """
 from __future__ import annotations
@@ -221,84 +230,74 @@ def _fiber_windows(lat: Lattice, g: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _band_index(lat: Lattice) -> np.ndarray:
-    """The band index (t - i*a) mod N, (N/a, N) intp, read-only."""
+    """The bands' flat index t*N + (t - i*a) mod N into an N x N matrix,
+    (N/a, N) intp, read-only."""
     t = np.arange(lat.n, dtype=np.intp)
-    index = (t - t[:: lat.basis[0], None]) % lat.n
+    index = (t - t[:: lat.basis[0], None]) % lat.n + lat.n * t
     index.setflags(write=False)
     return index
 
 
-def _bands(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the diagonal bands at the lattice's time shifts k_i = i*a.
-
-    mat[_bands(lat)][i, t] = mat[t, (t - k_i) mod N].
-    """
-    return np.arange(lat.n), _band_index(lat)
-
-
 @lru_cache(maxsize=64)
 def _sector_tables(lat: Lattice) -> tuple[np.ndarray, ...]:
-    """The twist tw (K, c), where sector entry [r, d, rho, rho'] sits in the
-    flattened band spectra (a, K, c, c), its band phase times conj(tw[d, rho])
-    (exp(pi*i*e/N), e integer mod 2N), and the order sorting that index, which
-    lines up the N*c/|L| copies the gather takes of each band entry.  Read-only."""
+    """Copy j's coordinates: the times t + j*h*N/b (q', a/q', K, c) and the
+    twist times pi(j*mu)'s phase, over sqrt(K), with the inverse's factor.  Each
+    distinct sector entry [r, d, rho, rho'] (a/q', K, c, c): where it sits in the
+    flattened band spectra (N/a, N/b), once, its band phase times conj(tw[d, rho])
+    times N/b, the inverse's factor and the inverse index.  The FFTs' scales are
+    folded in; phases are exp(pi*i*e/N), e integer mod 2N.  Read-only."""
     n, (a, s, b) = lat.n, lat.basis
-    m, p = n // a, n // b
-    c = m // math.gcd(m, b)
+    m, p, g = n // a, n // b, math.gcd(n // a, b)
+    c, copies = m // g, b // g
     k = m // c
-    u, rho = np.divmod(np.arange(m), c)
+    u, rho = np.divmod(np.arange(m).reshape(k, c), c)
     turn = (s * a * c) % (2 * n) * ((2 * u * rho + c * u * (u - k)) % (2 * n)) % (2 * n)
-    q = np.arange(m).reshape(1, k, c, 1)
-    i, t = (q - np.arange(c)) % m, np.arange(a).reshape(-1, 1, 1, 1) + a * q
-    phase = (2 * ((i * s % b) * t % n) - turn[q]) % (2 * n)
-    tw = np.exp(1j * np.pi * turn / n).reshape(k, c)
-    at = i * p + t % p
-    tables = (tw, at, np.exp(1j * np.pi * phase / n), np.argsort(at, axis=None, kind="stable"))
+    h = pow(m // g, -1, copies)  # mu = h*(N/b, (N/b)*s/a), N/b = (m/g)*(a/q')
+    j = np.arange(copies).reshape(-1, 1, 1, 1)
+    t = np.arange(a // copies).reshape(-1, 1, 1) + a * np.arange(m).reshape(k, c)
+    times = (t + j * (h * p % n)) % n
+    twist = (-turn - 2 * (j * (h * p * s // a) % n) * times) % (2 * n)
+    i = (np.arange(m).reshape(k, c, 1) - np.arange(c)) % m
+    at = i * p + t[..., None] % p
+    phase = (2 * ((i * s % b) * t[..., None] % n) - turn[..., None]) % (2 * n)
+    back = np.empty(at.size, dtype=np.intp)
+    back[at.ravel()] = np.arange(at.size)
+    twist, phase = np.exp(1j * np.pi * twist / n) / math.sqrt(k), np.exp(1j * np.pi * phase / n)
+    tables = (times, twist, twist.conj() * k, at, phase * p, phase.conj() / p, back)
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
-def _gather(spec: np.ndarray, lat: Lattice) -> np.ndarray:
-    """The sectors (a, K, c, c) of the span element with band spectra spec
-    (N/a, N/b): the gather, then the twisted length-K DFT of its blocks."""
-    _, at, phase, _ = _sector_tables(lat)
-    return np.fft.fft(spec.reshape(-1)[at] * phase, axis=1)
-
-
-def _scatter(sectors: np.ndarray, lat: Lattice) -> np.ndarray:
-    """The gather's adjoint over the copy count, to band spectra (N/a, N/b):
-    an inverse FFT over K, the conjugate phase, each band entry's copies
-    summed over their count.  _gather after it projects onto the span."""
-    _, _, phase, order = _sector_tables(lat)
-    back = (np.fft.ifft(sectors, axis=1) * phase.conj()).reshape(-1)[order]
-    count = order.size // lat.size
-    return back.reshape(-1, lat.n // lat.basis[2], count).sum(axis=-1) / count
-
-
 def _sectors(x: CoeffSeq) -> np.ndarray:
-    """The sectors of represent(x), gathered from its band spectra."""
-    p = x.lattice.n // x.lattice.basis[2]
-    return _gather(np.fft.ifft(x.coeffs.reshape(-1, p), axis=-1, norm="forward"), x.lattice)
+    """The distinct sectors (a/q', K, c, c) of represent(x), gathered from its
+    band spectra (N/a, N/b): one inverse FFT over N/b, the gather, one over K."""
+    at, phase = _sector_tables(x.lattice)[3:5]
+    spec = np.fft.ifft(x.coeffs.reshape(-1, x.lattice.n // x.lattice.basis[2]))
+    return np.fft.fft(spec.reshape(-1)[at] * phase, axis=-3)
 
 
 def _coeffs_of_sectors(sectors: np.ndarray, lat: Lattice) -> np.ndarray:
-    """Coefficients of the span element nearest the sectors (a, K, c, c)."""
-    return np.fft.fft(_scatter(sectors, lat), axis=-1, norm="forward").reshape(-1)
+    """The inverse of _sectors: the coefficients of the element with these
+    distinct sectors (a/q', K, c, c), gathered back through the inverse index."""
+    unphase, back = _sector_tables(lat)[5:]
+    spec = (np.fft.ifft(sectors, axis=-3) * unphase).reshape(-1)[back]
+    return np.fft.fft(spec.reshape(-1, lat.n // lat.basis[2])).reshape(-1)
 
 
 def _sector_vectors(v: np.ndarray, lat: Lattice) -> np.ndarray:
-    """Vectors v [w, N] in the sectors' basis, [a, K, c, w]: represent(x) @ v.T
-    there is _sectors(x) @ _sector_vectors(v, lat)."""
-    tw = _sector_tables(lat)[0]
-    fibered = v.reshape(len(v), -1, lat.basis[0]).T.reshape(-1, *tw.shape, len(v))
-    return np.fft.fft(fibered * tw[..., None].conj(), axis=1, norm="ortho")
+    """Vectors v [w, N] in the sectors' basis, [q', a/q', K, c, w], each copy
+    in its representative's: represent(x) @ v.T there is _sectors(x) @ it."""
+    times, twist = _sector_tables(lat)[:2]
+    return np.fft.fft(v.T[times] * twist[..., None], axis=-3)
 
 
 def _vectors_of_sectors(y: np.ndarray, lat: Lattice) -> np.ndarray:
-    """The inverse of _sector_vectors: [a, K, c, w] to [w, N]."""
-    out = np.fft.ifft(y, axis=1, norm="ortho") * _sector_tables(lat)[0][..., None]
-    return out.reshape(lat.basis[0], -1, y.shape[-1]).T.reshape(y.shape[-1], lat.n)
+    """The inverse of _sector_vectors: [q', a/q', K, c, w] to [w, N]."""
+    times, _, untwist = _sector_tables(lat)[:3]
+    out = np.empty((y.shape[-1], lat.n), dtype=complex)
+    out.T[times] = np.fft.ifft(y, axis=-3) * untwist[..., None]
+    return out
 
 
 def represent(a: CoeffSeq) -> OperatorMatrix:
@@ -309,7 +308,7 @@ def represent(a: CoeffSeq) -> OperatorMatrix:
     """
     lat, n = a.lattice, a.lattice.n
     mat = np.zeros((n, n), dtype=complex)  # before the temporaries, so they free from the heap top
-    mat[_bands(lat)] = _tile(a.coeffs, lat, _band_phase(lat))
+    mat.reshape(-1)[_band_index(lat)] = _tile(a.coeffs, lat, _band_phase(lat))
     mat.setflags(write=False)  # handed over: OperatorMatrix shares it rather than copying
     return OperatorMatrix(n, mat)
 
@@ -331,7 +330,7 @@ def coefficients_of(A, lat: Lattice) -> tuple[CoeffSeq, float]:
     n = lat.n
     if mat.shape != (n, n):
         raise DimensionMismatch(f"matrix shape {mat.shape} does not match order {n}")
-    seq = CoeffSeq(lat, _fold(mat[_bands(lat)] * _band_phase(lat).conj(), lat) / n)
+    seq = CoeffSeq(lat, _fold(mat.take(_band_index(lat)) * _band_phase(lat).conj(), lat) / n)
     residual = float(np.linalg.norm(mat - represent(seq).entries))
     return seq, residual
 
@@ -339,9 +338,9 @@ def coefficients_of(A, lat: Lattice) -> tuple[CoeffSeq, float]:
 def invert_in_algebra(a: CoeffSeq) -> CoeffSeq:
     """Invert an element within the span of its lattice's shifts.
 
-    The sectors' singular values together are those of the whole represented
-    matrix, so they give the verdict; the inverse is then taken sector by
-    sector.  It lands back in the span: the finite shadow of spectral
+    The distinct sectors' singular values are the whole represented matrix's
+    up to multiplicity, so they give the verdict; the inverse is then taken
+    sector by sector.  It lands back in the span: the finite shadow of spectral
     invariance, which the tests check against the dense inverse.
     """
     sectors = _sectors(a)
@@ -358,5 +357,7 @@ def trace_tau(a: CoeffSeq) -> complex:
 
 
 def spectrum(a: CoeffSeq) -> np.ndarray:
-    """Eigenvalues (with multiplicity) of the represented matrix, sector by sector."""
-    return np.linalg.eigvals(_sectors(a)).ravel()
+    """Eigenvalues (with multiplicity) of the represented matrix: each distinct
+    sector's, repeated once for each of its q' copies."""
+    eigs = np.linalg.eigvals(_sectors(a)).ravel()
+    return np.tile(eigs, a.lattice.n // eigs.size)

@@ -12,19 +12,20 @@ of Janssen coefficients summed over the windows (the A(L°)-valued inner
 product <g, g> of the Morita equivalence).  It is built in L°'s sectors
 (algebra.py): L°'s basis is (N/b, s°), (0, N/a), so they are N/c
 sectors of size c x c, c = b/gcd(b, N/a), and c = 1 (the Zak-domain
-diagonalization of Zibulski-Zeevi) when the redundancy |L|/N is an integer.
-The windows in the sectors' basis (algebra._sector_vectors) give the Gram's
-c x c diagonal blocks, one batched matmul; the gather's adjoint
-(algebra._scatter) projects them to L°'s band spectra, whence the
-coefficients (janssen_representation) or the sectors (algebra._gather).
-One batched eigendecomposition of the element's sectors gives the frame
-bounds and verdict and applies S^-1 (dual windows) or S^-1/2 (tight
-windows) to every window in that basis.  It is taken once per system and
-kept, read-only, on the frozen system with the windows' w*N sector
-coordinates; its windows are Signals (read-only, aliasing no writable view).
+diagonalization of Zibulski-Zeevi) when the redundancy |L|/N is an integer;
+they are q' = N*c/|L°| copies of |L°|/c^2 distinct sectors.  The windows in
+the sectors' basis (algebra._sector_vectors, [q', ..., c, w]) give the
+Gram's c x c diagonal blocks, one batched matmul, and their mean over the
+copies is the projection onto A(L°): the element's distinct sectors, with
+no FFT, whence its coefficients (janssen_representation) by the inverse
+gather.  One batched eigendecomposition of the distinct sectors gives the
+frame bounds and verdict and applies S^-1 (dual windows) or S^-1/2 (tight
+windows) to every copy of every window in that basis, once per system:
+the frozen system keeps it, read-only, with the windows' w*N coordinates.
 reconstruct is the right action of the mixed Janssen (Wexler-Raz) element
-|L| P(sum_w g_w gamma_w^H) of A(L°), windows g and duals gamma, on f's
-coordinates in L°'s sectors: it forms no coefficients on L.  frame_operator
+|L| P(sum_w g_w gamma_w^H) of A(L°), windows g and duals gamma, the mean
+over the copies of their mixed Gram, on f's coordinates in L°'s sectors: it
+forms no coefficients on L.  frame_operator
 is represent of the element.  Analysis folds f times the conjugate of the
 windows shifted to the lattice's fiber points (algebra._fold,
 algebra._fiber_windows), one length-N/b FFT per time shift; only it
@@ -44,10 +45,9 @@ from .lattice import Lattice, adjoint_lattice, volume
 from .algebra import (
     CoeffSeq,
     OperatorMatrix,
+    _coeffs_of_sectors,
     _fiber_windows,
     _fold,
-    _gather,
-    _scatter,
     _sector_vectors,
     _vectors_of_sectors,
     represent,
@@ -106,11 +106,11 @@ class GaborSystem:
     @cached_property
     def _spectrum(self) -> tuple[Lattice, np.ndarray, np.ndarray, np.ndarray]:
         """L°, the windows in its sectors' basis, and the eigenvalues and
-        eigenvectors of the frame element's sectors, read-only: one transform
-        of the windows and one eigh for the system's whole life."""
+        eigenvectors of the frame element's distinct sectors, read-only: one
+        transform of the windows and one eigh for the system's whole life."""
         adj = adjoint_lattice(self.lattice)
         y = _sector_vectors(_windows(self), adj)
-        eigs, vecs = np.linalg.eigh(_gather(_projected_gram(y, y, self.lattice), adj))
+        eigs, vecs = np.linalg.eigh(_projected_gram(y, y, self.lattice))
         for arr in (y, eigs, vecs):
             arr.setflags(write=False)
         return adj, y, eigs, vecs
@@ -125,19 +125,19 @@ class FrameBounds:
 
 def _windows(sys: GaborSystem) -> np.ndarray:
     """The windows as the rows of one array."""
-    return np.stack([w.values for w in sys.windows])
+    return np.array([w.values for w in sys.windows])
 
 
 def _projected_gram(yh: np.ndarray, yg: np.ndarray, lat: Lattice) -> np.ndarray:
     """|L| times the projection onto A(L°) of the Gram sum_w h_w g_w^H, for
-    windows given in L°'s sectors' basis as yh and yg [..., w]: the band
-    spectra on L° of vol^{-1} sum_w <h_w, pi(mu) g_w>.  OverflowError past
-    the float range."""
+    windows given in L°'s sectors' basis as yh and yg [q', ..., w]: the
+    distinct sectors of vol^{-1} sum_w <h_w, pi(mu) g_w>, the mean of the
+    Gram's diagonal blocks over the copies.  OverflowError past the float range."""
     with np.errstate(over="ignore", invalid="ignore"):
-        bands = lat.size * _scatter(yh @ yg.conj().swapaxes(-1, -2), adjoint_lattice(lat))
-    if not np.all(np.isfinite(bands)):  # a BLAS matmul sets no numpy flag
+        sectors = (yh @ yg.conj().swapaxes(-1, -2)).sum(axis=0) * (lat.size / len(yh))
+    if not np.isfinite(sectors).all():  # a BLAS matmul sets no numpy flag
         raise OverflowError("the Janssen coefficients exceed the float range")
-    return bands
+    return sectors
 
 
 def _janssen(h: np.ndarray, g: np.ndarray, lat: Lattice) -> CoeffSeq:
@@ -146,8 +146,7 @@ def _janssen(h: np.ndarray, g: np.ndarray, lat: Lattice) -> CoeffSeq:
     adj = adjoint_lattice(lat)
     yh = _sector_vectors(h.reshape(-1, lat.n), adj)
     yg = yh if g is h else _sector_vectors(g.reshape(-1, lat.n), adj)
-    bands = _projected_gram(yh, yg, lat)
-    return CoeffSeq(adj, np.fft.fft(bands, axis=-1, norm="forward").reshape(-1))
+    return CoeffSeq(adj, _coeffs_of_sectors(_projected_gram(yh, yg, lat), adj))
 
 
 def _frame_element(sys: GaborSystem) -> CoeffSeq:
@@ -175,8 +174,8 @@ def frame_bounds(sys: GaborSystem) -> FrameBounds:
 def _frame_power(sys: GaborSystem, power: float) -> list[Signal]:
     """S^power applied to every window, S the frame operator of the system.
 
-    The system's eigendecomposition of the frame element's sectors gives both
-    the frame verdict and the power, applied to the windows in the sectors' basis.
+    The system's eigendecomposition of the frame element's distinct sectors
+    gives the verdict and the power, broadcast over the windows' copies.
     """
     adj, y, eigs, vecs = sys._spectrum
     bounds = _bounds(eigs)
@@ -251,6 +250,6 @@ def reconstruct(f: Signal, sys: GaborSystem, duals: list[Signal]) -> Signal:
         raise ValueError(f"{len(duals)} dual windows for {w} system windows")
     _check_same_n(sys.n, f.n, *(d.n for d in duals))
     adj = adjoint_lattice(sys.lattice)
-    y = _sector_vectors(np.stack([v.values for v in (*sys.windows, *duals, f)]), adj)
-    mixed = _gather(_projected_gram(y[..., :w], y[..., w:-1], sys.lattice), adj)
+    y = _sector_vectors(np.array([v.values for v in (*sys.windows, *duals, f)]), adj)
+    mixed = _projected_gram(y[..., :w], y[..., w:-1], sys.lattice)
     return Signal(sys.n, _vectors_of_sectors(mixed @ y[..., -1:], adj)[0])

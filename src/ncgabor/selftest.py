@@ -42,6 +42,8 @@ from .weights import (
 )
 from .algebra import (
     CoeffSeq,
+    _sector_tables,
+    _sectors,
     coefficients_of,
     delta_seq,
     invert_in_algebra,
@@ -96,6 +98,10 @@ LATTICE_MATRIX = (
 
 # Lattices outside the matrix on which the adjoint-lattice expansion also runs.
 _JANSSEN_EXTRA = ((8, ((1, 1),)), (16, ((4, 0), (0, 4))), (16, ((2, 1), (0, 8))))
+
+# Sheared frame lattices on which the sector-copy entry also runs: on both
+# sides the copies of each sector (q' of 2 or 3) carry a phase.
+_COPY_EXTRA = ((8, ((2, 1), (0, 2))), (12, ((2, 2), (0, 4))))
 
 # Draws per lattice of the module-axiom entries, and per lattice or setting of
 # the fundamental-identity, inversion, window-count and modulation-norm entries.
@@ -395,6 +401,32 @@ def _check_spectrum(rng):
         a = _rand_seq(lat, rng)
         herm = CoeffSeq(lat, (a.coeffs + involution(a).coeffs) / 2)
         worst = max(worst, float(np.abs(spectrum(herm).imag).max()))
+    return worst
+
+
+def _check_sector_copies(rng):
+    """represent(x) rebuilt from its distinct sectors, each repeated over its
+    copies in the basis the copy tables name (unit vectors at the tabled
+    times, times the conjugate twist, through a length-K DFT), relative to its
+    largest entry, for a random x on every frame lattice and its adjoint and
+    on _COPY_EXTRA."""
+    worst = 0.0
+    for lat in _frame_lattices() + _lattices(_COPY_EXTRA):
+        for x in (lat, adjoint_lattice(lat)):
+            a = _rand_seq(x, rng)
+            times, twist = _sector_tables(x)[:2]
+            k = times.shape[2]
+            dft = np.exp(2j * np.pi * np.outer(np.arange(k), np.arange(k)) / k)
+            j, r, u, rho = np.indices(times.shape)
+            basis = np.zeros((x.n, *times.shape), dtype=complex)  # [t, j, r, d, rho]
+            basis[times[..., None], j[..., None], r[..., None], np.arange(k), rho[..., None]] = (
+                twist.conj()[..., None] * dft[u]
+            )
+            basis = basis.reshape(x.n, x.n)
+            blocks = _sectors(a) @ basis.conj().T.reshape(*times.shape, x.n)
+            rebuilt = basis @ blocks.reshape(x.n, x.n)
+            expect = represent(a).entries
+            worst = max(worst, float(np.abs(rebuilt - expect).max() / np.abs(expect).max()))
     return worst
 
 
@@ -747,6 +779,7 @@ REGISTRY = (
     ("inversion support preservation", 1e-9, _check_inversion_support),
     ("trace normalization", 1e-12, _check_trace),
     ("hermitian spectrum reality", 1e-10, _check_spectrum),
+    ("sector copies rebuild represent", 1e-12, _check_sector_copies),
     ("frame operator shift commutation", 1e-10, _check_frame_commutation),
     ("adjoint-lattice expansion of frame operator", 1e-10, _check_janssen),
     ("fundamental identity", 1e-10, _check_figa),

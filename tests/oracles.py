@@ -4,6 +4,8 @@ Each oracle takes one time-frequency shift at a time, built from np.roll and
 a directly evaluated exponential, and shares no code with the library
 routine it checks.  Inputs are library objects; outputs are plain arrays.
 """
+import math
+
 import numpy as np
 
 from ncgabor import TFPoint, adjoint_lattice, enumerate_subgroups, lattice_from_generators, volume
@@ -138,6 +140,37 @@ def coefficients_of(mat, lat):
     """a(lam) = trace(A pi(lam)^H) / N, one point at a time."""
     n = lat.n
     return np.array([np.vdot(shift_matrix(k, l, n), mat) / n for k, l in lat.as_array()])
+
+
+def sector_basis(x):
+    """The matrix bundle's N/c sectors of size c x c, every copy on its own, as a
+    unitary N x N basis with columns in (r, d, rho) order, and the sector grid
+    (a, K, c).  Column (r, d, rho) lives on the times t = r + a*(c*u + rho),
+    u < K, where it is exp(pi i s a c (2 u rho + c u (u - K)) / N) times
+    exp(2 pi i d u / K) / sqrt(K).  In this basis represent(x) of an element
+    on x is block diagonal with c x c blocks."""
+    n, (a, s, b) = x.n, x.basis
+    m = n // a
+    c = m // math.gcd(m, b)
+    k = m // c
+    basis = np.zeros((n, n), dtype=complex)
+    for r in range(a):
+        for d in range(k):
+            for rho in range(c):
+                for u in range(k):
+                    turn = s * a * c * (2 * u * rho + c * u * (u - k)) / n
+                    basis[r + a * (c * u + rho), (r * k + d) * c + rho] = (
+                        np.exp(1j * np.pi * turn + 2j * np.pi * d * u / k) / np.sqrt(k)
+                    )
+    return basis, (a, k, c)
+
+
+def all_sectors(seq):
+    """Every one of the N/c sectors of represent(seq), copies included, read off
+    the dense matrix in sector_basis: (a, K, c, c)."""
+    basis, (a, k, c) = sector_basis(seq.lattice)
+    blocks = (basis.conj().T @ represent(seq) @ basis).reshape(a * k, c, a * k, c)
+    return np.einsum("icid->icd", blocks).reshape(a, k, c, c)
 
 
 # Lattices the oracles run over: every subgroup for small N, plus sheared

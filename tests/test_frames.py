@@ -403,15 +403,19 @@ def test_signals_of_another_order_rejected(rng):
         reconstruct(random_signal(24, rng), sys, [random_signal(24, rng)])
 
 
-def count_builds(monkeypatch) -> dict:
-    """Count projected-Gram builds, window transforms and eigh calls from here on."""
+def count_builds(monkeypatch) -> tuple[dict, list]:
+    """Count projected-Gram builds, window transforms and eigh calls from here
+    on, and record how many sectors each eigh batch holds."""
     calls = {"_projected_gram": 0, "_sector_vectors": 0, "eigh": 0}
+    batches = []
 
     def counted(owner, name):
         inner = getattr(owner, name)
 
         def call(*args):
             calls[name] += 1
+            if name == "eigh":
+                batches.append(int(np.prod(args[0].shape[:-2])))
             return inner(*args)
 
         monkeypatch.setattr(owner, name, call)
@@ -419,7 +423,13 @@ def count_builds(monkeypatch) -> dict:
     counted(frames, "_projected_gram")
     counted(frames, "_sector_vectors")
     counted(np.linalg, "eigh")
-    return calls
+    return calls, batches
+
+
+def distinct_sectors(lat):
+    """|L°|/c^2 = |L ∩ L°|, the distinct sectors of A(L°), counted on the point sets."""
+    points = [set(map(tuple, x.as_array().tolist())) for x in (lat, adjoint_lattice(lat))]
+    return len(points[0] & points[1])
 
 
 @pytest.mark.parametrize(
@@ -430,9 +440,10 @@ def count_builds(monkeypatch) -> dict:
 def test_design_builds_the_frame_operator_once(monkeypatch, rng, design):
     lat = lattice_from_generators(8, [(4, 0), (0, 4)])
     sys = GaborSystem((random_signal(8, rng), random_signal(8, rng)), lat)
-    calls = count_builds(monkeypatch)
+    calls, batches = count_builds(monkeypatch)
     design(sys)
     assert calls == {"_projected_gram": 1, "_sector_vectors": 1, "eigh": 1}
+    assert batches == [distinct_sectors(lat)]
 
 
 @pytest.mark.parametrize("count", [2, 1], ids=["frame", "not-a-frame"])
@@ -440,7 +451,7 @@ def test_one_system_answers_every_design_from_one_spectrum(monkeypatch, rng, cou
     # |L| = 4 on Z_8: two windows make a frame, one cannot
     lat = lattice_from_generators(8, [(4, 0), (0, 4)])
     sys = GaborSystem(tuple(random_signal(8, rng) for _ in range(count)), lat)
-    calls = count_builds(monkeypatch)
+    calls, batches = count_builds(monkeypatch)
     assert frame_bounds(sys).is_frame == (count == 2)
     for design in (canonical_dual, canonical_tight):
         if count == 2:
@@ -449,8 +460,28 @@ def test_one_system_answers_every_design_from_one_spectrum(monkeypatch, rng, cou
             with pytest.raises(NotAFrame):
                 design(sys)
     assert calls == {"_projected_gram": 1, "_sector_vectors": 1, "eigh": 1}
+    assert batches == [distinct_sectors(lat)]
     _, y, eigs, vecs = sys._spectrum
     assert not any(arr.flags.writeable for arr in (y, eigs, vecs))
+
+
+def test_eigh_runs_on_the_distinct_sectors(monkeypatch, rng):
+    # A(L°) of <(3,3),(0,6)> on Z_12 acts as q' = 2 copies of |L°|/c^2 = 2
+    # distinct 3 x 3 sectors: one eigh of those 2, not of all N/c = 4, answers
+    # every design, and its bounds are the dense frame operator's
+    lat = lattice_from_generators(12, [(3, 3), (0, 6)])
+    sys = GaborSystem((random_signal(12, rng), random_signal(12, rng)), lat)
+    calls, batches = count_builds(monkeypatch)
+    bounds = frame_bounds(sys)
+    duals, tight = canonical_dual(sys), canonical_tight(sys)
+    assert calls == {"_projected_gram": 1, "_sector_vectors": 1, "eigh": 1}
+    assert batches == [distinct_sectors(lat)] == [2]
+    eigs = np.linalg.eigvalsh(oracles.frame_operator(sys))
+    assert abs(bounds.lower - eigs[0]) <= 1e-12 * eigs[-1]
+    assert abs(bounds.upper - eigs[-1]) <= 1e-12 * eigs[-1]
+    got = np.stack([w.values for w in (*duals, *tight)])
+    expect = np.concatenate([oracles.frame_power(sys, -1.0), oracles.frame_power(sys, -0.5)])
+    assert np.abs(got - expect).max() <= 1e-12 * (eigs[-1] / eigs[0]) * np.abs(expect).max()
 
 
 def test_reused_system_designs_match_a_fresh_one(rng):

@@ -8,10 +8,12 @@ G G^H route with one and two windows, and those of the lattice algebra
 (product, inversion, spectrum on the sectors of represent) against dense
 matrix products, inverses, SVDs and eigenvalues of the loop-built shift sums.
 The sectors themselves are pinned to the matrix bundle over the centre
-L ∩ L°: for X = L and X = L°, with basis (a, s), (0, b) and M = N/a, they are
-a*K sectors of size c x c with c^2 |L ∩ L°| = |X| and K = M/c, and in their
-basis represent(x) acts on vectors as the sectors do; the way back projects
-any sectors orthogonally onto the span.  Each lattice's cached
+L ∩ L°: for X = L and X = L°, with basis (a, s), (0, b) and M = N/a, the
+a*K sectors of size c x c, c^2 |L ∩ L°| = |X| and K = M/c, are q' = N*c/|X|
+copies of |L ∩ L°| distinct ones; the closed-form copies rebuild every
+sector of a dense oracle, in their basis represent(x) acts on vectors as the
+distinct sectors do, and the mean over the copies of a Gram's diagonal
+blocks is its orthogonal projection onto the span.  Each lattice's cached
 band index gathers the windows' translates to the fiber points bit for bit.
 """
 import math
@@ -100,18 +102,21 @@ def test_shifted_matches_loop_oracle(rng):
 
 
 def test_band_index_rows_are_the_fiber_translates(rng):
-    # the cached index of represent and coefficients_of gathers the windows'
-    # translates to the fiber points, the rows _fiber_windows takes
+    # the cached flat index of represent and coefficients_of, t*N + column, names
+    # row t of the matrix, and its columns gather the windows' translates to the
+    # fiber points, the rows _fiber_windows takes
     for base in oracle_cases():
         for lat in (base, adjoint_lattice(base)):
             index = _band_index(lat)
             assert index.shape == (lat.n // lat.basis[0], lat.n)
             assert index.dtype == np.intp and not index.flags.writeable
             assert index is _band_index(lat)
+            rows, columns = np.divmod(index, lat.n)
+            assert np.array_equal(rows, np.broadcast_to(np.arange(lat.n), index.shape))
             ks = _fiber_points(lat)[:, 0]
             g = np.stack([random_signal(lat.n, rng).values for _ in range(2)])
             for windows in (g[0], g):
-                assert np.array_equal(windows[..., index], _translates(ks, windows))
+                assert np.array_equal(windows[..., columns], _translates(ks, windows))
 
 
 def systems(lat, rng):
@@ -183,7 +188,7 @@ def test_represent_and_coefficients_of_match_loop_oracles(rng):
 def test_algebra_fiber_routes_match_dense_oracles(rng):
     # the inverse is perturbed by up to eps * cond(A), so its tolerance scales with cond(A);
     # a - lambda * 1, lambda an eigenvalue of represent(a), is singular up to rounding
-    for lat in oracle_cases():
+    for lat in (x for base in oracle_cases() for x in (base, adjoint_lattice(base))):
         a, b = rand_seq(lat, rng), rand_seq(lat, rng)
         A, B = oracles.represent(a), oracles.represent(b)
         assert_close(twisted_conv(a, b).coeffs, oracles.coefficients_of(A @ B, lat))
@@ -209,17 +214,50 @@ def test_sectors_are_the_matrix_bundle_over_the_centre(rng):
         for x in (lat, adj):
             c = math.isqrt(x.size // len(centre))
             assert c * c * len(centre) == x.size
+            copies = x.n * c // x.size
             seq = rand_seq(x, rng)
             sectors = _sectors(seq)
-            assert sectors.shape == (x.basis[0], x.n // x.basis[0] // c, c, c)
+            assert sectors.shape == (x.basis[0] // copies, x.n // x.basis[0] // c, c, c)
             v = np.stack([random_signal(x.n, rng).values for _ in range(2)])
-            acted = _vectors_of_sectors(sectors @ _sector_vectors(v, x), x)
-            assert_close(acted, (oracles.represent(seq) @ v.T).T)
-            # the way back, the forward gather's adjoint, returns the coefficients on
-            # the span and projects orthogonally onto it: a rank-one matrix lies off it
-            assert_close(_coeffs_of_sectors(sectors, x), seq.coeffs)
             y = _sector_vectors(v, x)
+            assert y.shape == (copies, *sectors.shape[:-1], 2)
+            acted = _vectors_of_sectors(sectors @ y, x)
+            assert_close(acted, (oracles.represent(seq) @ v.T).T)
+            # the way back, the inverse gather, returns the coefficients of any sectors,
+            # and the mean over the copies of a Gram's diagonal blocks is its orthogonal
+            # projection onto the span: a rank-one matrix lies off it
+            assert_close(_coeffs_of_sectors(sectors, x), seq.coeffs)
             assert_close(
-                _coeffs_of_sectors(y[..., :1] @ y[..., 1:].conj().swapaxes(-1, -2), x),
+                _coeffs_of_sectors((y[..., :1] @ y[..., 1:].conj().swapaxes(-1, -2)).mean(axis=0), x),
                 oracles.coefficients_of(np.outer(v[0], v[1].conj()), x),
             )
+
+
+def test_distinct_sectors_and_their_copies_reproduce_every_sector(rng):
+    # On X and X°, the |X|/c^2 distinct sectors, one per character of the centre,
+    # and the closed-form copies rebuild all N/c sectors of the dense bundle:
+    # copy j of (r, d) is the sector (r + j*a/q', d + j*s/q') mod (a, K), and
+    # the basis change between the two is monomial (a cyclic shift in rho
+    # times a phase), so each old sector is the representative conjugated by it.
+    for lat in oracle_cases():
+        adj = adjoint_lattice(lat)
+        centre = set(map(tuple, lat.as_array().tolist())) & set(map(tuple, adj.as_array().tolist()))
+        for x in (lat, adj):
+            (a, s, _), n = x.basis, x.n
+            seq = rand_seq(x, rng)
+            every = oracles.all_sectors(seq)
+            _, k, c = every.shape[:3]
+            copies = n * c // x.size
+            sectors = _sectors(seq)
+            assert sectors.shape[0] * sectors.shape[1] == len(centre) == x.size // (c * c)
+            basis, _ = oracles.sector_basis(x)
+            change = basis.conj().T @ _sector_vectors(np.eye(n), x).reshape(n, n).conj().T
+            found = np.abs(change) > 1e-9
+            assert (found.sum(axis=0) == 1).all() and (found.sum(axis=1) == 1).all()
+            assert_close(np.abs(change[found]), np.ones(n))
+            j, r, d = np.unravel_index(np.arange(n // c), (copies, a // copies, k))
+            target = np.argmax(found.reshape(a * k, c, n // c, c).any(axis=(1, 3)), axis=0)
+            assert np.array_equal(target, (r + j * (a // copies)) * k + (d + j * (s // copies)) % k)
+            blocks = change.reshape(a * k, c, n // c, c).transpose(2, 0, 1, 3)[np.arange(n // c), target]
+            rebuilt = blocks @ sectors[r, d] @ blocks.conj().swapaxes(-1, -2)
+            assert_close(rebuilt, every.reshape(a * k, c, c)[target])
