@@ -28,38 +28,37 @@ is the windows' translates times the phase that _band_phase caches.
 represent writes the bands through the flat index t*N + (t - i*a) mod N and
 coefficients_of reads them; _band_index caches it, read-only, per lattice.
 
-In the order t = r + a*q, M = N/a, represent(x) is block diagonal: a blocks
-of size M x M, block_r[q, q'] = band[(q - q') mod M, r + a*q].  Up to its
-phase each band has period N/b in t, so moving q and q' on by c = M/gcd(M, b),
-the least step with a*c = 0 mod N/b, multiplies block entry [q, q'] by
+In the order t = r + a*q, M = N/a, represent(x) is block diagonal: a blocks of
+size M x M, block_r[q, q'] = band[(q - q') mod M, r + a*q].  Up to its phase
+each band has period N/b in t, so moving q and q' on by c = M/gcd(M, b), the
+least step with a*c = 0 mod N/b, multiplies block entry [q, q'] by
 exp(2*pi*i*s*a*c*(q - q')/N).  Write q = rho + c*u with rho < c, u < K = M/c.
 The twist tw[q] = exp(pi*i*s*a*c*(2*u*rho + c*u*(u - K))/N) takes that factor
-off (the sum of the steps' turns up to u, less their mean over the K steps,
-so that tw has period M), which leaves each block block-circulant with K x K
+off (the sum of the steps' turns up to u, less their mean over the K steps, so
+that tw has period M), which leaves each block block-circulant with K x K
 blocks of c x c, and a length-K DFT over u splits it into K sectors.  So
 represent(x) is unitarily equivalent to a*K = N/c sectors of size c x c: the
 rational noncommutative torus as a matrix bundle over its centre L ∩ L°, with
 c^2 = |L| / |L ∩ L°|.  They are q' = N*c/|L| = b/gcd(M, b) copies of the
-|L|/c^2 distinct sectors, one per character of the centre (Rieffel 1988),
-and the commutant A(L°) intertwines the copies: mu = h*(N/b, (N/b)*s/a) in
-L°, h the inverse of M/gcd(M, b) mod q', has time a/q' mod a, and pi(j*mu)
-carries sector (r, d), r < a/q', to copy j at (r + j*a/q', d + j*s/q') mod
-(a, K), by a cyclic shift in rho times a phase.  The sectors' basis takes
-copy j as the image under pi(j*mu) of its representative's, so represent(x)
-acts on every copy as on the representative: _sector_vectors reads v at
-t + j*h*N/b (mu's time) times the twist and pi(j*mu)'s phase, then takes one
-length-K FFT, to coordinates [q', a/q', K, c, w].  The element's sectors are
-the distinct ones, r < a/q', and they name each entry of the band spectra
-(N/a, N/b) once: _sectors takes one length-N/b inverse FFT per time shift of
-the coefficients, the gather and one length-K FFT, and _coeffs_of_sectors
-inverts it through the inverse index.  In this basis A(L) is each sector
-repeated over its copies, so the orthogonal projection of a matrix onto the
-span is the mean over the copies of its diagonal blocks: frames.py builds the
-frame element and reconstruction's mixed element so, with no FFT.  Products
-multiply sectors, inversion is a batched inverse after a values-only SVD
-(the sectors' singular values are the matrix's up to multiplicity), and the
-spectrum is their eigenvalues, each repeated q' times.  Only represent and
-coefficients_of build N x N arrays.
+|L|/c^2 distinct sectors, one per character of the centre (Rieffel 1988), and
+the commutant A(L°) intertwines the copies: mu = h*(N/b, (N/b)*s/a) in L°, h
+the inverse of M/gcd(M, b) mod q', has time a/q' mod a, and pi(j*mu) carries
+sector (r, d), r < a/q', to copy j at (r + j*a/q', d + j*s/q') mod (a, K), by
+a cyclic shift in rho times a phase.  The sectors' basis takes copy j as the
+image under pi(j*mu) of its representative's, so represent(x) acts on every
+copy as on the representative: _sector_vectors reads v at t + j*h*N/b (mu's
+time) times the twist and pi(j*mu)'s phase, then takes one length-K FFT, to
+coordinates [q', a/q', K, c, w].  The element's sectors are the distinct ones,
+r < a/q', and they name each entry of the band spectra (N/a, N/b) once:
+_sectors takes one length-N/b inverse FFT per time shift of the coefficients,
+the gather and one length-K FFT, and _coeffs_of_sectors inverts it through the
+inverse index.  In this basis A(L) is each sector repeated over its copies, so
+the orthogonal projection of a matrix onto the span is the mean over the
+copies of its diagonal blocks: frames.py builds the frame element and
+reconstruction's mixed element so, with no FFT.  Products multiply sectors,
+inversion is a batched inverse after a values-only SVD (the matrix's singular
+values up to multiplicity), and the spectrum is their eigenvalues repeated q'
+times.  Only represent and coefficients_of build N x N arrays.
 
 A product takes |L|*c multiply-adds besides the FFTs, against the
 |L|^2 = (N/a)^2 (N/b)^2 of summing over pairs of lattice points.
@@ -241,11 +240,12 @@ def _band_index(lat: Lattice) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _sector_tables(lat: Lattice) -> tuple[np.ndarray, ...]:
     """Copy j's coordinates: the times t + j*h*N/b (q', a/q', K, c) and the
-    twist times pi(j*mu)'s phase, over sqrt(K), with the inverse's factor.  Each
-    distinct sector entry [r, d, rho, rho'] (a/q', K, c, c): where it sits in the
-    flattened band spectra (N/a, N/b), once, its band phase times conj(tw[d, rho])
-    times N/b, the inverse's factor and the inverse index.  The FFTs' scales are
-    folded in; phases are exp(pi*i*e/N), e integer mod 2N.  Read-only."""
+    twist times pi(j*mu)'s phase, over sqrt(K), with the inverse's factor.  The
+    distinct sectors' entries [r, u, rho, rho'] (a/q', K, c, c) before the FFT
+    over u: where each sits in the flattened band spectra (N/a, N/b), once, its
+    band phase times conj(tw[u, rho]) times N/b, the inverse's factor and the
+    inverse index.  The FFTs' scales are folded in; phases are exp(pi*i*e/N),
+    e integer mod 2N.  Read-only."""
     n, (a, s, b) = lat.n, lat.basis
     m, p, g = n // a, n // b, math.gcd(n // a, b)
     c, copies = m // g, b // g
