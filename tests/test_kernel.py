@@ -259,5 +259,7 @@ def test_distinct_sectors_and_their_copies_reproduce_every_sector(rng):
             target = np.argmax(found.reshape(a * k, c, n // c, c).any(axis=(1, 3)), axis=0)
             assert np.array_equal(target, (r + j * (a // copies)) * k + (d + j * (s // copies)) % k)
             blocks = change.reshape(a * k, c, n // c, c).transpose(2, 0, 1, 3)[np.arange(n // c), target]
+            shift = (np.argmax(np.abs(blocks) > 1e-9, axis=1) - np.arange(c)) % c  # [block, rho]
+            assert (shift == shift[:, :1]).all()  # a cyclic shift in rho
             rebuilt = blocks @ sectors[r, d] @ blocks.conj().swapaxes(-1, -2)
             assert_close(rebuilt, every.reshape(a * k, c, c)[target])
