@@ -14,19 +14,15 @@ inversion inside the algebra (support preservation) observable here.
 
 The algebra works in the lattice's fibers.  With the normal-form basis
 (a, s), (0, b), the points at time shift i*a are (i*a, sigma_i + j*b),
-sigma_i = i*s mod b, and (i*a, sigma_i) are the fiber points.  One transform
-pair carries every lattice route between coefficients and time: the tile
-takes c[i, j] to rows[i, t] * sum_j c[i, j] exp(2*pi*i*j*t/(N/b)), one
-inverse FFT of length N/b per time shift repeated b times along t, and the
-fold, its adjoint without the rows, sums over t mod N/b and takes one FFT of
-length N/b.  With the band phase exp(2*pi*i*sigma_i*t/N) as rows the tile
-gives the bands band[i, t] = represent(c)[t, (t - i*a) mod N], and the fold
-of the bands times the conjugate phase, over N, recovers c; with the windows
-shifted to the fiber points as rows they are Gabor synthesis and analysis
-(module.py, frames.py), the Zak-domain factorization of Gabor frames: _fiber_windows
-is the windows' translates times the phase that _band_phase caches.
+sigma_i = i*s mod b, and (i*a, sigma_i) are the fiber points.  The bands
+band[i, t] = represent(c)[t, (t - i*a) mod N] are the band phase
+exp(2*pi*i*sigma_i*t/N) times sum_j c[i, j] exp(2*pi*i*j*t/(N/b)), one
+inverse FFT of length N/b per time shift repeated b times along t; the other
+bands are zero.  coefficients_of recovers c from the bands times the
+conjugate phase, summed over t mod N/b, by one FFT of length N/b, over N.
 represent writes the bands through the flat index t*N + (t - i*a) mod N and
 coefficients_of reads them; _band_index caches it, read-only, per lattice.
+Every other route, on coefficients or on signals, runs in the sectors below.
 
 In the order t = r + a*q, M = N/a, represent(x) is block diagonal: a blocks of
 size M x M, block_r[q, q'] = band[(q - q') mod M, r + a*q].  Up to its phase
@@ -55,7 +51,9 @@ the gather and one length-K FFT, and _coeffs_of_sectors inverts it through the
 inverse index.  In this basis A(L) is each sector repeated over its copies, so
 the orthogonal projection of a matrix onto the span is the mean over the
 copies of its diagonal blocks: frames.py builds the frame element and
-reconstruction's mixed element so, with no FFT.  Products multiply sectors,
+reconstruction's mixed element so, with no FFT, and the samples
+<f, pi(lam) g> as N times the coefficients of the projection of f g^H.
+Products multiply sectors, and so does an action on signals (module.py);
 inversion is a batched inverse after a values-only SVD (the matrix's singular
 values up to multiplicity), and the spectrum is their eigenvalues repeated q'
 times.  Only represent and coefficients_of build N x N arrays.
@@ -71,7 +69,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DimensionMismatch, TFPoint, _check_same_n, _frozen, _lifted, _shifted, _translates
+from .core import DimensionMismatch, TFPoint, _check_same_n, _frozen, _lifted, _shifted
 from .lattice import Lattice
 from .weights import Weight
 
@@ -171,7 +169,7 @@ def _require_same_lattice(a: CoeffSeq, b: CoeffSeq) -> Lattice:
 def twisted_conv(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
     """Twisted convolution; matches operator composition under represent()."""
     lat = _require_same_lattice(a, b)
-    return CoeffSeq(lat, _coeffs_of_sectors(_sectors(a) @ _sectors(b), lat))
+    return CoeffSeq(lat, _coeffs_of_sectors(_sectors(a.coeffs, lat) @ _sectors(b.coeffs, lat), lat))
 
 
 def involution(a: CoeffSeq) -> CoeffSeq:
@@ -188,43 +186,11 @@ def weighted_norm(a: CoeffSeq, v: Weight, s: float) -> float:
     return float(np.abs(a.coeffs) @ v.power(s)._grid(lifts[:, 0], lifts[:, 1]))
 
 
-def _fiber_points(lat: Lattice) -> np.ndarray:
-    """(i*a, sigma_i), sigma_i = i*s mod b: the first point at each time shift."""
-    return lat.as_array()[:: lat.n // lat.basis[2]]
-
-
-def _tile(coeffs: np.ndarray, lat: Lattice, rows: np.ndarray) -> np.ndarray:
-    """rows[..., i, t] * sum_j c[..., i, j] exp(2*pi*i*j*t/(N/b)) as [..., i, t]
-    for coefficients [..., |L|] in canonical order: one inverse FFT of length
-    N/b per time shift, repeated b times along t."""
-    p = lat.n // lat.basis[2]
-    spec = np.fft.ifft(coeffs.reshape(*coeffs.shape[:-1], -1, 1, p), axis=-1, norm="forward")
-    out = rows.reshape(*rows.shape[:-1], -1, p) * spec
-    return out.reshape(*out.shape[:-2], -1)
-
-
-def _fold(bands: np.ndarray, lat: Lattice) -> np.ndarray:
-    """The tile's adjoint without its rows: sum_t bands[..., i, t]
-    exp(-2*pi*i*j*t/(N/b)) as [..., |L|] in canonical order, for any width of
-    t that N/b divides: a sum over t mod N/b, then one FFT of length N/b."""
-    p = lat.n // lat.basis[2]
-    if bands.shape[-1] > p:
-        bands = bands.reshape(*bands.shape[:-1], -1, p).sum(axis=-2)
-    return np.fft.fft(bands, axis=-1).reshape(*bands.shape[:-2], -1)
-
-
 @lru_cache(maxsize=64)
 def _band_phase(lat: Lattice) -> np.ndarray:
-    """The band phase exp(2*pi*i*sigma_i*t/N), (N/a, N)."""
-    return _shifted(_fiber_points(lat), np.ones(lat.n, dtype=complex))
-
-
-def _fiber_windows(lat: Lattice, g: np.ndarray) -> np.ndarray:
-    """The windows g [..., N] shifted to the fiber points, [..., N/a, N]: their
-    translates by i*a times the cached band phase."""
-    out = _translates(_fiber_points(lat)[:, 0], g)
-    out *= _band_phase(lat)
-    return out
+    """The band phase exp(2*pi*i*sigma_i*t/N), (N/a, N): the modulations of the
+    fiber points (i*a, sigma_i), the first point per time shift."""
+    return _shifted(lat.as_array()[:: lat.n // lat.basis[2]], np.ones(lat.n, dtype=complex))
 
 
 @lru_cache(maxsize=64)
@@ -240,12 +206,12 @@ def _band_index(lat: Lattice) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _sector_tables(lat: Lattice) -> tuple[np.ndarray, ...]:
     """Copy j's coordinates: the times t + j*h*N/b (q', a/q', K, c) and the
-    twist times pi(j*mu)'s phase, over sqrt(K), with the inverse's factor.  The
-    distinct sectors' entries [r, u, rho, rho'] (a/q', K, c, c) before the FFT
-    over u: where each sits in the flattened band spectra (N/a, N/b), once, its
-    band phase times conj(tw[u, rho]) times N/b, the inverse's factor and the
-    inverse index.  The FFTs' scales are folded in; phases are exp(pi*i*e/N),
-    e integer mod 2N.  Read-only."""
+    twist times pi(j*mu)'s phase, over sqrt(K), and its inverse.  The distinct
+    sectors' entries [r, u, rho, rho'] (a/q', K, c, c) before the FFT over u:
+    where each sits in the flattened band spectra (N/a, N/b), once, its band
+    phase times conj(tw[u, rho]), the inverse's, over N/b and K, and the
+    inverse index.  The inverse FFTs take norm="forward", which skips their
+    scaling; phases are exp(pi*i*e/N), e integer mod 2N.  Read-only."""
     n, (a, s, b) = lat.n, lat.basis
     m, p, g = n // a, n // b, math.gcd(n // a, b)
     c, copies = m // g, b // g
@@ -263,17 +229,18 @@ def _sector_tables(lat: Lattice) -> tuple[np.ndarray, ...]:
     back = np.empty(at.size, dtype=np.intp)
     back[at.ravel()] = np.arange(at.size)
     twist, phase = np.exp(1j * np.pi * twist / n) / math.sqrt(k), np.exp(1j * np.pi * phase / n)
-    tables = (times, twist, twist.conj() * k, at, phase * p, phase.conj() / p, back)
+    tables = (times, twist, twist.conj(), at, phase, phase.conj() / (p * k), back)
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
-def _sectors(x: CoeffSeq) -> np.ndarray:
-    """The distinct sectors (a/q', K, c, c) of represent(x), gathered from its
-    band spectra (N/a, N/b): one inverse FFT over N/b, the gather, one over K."""
-    at, phase = _sector_tables(x.lattice)[3:5]
-    spec = np.fft.ifft(x.coeffs.reshape(-1, x.lattice.n // x.lattice.basis[2]))
+def _sectors(coeffs: np.ndarray, lat: Lattice) -> np.ndarray:
+    """The distinct sectors (a/q', K, c, c) of the element with these
+    coefficients, gathered from its band spectra (N/a, N/b): one inverse FFT
+    over N/b, the gather, one over K."""
+    at, phase = _sector_tables(lat)[3:5]
+    spec = np.fft.ifft(coeffs.reshape(-1, lat.n // lat.basis[2]), norm="forward")
     return np.fft.fft(spec.reshape(-1)[at] * phase, axis=-3)
 
 
@@ -281,7 +248,7 @@ def _coeffs_of_sectors(sectors: np.ndarray, lat: Lattice) -> np.ndarray:
     """The inverse of _sectors: the coefficients of the element with these
     distinct sectors (a/q', K, c, c), gathered back through the inverse index."""
     unphase, back = _sector_tables(lat)[5:]
-    spec = (np.fft.ifft(sectors, axis=-3) * unphase).reshape(-1)[back]
+    spec = (np.fft.ifft(sectors, axis=-3, norm="forward") * unphase).reshape(-1)[back]
     return np.fft.fft(spec.reshape(-1, lat.n // lat.basis[2])).reshape(-1)
 
 
@@ -296,19 +263,18 @@ def _vectors_of_sectors(y: np.ndarray, lat: Lattice) -> np.ndarray:
     """The inverse of _sector_vectors: [q', a/q', K, c, w] to [w, N]."""
     times, _, untwist = _sector_tables(lat)[:3]
     out = np.empty((y.shape[-1], lat.n), dtype=complex)
-    out.T[times] = np.fft.ifft(y, axis=-3) * untwist[..., None]
+    out.T[times] = np.fft.ifft(y, axis=-3, norm="forward") * untwist[..., None]
     return out
 
 
 def represent(a: CoeffSeq) -> OperatorMatrix:
-    """Assemble the matrix sum of shift matrices weighted by the coefficients.
-
-    Its bands at the lattice's time shifts are the tile of the coefficients
-    with the band phase; the other bands are zero.
-    """
+    """Assemble the matrix sum of shift matrices weighted by the coefficients:
+    its bands at the lattice's time shifts; the other bands are zero."""
     lat, n = a.lattice, a.lattice.n
+    p = n // lat.basis[2]
     mat = np.zeros((n, n), dtype=complex)  # before the temporaries, so they free from the heap top
-    mat.reshape(-1)[_band_index(lat)] = _tile(a.coeffs, lat, _band_phase(lat))
+    spec = np.fft.ifft(a.coeffs.reshape(-1, 1, p), norm="forward")
+    mat.reshape(-1)[_band_index(lat)] = (_band_phase(lat).reshape(-1, n // p, p) * spec).reshape(-1, n)
     mat.setflags(write=False)  # handed over: OperatorMatrix shares it rather than copying
     return OperatorMatrix(n, mat)
 
@@ -322,7 +288,8 @@ def _as_matrix(A) -> np.ndarray:
 def coefficients_of(A, lat: Lattice) -> tuple[CoeffSeq, float]:
     """Recover lattice coefficients of a matrix by the trace pairing.
 
-    a(lam) = trace(A pi(lam)^H) / N.  The returned residual is the Frobenius
+    a(lam) = trace(A pi(lam)^H) / N, read off the bands.  The returned
+    residual is the Frobenius
     distance between A and the reassembled span element; it vanishes exactly
     when A lies in the span of the lattice shifts.
     """
@@ -330,7 +297,9 @@ def coefficients_of(A, lat: Lattice) -> tuple[CoeffSeq, float]:
     n = lat.n
     if mat.shape != (n, n):
         raise DimensionMismatch(f"matrix shape {mat.shape} does not match order {n}")
-    seq = CoeffSeq(lat, _fold(mat.take(_band_index(lat)) * _band_phase(lat).conj(), lat) / n)
+    p = n // lat.basis[2]
+    bands = mat.take(_band_index(lat)) * _band_phase(lat).conj()
+    seq = CoeffSeq(lat, np.fft.fft(bands.reshape(-1, n // p, p).sum(axis=1)).reshape(-1) / n)
     residual = float(np.linalg.norm(mat - represent(seq).entries))
     return seq, residual
 
@@ -343,7 +312,7 @@ def invert_in_algebra(a: CoeffSeq) -> CoeffSeq:
     sector by sector.  It lands back in the span: the finite shadow of spectral
     invariance, which the tests check against the dense inverse.
     """
-    sectors = _sectors(a)
+    sectors = _sectors(a.coeffs, a.lattice)
     svals = np.linalg.svd(sectors, compute_uv=False)
     smallest = float(svals.min())
     if smallest <= INVERTIBILITY_TOL * svals.max():
@@ -359,5 +328,5 @@ def trace_tau(a: CoeffSeq) -> complex:
 def spectrum(a: CoeffSeq) -> np.ndarray:
     """Eigenvalues (with multiplicity) of the represented matrix: each distinct
     sector's, repeated once for each of its q' copies."""
-    eigs = np.linalg.eigvals(_sectors(a)).ravel()
+    eigs = np.linalg.eigvals(_sectors(a.coeffs, a.lattice)).ravel()
     return np.tile(eigs, a.lattice.n // eigs.size)

@@ -14,11 +14,12 @@ and commute up to the antisymmetric symplectic bicharacter
 
     c_symp((k,l), (m,n)) = exp(2*pi*i*(m*l - k*n)/N).
 
-Every sum over shifts in the toolkit starts from one kernel, _translates:
-the rows of a read-only roll view of the doubled window, one gather and no
-index grid.  The short-time Fourier transform takes one length-N FFT of
-f * conj(translate of g) per time shift; the lattice analysis and synthesis
-(algebra.py) take the translates times the lattice's cached band phase.
+Every shifted copy of a signal in the toolkit comes from one kernel,
+_translates: the rows of a read-only roll view of the doubled window, one
+gather and no index grid.  The short-time Fourier transform takes one
+length-N FFT of f * conj(translate of g) per time shift.  Sums over the
+points of a lattice take no shifted copies: they run in the lattice's
+sectors (algebra.py).
 Everything here is exact finite linear algebra.
 """
 from __future__ import annotations

@@ -26,12 +26,12 @@ reconstruct is the right action of the mixed Janssen (Wexler-Raz) element
 |L| P(sum_w g_w gamma_w^H) of A(L°), windows g and duals gamma, the mean
 over the copies of their mixed Gram, on f's coordinates in L°'s sectors: it
 forms no coefficients on L.  frame_operator
-is represent of the element.  Analysis folds f times the conjugate of the
-windows shifted to the lattice's fiber points (algebra._fold,
-algebra._fiber_windows), one length-N/b FFT per time shift; only it
-(analysis_coefficients, figa_check, the module's inner products and
-actions) still holds those (N/a) x N rows per window.  The fundamental
-identity below is the two-sided inner-product form of the same expansion.
+is represent of the element.  Analysis is the same construction with L and
+L° swapped, the other inner product of the Morita equivalence (Rieffel
+1988): <f, pi(lam) g> is N times the coefficients of the projection of
+f g^H onto A(L), read in L's sectors in O(N + |L|) memory (Søndergaard
+2007).  The fundamental identity below is the two-sided inner-product form
+of the same expansion: its sides pair Grams in L's sectors and in L°'s.
 """
 from __future__ import annotations
 
@@ -46,8 +46,6 @@ from .algebra import (
     CoeffSeq,
     OperatorMatrix,
     _coeffs_of_sectors,
-    _fiber_windows,
-    _fold,
     _sector_vectors,
     _vectors_of_sectors,
     represent,
@@ -195,16 +193,29 @@ def canonical_tight(sys: GaborSystem) -> list[Signal]:
     return _frame_power(sys, -0.5)
 
 
-def _analysis(f: np.ndarray, g: np.ndarray, lat: Lattice) -> np.ndarray:
-    """<f, pi(lam) g> as [..., |L|] in canonical order; leading axes of g are
-    further windows, and leading axes of f pair with them."""
-    return _fold(f[..., None, :] * np.conj(_fiber_windows(lat, g)), lat)
+def _grams(x: np.ndarray, y: np.ndarray, lat: Lattice) -> tuple[np.ndarray, float]:
+    """The Grams x_w y_w^H of rows x, y [w, N] (or one row of x for all of y)
+    in L's sectors, summed over the copies, [a/q', K, c, c, w], and N/q': a
+    Gram is q' times the projection onto A(L), so N/q' times its coefficients
+    are <x_w, pi(lam) y_w>."""
+    v = _sector_vectors(np.concatenate([x, y]), lat)
+    vx, vy = v[..., : len(x)], v[..., len(x) :]
+    return (vx[..., :, None, :] * vy[..., None, :, :].conj()).sum(axis=0), lat.n / len(v)
+
+
+def _pairing(x: np.ndarray, y: np.ndarray, lat: Lattice) -> complex:
+    """sum_lam <x_0, pi(lam) y_0> conj(<x_1, pi(lam) y_1>) for rows x, y [2, N]:
+    N/q' times the Frobenius pairing of their Grams, by trace orthogonality."""
+    grams, scale = _grams(x, y, lat)
+    return scale * complex(np.vdot(grams[..., 1], grams[..., 0]))
 
 
 def analysis_coefficients(f: Signal, g: Signal, lat: Lattice) -> np.ndarray:
-    """Samples <f, pi(lam) g> over the lattice, in canonical order."""
+    """Samples <f, pi(lam) g> over the lattice, in canonical order: N times
+    the coefficients of the projection of f g^H onto A(L), read in L's sectors."""
     _check_same_n(lat.n, f.n, g.n)
-    return _analysis(f.values, g.values, lat)
+    grams, scale = _grams(f.values[None], g.values[None], lat)
+    return scale * _coeffs_of_sectors(grams[..., 0], lat)
 
 
 def janssen_representation(g: Signal, h: Signal, lat: Lattice) -> CoeffSeq:
@@ -234,10 +245,8 @@ def figa_check(
     """
     _check_same_n(lat.n, f1.n, f2.n, g1.n, g2.n)
     sigs = np.stack([f1.values, f2.values, g1.values, g2.values])
-    on_lat = _analysis(sigs[[0, 1]], sigs[[2, 3]], lat)  # <f1, pi g1>, <f2, pi g2>
-    on_adj = _analysis(sigs[[0, 2]], sigs[[1, 3]], adjoint_lattice(lat))  # <f1, pi f2>, <g1, pi g2>
-    lhs = complex(np.vdot(on_lat[1], on_lat[0]))
-    rhs = complex(np.vdot(on_adj[1], on_adj[0])) / float(volume(lat))
+    lhs = _pairing(sigs[[0, 1]], sigs[[2, 3]], lat)  # <f1, pi g1>, <f2, pi g2>
+    rhs = _pairing(sigs[[0, 2]], sigs[[1, 3]], adjoint_lattice(lat)) / float(volume(lat))
     return float(abs(lhs - rhs) / (1.0 + abs(lhs)))
 
 

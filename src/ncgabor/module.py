@@ -4,11 +4,13 @@ Signals carry a left action of the lattice algebra and a right action of the
 adjoint-lattice algebra.  The left inner product collects the analysis
 coefficients as an algebra element; the right inner product samples
 <pi(adjoint point) g, f>, stored against the adjoint shifts, with the
-covolume factor carried by the right action.  The right action of b is the
-left action of one element of the same algebra, vol^{-1} involution(conj b),
-whose represented matrix is vol^{-1} sum b(mu) pi(mu)^H: act_right and
-right_operator are act_left and represent of it, so both run through the
-algebra's fiber formula (see algebra.py).
+covolume factor carried by the right action.  Both inner products are
+analyses (frames.py), on L and on L°.  The right action of b is the left
+action of one element of the same algebra, vol^{-1} involution(conj b),
+whose represented matrix is vol^{-1} sum b(mu) pi(mu)^H = vol(L°)
+represent(conj b)^H: right_operator represents that element, and act_right
+applies the conjugate transpose of conj b's sectors to g in L°'s sectors,
+as act_left applies a's in L's (see algebra.py).
 
 Both conventions together make the associativity identity
 
@@ -43,8 +45,9 @@ from .lattice import Lattice, adjoint_lattice, volume
 from .algebra import (
     CoeffSeq,
     OperatorMatrix,
-    _fiber_windows,
-    _tile,
+    _sector_vectors,
+    _sectors,
+    _vectors_of_sectors,
     involution,
     represent,
     twisted_conv,
@@ -53,8 +56,8 @@ from .algebra import (
 from .frames import (
     GaborSystem,
     NotAFrame,
-    _analysis,
     _frame_element,
+    _grams,
     analysis_coefficients,
     canonical_tight,
     frame_bounds,
@@ -93,11 +96,15 @@ def inner_right(f: Signal, g: Signal, lat: Lattice) -> CoeffSeq:
     return CoeffSeq(adj, np.conj(analysis_coefficients(f, g, adj)))
 
 
+def _acted(sectors: np.ndarray, g: Signal, lat: Lattice) -> Signal:
+    """The element of A(L) with these distinct sectors applied to g, in L's sectors."""
+    return Signal(g.n, _vectors_of_sectors(sectors @ _sector_vectors(g.values[None], lat), lat)[0])
+
+
 def act_left(a: CoeffSeq, g: Signal) -> Signal:
     """Left action: sum a(lam) pi(lam) g, equal to represent(a) applied to g."""
     _check_same_n(a.lattice.n, g.n)
-    lat = a.lattice
-    return Signal(g.n, _tile(a.coeffs, lat, _fiber_windows(lat, g.values)).sum(axis=0))
+    return _acted(_sectors(a.coeffs, a.lattice), g, a.lattice)
 
 
 def _right_element(b: CoeffSeq) -> CoeffSeq:
@@ -109,11 +116,13 @@ def _right_element(b: CoeffSeq) -> CoeffSeq:
 
 
 def act_right(g: Signal, b: CoeffSeq, lat: Lattice | None = None) -> Signal:
-    """Right action: vol^{-1} sum b(mu) pi(mu)^H g over the adjoint lattice."""
+    """Right action: vol^{-1} sum b(mu) pi(mu)^H g over the adjoint lattice,
+    vol(L°) represent(conj b)^H g: the conjugate transpose of conj b's sectors."""
     _check_same_n(b.lattice.n, g.n)
     if lat is not None and adjoint_lattice(lat) != b.lattice:
         raise DimensionMismatch("coefficients do not live on the adjoint lattice")
-    return act_left(_right_element(b), g)
+    sectors = _sectors(float(volume(b.lattice)) * np.conj(b.coeffs), b.lattice)
+    return _acted(sectors.conj().swapaxes(-1, -2), g, b.lattice)
 
 
 def right_operator(b: CoeffSeq) -> OperatorMatrix:
@@ -157,8 +166,8 @@ def multiwindow_parseval_residual(windows, lat: Lattice, f: Signal) -> float:
     if not windows:
         raise ValueError("need at least one window")
     _check_same_n(lat.n, f.n, *(w.n for w in windows))
-    coeffs = _analysis(f.values, np.stack([w.values for w in windows]), lat)
-    total = float(np.sum(np.abs(coeffs) ** 2))
+    grams, scale = _grams(f.values[None], np.stack([w.values for w in windows]), lat)
+    total = scale * float(np.sum(np.abs(grams) ** 2))
     norm_sq = f.norm2() ** 2
     return abs(norm_sq - total) / (1.0 + norm_sq)
 

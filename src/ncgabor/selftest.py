@@ -423,7 +423,7 @@ def _check_sector_copies(rng):
                 twist.conj()[..., None] * dft[u]
             )
             basis = basis.reshape(x.n, x.n)
-            blocks = _sectors(a) @ basis.conj().T.reshape(*times.shape, x.n)
+            blocks = _sectors(a.coeffs, x) @ basis.conj().T.reshape(*times.shape, x.n)
             rebuilt = basis @ blocks.reshape(x.n, x.n)
             expect = represent(a).entries
             worst = max(worst, float(np.abs(rebuilt - expect).max() / np.abs(expect).max()))

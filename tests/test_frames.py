@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from ncgabor import (
+    CoeffSeq,
     DimensionMismatch,
     GaborSystem,
     NotAFrame,
     Signal,
+    TFPoint,
+    act_left,
     adjoint_lattice,
     analysis_coefficients,
     canonical_dual,
@@ -27,7 +30,7 @@ from ncgabor import (
     tf_shift,
     tight_multiwindow,
 )
-from ncgabor import frames
+from ncgabor import algebra, frames
 from ncgabor.selftest import _hermitian_inverse_sqrt
 from conftest import SEEDS
 import oracles
@@ -168,8 +171,7 @@ def test_frame_bounds_translation_basis(rng):
     assert b.is_frame
     # a random window on every translate at N=4096: S is circulant with
     # eigenvalues |g^|^2, so the designs are closed forms in g^, and they and
-    # the reconstruction stay O(N) in memory (no N x N array and no N/a x N
-    # fiber windows)
+    # the reconstruction stay O(N) in memory (no N x N or (N/a) x N array)
     n = 4096
     g, f = random_signal(n, rng), random_signal(n, rng)
     sys = GaborSystem((g,), lattice_from_generators(n, [(1, 0)]))
@@ -346,6 +348,62 @@ def test_figa_reference_mode_matches(rng):
     lat = lattice_from_generators(8, [(2, 0), (0, 4)])
     sigs = [random_signal(8, rng) for _ in range(4)]
     assert abs(figa_check(*sigs, lat) - oracles.figa_residual(*sigs, lat)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, gens, side",
+    [(8, [(2, 1), (0, 2)], "adjoint"), (48, [(6, 3), (0, 12)], "lattice"), (48, [(6, 3), (0, 12)], "adjoint")],
+)
+def test_figa_check_fails_when_one_side_loses_its_copy_phase(monkeypatch, rng, n, gens, side):
+    # the two sides of the identity run through the sector tables of L and of L°;
+    # a copy twist without pi(j*mu)'s time-dependent phase on one of them only
+    # (every copy taking copy 0's twist, the inverse twist kept consistent) must
+    # break the identity, so the check does not compare a table with itself
+    lat = lattice_from_generators(n, gens)
+    target = adjoint_lattice(lat) if side == "adjoint" else lat
+    tables = algebra._sector_tables
+
+    def mutant(x):
+        times, twist, untwist, *rest = tables(x)
+        if x == target:
+            twist, untwist = (np.broadcast_to(t[:1], t.shape) for t in (twist, untwist))
+        return (times, twist, untwist, *rest)
+
+    twist = tables(target)[1]
+    assert len(twist) > 1 and not np.allclose(twist, twist[:1])
+    sigs = [random_signal(n, rng) for _ in range(4)]
+    assert figa_check(*sigs, lat) <= 1e-12
+    monkeypatch.setattr(algebra, "_sector_tables", mutant)
+    assert figa_check(*sigs, lat) > 1e-10
+
+
+def test_analysis_and_left_action_run_in_o_n_plus_l_memory(rng):
+    # N=4096 on <(1,0),(0,64)>, |L| = 262144: one (N/a) x N array of windows at the
+    # lattice's time shifts would take 256 MiB; in L's sectors each route holds a
+    # few arrays of N or |L| entries, 4 MiB each, tables included
+    n = 4096
+    lat = lattice_from_generators(n, [(1, 0), (0, 64)])
+    f, g = random_signal(n, rng), random_signal(n, rng)
+    pts = rng.choice(lat.size, 3, replace=False)
+    coeffs = np.zeros(lat.size, dtype=complex)
+    coeffs[pts] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    a = CoeffSeq(lat, coeffs)
+    for route in (lambda: analysis_coefficients(f, g, lat), lambda: act_left(a, g)):
+        tracemalloc.start()
+        try:
+            out = route()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+    # spot checks through the library's shift kernel, whose phases are exact
+    # roots of unity (the loop oracle's exp(2*pi*i*l*t/N) drifts at this N)
+    shifted = [tf_shift(TFPoint(n, k, l), g).values for k, l in lat.as_array()[pts]]
+    samples = analysis_coefficients(f, g, lat)[pts]
+    expect = np.array([np.vdot(v, f.values) for v in shifted])
+    assert np.abs(samples - expect).max() <= 1e-12 * np.abs(expect).max()
+    expect = sum(c * v for c, v in zip(coeffs[pts], shifted))
+    assert np.abs(out.values - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 def test_reconstruct_orthonormal_basis_case(rng):

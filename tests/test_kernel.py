@@ -36,8 +36,11 @@ from ncgabor import (
     coefficients_of,
     frame_bounds,
     frame_operator,
+    inner_left,
+    inner_right,
     invert_in_algebra,
     janssen_representation,
+    multiwindow_parseval_residual,
     random_signal,
     reconstruct,
     represent,
@@ -52,14 +55,12 @@ from ncgabor.algebra import (
     INVERTIBILITY_TOL,
     _band_index,
     _coeffs_of_sectors,
-    _fiber_points,
-    _fiber_windows,
     _sector_vectors,
     _sectors,
     _vectors_of_sectors,
 )
 from ncgabor.core import _shifted, _translates
-from ncgabor.frames import FRAME_DECISION_TOL
+from ncgabor.frames import FRAME_DECISION_TOL, _pairing
 import oracles
 from oracles import oracle_cases
 
@@ -91,20 +92,15 @@ def test_shifted_matches_loop_oracle(rng):
         assert_close(_translates(ks, g.values), oracles.shifted(translates, g.values))
         assert_close(_translates(ks, np.stack([g.values, h.values]))[1],
                      oracles.shifted(translates, h.values))
-        # the windows at the fiber points (i*a, i*s mod b), the first point per time shift
-        fiber = pts[:: lat.n // lat.basis[2]]
-        assert_close(_fiber_windows(lat, g.values), oracles.shifted(fiber, g.values))
-        assert_close(_fiber_windows(lat, np.stack([g.values, h.values]))[1],
-                     oracles.shifted(fiber, h.values))
         k, l = (int(x) for x in rng.integers(lat.n, size=2))
         assert_close(tf_shift(TFPoint(lat.n, k, l), g).values, oracles.shift(k, l, g.values))
         assert_close(shift_matrix(TFPoint(lat.n, k, l)), oracles.shift_matrix(k, l, lat.n))
 
 
-def test_band_index_rows_are_the_fiber_translates(rng):
+def test_band_index_rows_are_the_translates_at_the_time_shifts(rng):
     # the cached flat index of represent and coefficients_of, t*N + column, names
     # row t of the matrix, and its columns gather the windows' translates to the
-    # fiber points, the rows _fiber_windows takes
+    # lattice's time shifts i*a
     for base in oracle_cases():
         for lat in (base, adjoint_lattice(base)):
             index = _band_index(lat)
@@ -113,7 +109,7 @@ def test_band_index_rows_are_the_fiber_translates(rng):
             assert index is _band_index(lat)
             rows, columns = np.divmod(index, lat.n)
             assert np.array_equal(rows, np.broadcast_to(np.arange(lat.n), index.shape))
-            ks = _fiber_points(lat)[:, 0]
+            ks = np.arange(0, lat.n, lat.basis[0])
             g = np.stack([random_signal(lat.n, rng).values for _ in range(2)])
             for windows in (g[0], g):
                 assert np.array_equal(windows[..., columns], _translates(ks, windows))
@@ -165,13 +161,39 @@ def test_frame_designs_match_dense_oracle(rng):
 
 
 def test_module_actions_match_loop_oracles(rng):
-    for lat in oracle_cases():
+    # the analysis, both inner products and both actions run in the sectors of
+    # the lattice they live on, so check them on every lattice and on its
+    # adjoint, for each of one and two windows, and the multi-window Parseval
+    # residual against the loop sum of the squared samples
+    for lat in (x for base in oracle_cases() for x in (base, adjoint_lattice(base))):
         adj = adjoint_lattice(lat)
-        g = random_signal(lat.n, rng)
-        a, b = rand_seq(lat, rng), rand_seq(adj, rng)
-        assert_close(act_left(a, g).values, oracles.act_left(a, g))
-        assert_close(act_right(g, b, lat).values, oracles.act_right(g, b))
+        f = random_signal(lat.n, rng)
+        for count in (1, 2):
+            windows = [random_signal(lat.n, rng) for _ in range(count)]
+            samples = [oracles.analysis_coefficients(f, g, lat) for g in windows]
+            for g, expect in zip(windows, samples):
+                assert_close(analysis_coefficients(f, g, lat), expect)
+                assert_close(inner_left(f, g, lat).coeffs, expect)
+                assert_close(inner_right(f, g, lat).coeffs, oracles.analysis_coefficients(f, g, adj).conj())
+                a, b = rand_seq(lat, rng), rand_seq(adj, rng)
+                assert_close(act_left(a, g).values, oracles.act_left(a, g))
+                assert_close(act_right(g, b, lat).values, oracles.act_right(g, b))
+            norm_sq = np.linalg.norm(f.values) ** 2
+            expect = abs(norm_sq - sum(np.sum(np.abs(c) ** 2) for c in samples)) / (1.0 + norm_sq)
+            assert abs(multiwindow_parseval_residual(windows, lat, f) - expect) <= REL * max(1.0, expect)
         assert_close(right_operator(b).entries, oracles.right_operator(b))
+
+
+def test_figa_pairings_match_the_loop_sums(rng):
+    # each side of the fundamental identity pairs two Grams in the sectors of
+    # one lattice, L's or L°'s: the sum over it of one sample times the
+    # conjugate of another
+    for lat in (x for base in oracle_cases() for x in (base, adjoint_lattice(base))):
+        x0, x1, y0, y1 = (random_signal(lat.n, rng) for _ in range(4))
+        expect = np.sum(oracles.analysis_coefficients(x0, y0, lat)
+                        * oracles.analysis_coefficients(x1, y1, lat).conj())
+        got = _pairing(np.stack([x0.values, x1.values]), np.stack([y0.values, y1.values]), lat)
+        assert abs(got - expect) <= REL * max(1.0, abs(expect))
 
 
 def test_represent_and_coefficients_of_match_loop_oracles(rng):
@@ -216,7 +238,7 @@ def test_sectors_are_the_matrix_bundle_over_the_centre(rng):
             assert c * c * len(centre) == x.size
             copies = x.n * c // x.size
             seq = rand_seq(x, rng)
-            sectors = _sectors(seq)
+            sectors = _sectors(seq.coeffs, x)
             assert sectors.shape == (x.basis[0] // copies, x.n // x.basis[0] // c, c, c)
             v = np.stack([random_signal(x.n, rng).values for _ in range(2)])
             y = _sector_vectors(v, x)
@@ -248,7 +270,7 @@ def test_distinct_sectors_and_their_copies_reproduce_every_sector(rng):
             every = oracles.all_sectors(seq)
             _, k, c = every.shape[:3]
             copies = n * c // x.size
-            sectors = _sectors(seq)
+            sectors = _sectors(seq.coeffs, x)
             assert sectors.shape[0] * sectors.shape[1] == len(centre) == x.size // (c * c)
             basis, _ = oracles.sector_basis(x)
             change = basis.conj().T @ _sector_vectors(np.eye(n), x).reshape(n, n).conj().T
