@@ -279,12 +279,6 @@ def represent(a: CoeffSeq) -> OperatorMatrix:
     return OperatorMatrix(n, mat)
 
 
-def _as_matrix(A) -> np.ndarray:
-    if isinstance(A, OperatorMatrix):
-        return A.entries
-    return np.asarray(A, dtype=complex)
-
-
 def coefficients_of(A, lat: Lattice) -> tuple[CoeffSeq, float]:
     """Recover lattice coefficients of a matrix by the trace pairing.
 
@@ -293,15 +287,21 @@ def coefficients_of(A, lat: Lattice) -> tuple[CoeffSeq, float]:
     distance between A and the reassembled span element; it vanishes exactly
     when A lies in the span of the lattice shifts.
     """
-    mat = _as_matrix(A)
+    # the one N x N temporary: a copy of A, whose band entries become their
+    # distance from the rebuilt bands (up to the band phase); the entries off
+    # the bands lie outside the span
+    rest = np.array(A.entries if isinstance(A, OperatorMatrix) else A, dtype=complex, order="C")
     n = lat.n
-    if mat.shape != (n, n):
-        raise DimensionMismatch(f"matrix shape {mat.shape} does not match order {n}")
-    p = n // lat.basis[2]
-    bands = mat.take(_band_index(lat)) * _band_phase(lat).conj()
-    seq = CoeffSeq(lat, np.fft.fft(bands.reshape(-1, n // p, p).sum(axis=1)).reshape(-1) / n)
-    residual = float(np.linalg.norm(mat - represent(seq).entries))
-    return seq, residual
+    if rest.shape != (n, n):
+        raise DimensionMismatch(f"matrix shape {rest.shape} does not match order {n}")
+    p, index = n // lat.basis[2], _band_index(lat)
+    bands = rest.take(index)
+    bands *= _band_phase(lat).conj()
+    bands = bands.reshape(-1, n // p, p)
+    seq = CoeffSeq(lat, np.fft.fft(bands.sum(axis=1)).reshape(-1) / n)
+    bands -= np.fft.ifft(seq.coeffs.reshape(-1, 1, p), norm="forward")
+    rest.reshape(-1)[index] = bands.reshape(-1, n)
+    return seq, float(np.linalg.norm(rest))
 
 
 def invert_in_algebra(a: CoeffSeq) -> CoeffSeq:

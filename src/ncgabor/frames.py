@@ -244,7 +244,7 @@ def figa_check(
     The identity holds for every quadruple in the finite model.
     """
     _check_same_n(lat.n, f1.n, f2.n, g1.n, g2.n)
-    sigs = np.stack([f1.values, f2.values, g1.values, g2.values])
+    sigs = np.array([f1.values, f2.values, g1.values, g2.values])
     lhs = _pairing(sigs[[0, 1]], sigs[[2, 3]], lat)  # <f1, pi g1>, <f2, pi g2>
     rhs = _pairing(sigs[[0, 2]], sigs[[1, 3]], adjoint_lattice(lat)) / float(volume(lat))
     return float(abs(lhs - rhs) / (1.0 + abs(lhs)))

@@ -17,15 +17,16 @@ def tf_points(lat):
 
 
 def shift(k, l, g):
-    """pi(k, l) g by direct evaluation: exp(2 pi i l t / N) g(t - k)."""
+    """pi(k, l) g by direct evaluation: exp(2 pi i l t / N) g(t - k), with
+    l t taken mod N so the phases stay exact at large N."""
     n = len(g)
-    return np.exp(2j * np.pi * l * np.arange(n) / n) * np.roll(g, k)
+    return np.exp(2j * np.pi * (l * np.arange(n) % n) / n) * np.roll(g, k)
 
 
 def shift_matrix(k, l, n):
     rows = np.arange(n)
     mat = np.zeros((n, n), dtype=complex)
-    mat[rows, (rows - k) % n] = np.exp(2j * np.pi * l * rows / n)
+    mat[rows, (rows - k) % n] = np.exp(2j * np.pi * (l * rows % n) / n)
     return mat
 
 

@@ -1,4 +1,6 @@
 """Twisted convolution, involution, representation, inversion, trace, spectrum."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,25 @@ def test_coefficients_of_outside_point():
     seq, residual = coefficients_of(shift_matrix(mu), lat)
     assert np.abs(seq.coeffs).max() < 1e-14
     assert residual == pytest.approx(np.sqrt(n), rel=1e-12)
+
+
+def test_coefficients_of_holds_one_matrix_temporary(rng):
+    # represent(a) is 16 MiB at N=1024; the residual is the norm of one copy
+    # with the bands replaced by their distance from the rebuilt bands, so the
+    # peak holds that copy and band-sized arrays, not a second N x N matrix
+    lat = lattice_from_generators(1024, [(8, 0), (0, 8)])
+    a = rand_seq(lat, rng)
+    mat = represent(a)
+    coefficients_of(mat, lat)  # warm: the band tables are cached per lattice
+    tracemalloc.start()
+    try:
+        seq, residual = coefficients_of(mat, lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * 2**20
+    assert np.abs(seq.coeffs - a.coeffs).max() < 1e-12 * np.abs(a.coeffs).max()
+    assert residual < 1e-11 * np.linalg.norm(mat.entries)
 
 
 def test_trace_orthogonality_exhaustive():

@@ -131,16 +131,6 @@ def test_commutation_law_random_pairs(rng):
     assert worst < 1e-12
 
 
-def test_adjoint_rule():
-    for n in (4, 5, 6):
-        for lam in itertools.product(range(n), repeat=2):
-            p = TFPoint(n, *lam)
-            gap = np.abs(
-                shift_matrix(p).conj().T - cocycle(p, p) * shift_matrix(-p)
-            ).max()
-            assert gap < 1e-12
-
-
 def test_shift_matrix_matches_tf_shift(rng):
     n = 7
     f = random_signal(n, rng)

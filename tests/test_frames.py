@@ -10,7 +10,6 @@ from ncgabor import (
     GaborSystem,
     NotAFrame,
     Signal,
-    TFPoint,
     act_left,
     adjoint_lattice,
     analysis_coefficients,
@@ -26,7 +25,6 @@ from ncgabor import (
     random_signal,
     reconstruct,
     represent,
-    shift_matrix,
     tf_shift,
     tight_multiwindow,
 )
@@ -34,12 +32,6 @@ from ncgabor import algebra, frames
 from ncgabor.selftest import _hermitian_inverse_sqrt
 from conftest import SEEDS
 import oracles
-
-
-def gaussian_like(n):
-    half = n // 2
-    lifted = np.where(np.arange(n) <= half, np.arange(n), np.arange(n) - n)
-    return Signal(n, np.exp(-np.pi * lifted.astype(float) ** 2 / n) + 0j)
 
 
 def test_full_lattice_frame_operator_is_scalar(rng):
@@ -106,14 +98,6 @@ def test_frame_operator_hermitian_psd(rng):
     op = frame_operator(GaborSystem((random_signal(12, rng),), lat))
     assert oracles.is_hermitian(op.entries)
     assert np.linalg.eigvalsh(op.entries)[0] > -1e-10
-
-
-def test_frame_operator_commutes_with_lattice_shifts(rng):
-    lat = lattice_from_generators(12, [(2, 0), (0, 3)])
-    S = frame_operator(GaborSystem((random_signal(12, rng),), lat)).entries
-    for p in oracles.tf_points(lat):
-        P = shift_matrix(p)
-        assert np.linalg.norm(S @ P - P @ S) < 1e-10 * np.linalg.norm(S)
 
 
 def test_adjoint_expansion_full_lattice(rng):
@@ -214,16 +198,6 @@ def test_canonical_dual_tight_case(rng):
     g = Signal(n, g.values / g.norm2())
     duals = canonical_dual(GaborSystem((g,), full_lattice(n)))
     np.testing.assert_allclose(duals[0].values, g.values / n, atol=1e-12)
-
-
-def test_canonical_dual_reconstruction(rng):
-    lat = lattice_from_generators(12, [(2, 0), (0, 3)])
-    for g in (gaussian_like(12), random_signal(12, rng)):
-        sys = GaborSystem((g,), lat)
-        duals = canonical_dual(sys)
-        f = random_signal(12, rng)
-        out = reconstruct(f, sys, duals)
-        assert np.linalg.norm(out.values - f.values) < 1e-9 * f.norm2()
 
 
 def test_tight_route_also_reconstructs(rng):
@@ -396,9 +370,8 @@ def test_analysis_and_left_action_run_in_o_n_plus_l_memory(rng):
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
-    # spot checks through the library's shift kernel, whose phases are exact
-    # roots of unity (the loop oracle's exp(2*pi*i*l*t/N) drifts at this N)
-    shifted = [tf_shift(TFPoint(n, k, l), g).values for k, l in lat.as_array()[pts]]
+    # spot checks against the loop oracle
+    shifted = oracles.shifted(lat.as_array()[pts].tolist(), g.values)
     samples = analysis_coefficients(f, g, lat)[pts]
     expect = np.array([np.vdot(v, f.values) for v in shifted])
     assert np.abs(samples - expect).max() <= 1e-12 * np.abs(expect).max()
