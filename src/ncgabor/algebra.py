@@ -69,7 +69,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DimensionMismatch, TFPoint, _check_same_n, _frozen, _lifted, _shifted
+from .core import DimensionMismatch, TFPoint, _check_same_n, _frozen, _lifted, _roots
 from .lattice import Lattice
 from .weights import Weight
 
@@ -189,8 +189,9 @@ def weighted_norm(a: CoeffSeq, v: Weight, s: float) -> float:
 @lru_cache(maxsize=64)
 def _band_phase(lat: Lattice) -> np.ndarray:
     """The band phase exp(2*pi*i*sigma_i*t/N), (N/a, N): the modulations of the
-    fiber points (i*a, sigma_i), the first point per time shift."""
-    return _shifted(lat.as_array()[:: lat.n // lat.basis[2]], np.ones(lat.n, dtype=complex))
+    fiber points (i*a, sigma_i), the first per time shift: roots at (sigma_i*t) mod N."""
+    sigma = lat.as_array()[:: lat.n // lat.basis[2], 1:]
+    return _roots(lat.n)[sigma * np.arange(lat.n) % lat.n]
 
 
 @lru_cache(maxsize=64)

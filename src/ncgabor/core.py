@@ -14,12 +14,12 @@ and commute up to the antisymmetric symplectic bicharacter
 
     c_symp((k,l), (m,n)) = exp(2*pi*i*(m*l - k*n)/N).
 
-Every shifted copy of a signal in the toolkit comes from one kernel,
-_translates: the rows of a read-only roll view of the doubled window, one
-gather and no index grid.  The short-time Fourier transform takes one
-length-N FFT of f * conj(translate of g) per time shift.  Sums over the
-points of a lattice take no shifted copies: they run in the lattice's
-sectors (algebra.py).
+Every shifted copy of a signal comes from one kernel, _translates: a
+read-only view of the doubled window whose row k, at a row stride of -1
+element, is the translate by k.  The short-time Fourier transform multiplies
+f into the view of conj(g) and FFTs each row in place: one N x N array.
+Sums over the points of a lattice take no shifted copies: they run in the
+lattice's sectors (algebra.py).
 Everything here is exact finite linear algebra.
 """
 from __future__ import annotations
@@ -179,16 +179,16 @@ def _roots(n: int) -> np.ndarray:
     return roots
 
 
-def _translates(ks: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """out[..., i, t] = g[..., (t - k_i) mod N]: rows (-k_i) mod N of the
-    read-only roll view [..., j, t] -> doubled[..., j + t] of the doubled
-    window.  Leading axes of g are further windows."""
+def _translates(g: np.ndarray) -> np.ndarray:
+    """The translates of g, out[..., k, t] = g[..., (t - k) mod N]: a read-only
+    view of the doubled window with a row stride of -1 element, so row k is the
+    translate by k and a gather at rows k_i mod N costs one copy.  Leading axes
+    of g are further windows."""
     n = g.shape[-1]
     doubled = np.concatenate([g, g], axis=-1)
     step = doubled.strides[-1]  # as_strided: sliding_window_view costs 2.5-5x more per call
-    view = as_strided(doubled, (*g.shape[:-1], n, n), (*doubled.strides[:-1], step, step),
-                      writeable=False)
-    return view[..., -np.asarray(ks) % n, :]
+    return as_strided(doubled[..., n:], (*g.shape[:-1], n, n),
+                      (*doubled.strides[:-1], -step, step), writeable=False)
 
 
 def _shifted(points: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -199,7 +199,7 @@ def _shifted(points: np.ndarray, g: np.ndarray) -> np.ndarray:
     g are further windows.
     """
     n = g.shape[-1]
-    out = _translates(points[:, 0], g)
+    out = _translates(g)[..., points[:, 0] % n, :]
     out *= _roots(n)[points[:, 1:] * np.arange(n) % n]
     return out
 
@@ -225,8 +225,14 @@ def stft(f: Signal, g: Signal) -> PhaseSpaceArray:
     Satisfies the Moyal identity  sum |V_g f|^2 = N ||f||^2 ||g||^2.
     """
     n = _check_same_n(f.n, g.n)
-    conj_translates = _translates(np.arange(n), np.conj(g.values))
-    return PhaseSpaceArray(n, np.fft.fft(f.values * conj_translates, axis=-1))
+    values = f.values * _translates(np.conj(g.values))  # [k, t], the one N x N array
+    try:
+        np.fft.fft(values, axis=-1, out=values)
+    except TypeError:  # numpy < 2 has no out=: transform in row blocks, holding one more
+        for rows in np.array_split(values, min(n, 8)):
+            rows[...] = np.fft.fft(rows, axis=-1)
+    values.setflags(write=False)  # read-only and owning its data: shared, not copied
+    return PhaseSpaceArray(n, values)
 
 
 def random_signal(n: int, rng: np.random.Generator) -> Signal:

@@ -54,7 +54,8 @@ def _lp(values: np.ndarray, p: float, axis: int) -> np.ndarray:
 def mod_norm(f: Signal, spec: ModNormSpec) -> float:
     """Weighted mixed norm: inner l^p over time, outer l^q over frequency."""
     _check_same_n(f.n, spec.window.n)
-    weighted = np.abs(stft(f, spec.window).values) * _lifted_weight_table(spec.m, f.n)
+    weighted = np.abs(stft(f, spec.window).values)
+    weighted *= _lifted_weight_table(spec.m, f.n)
     per_frequency = _lp(weighted, spec.p, axis=0)
     return float(_lp(per_frequency, spec.q, axis=0))
 

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from ncgabor import TFPoint, adjoint_lattice, enumerate_subgroups, lattice_from_generators, volume
+from ncgabor import TFPoint, enumerate_subgroups, lattice_from_generators
 
 
 def tf_points(lat):
@@ -86,14 +86,6 @@ def stft_sample(f, g, k, l):
 
 def analysis_coefficients(f, g, lat):
     return np.array([stft_sample(f, g, k, l) for k, l in lat.as_array()])
-
-
-def figa_residual(f1, f2, g1, g2, lat):
-    adj = adjoint_lattice(lat)
-    lhs = np.sum(analysis_coefficients(f1, g1, lat) * np.conj(analysis_coefficients(f2, g2, lat)))
-    rhs = np.sum(analysis_coefficients(f1, f2, adj) * np.conj(analysis_coefficients(g1, g2, adj)))
-    rhs /= float(volume(lat))
-    return float(abs(lhs - rhs) / (1.0 + abs(lhs)))
 
 
 def reconstruct(f, sys, duals):

@@ -281,13 +281,6 @@ def test_spectrum_of_unit_and_shift():
     np.testing.assert_allclose(got, expect, atol=1e-10)
 
 
-def test_spectrum_hermitian_real(rng):
-    lat = lattice_from_generators(12, [(2, 0), (0, 3)])
-    a = rand_seq(lat, rng)
-    herm = CoeffSeq(lat, (a.coeffs + involution(a).coeffs) / 2)
-    assert np.abs(spectrum(herm).imag).max() < 1e-10
-
-
 def test_operator_matrix_hermitian_flag(rng):
     lat = lattice_from_generators(6, [(1, 1)])
     a = rand_seq(lat, rng)

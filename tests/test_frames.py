@@ -15,7 +15,6 @@ from ncgabor import (
     analysis_coefficients,
     canonical_dual,
     canonical_tight,
-    coefficients_of,
     figa_check,
     frame_bounds,
     frame_operator,
@@ -249,15 +248,6 @@ def test_canonical_tight_parseval_and_idempotent(rng):
     assert np.linalg.norm(again[0].values - tight[0].values) < 1e-10
 
 
-def test_tight_window_stays_in_adjoint_span(rng):
-    lat = lattice_from_generators(12, [(2, 0), (0, 3)])
-    g = random_signal(12, rng)
-    S = frame_operator(GaborSystem((g,), lat)).entries
-    inv_sqrt = _hermitian_inverse_sqrt(S)
-    _, residual = coefficients_of(inv_sqrt, adjoint_lattice(lat))
-    assert residual < 1e-9 * np.linalg.norm(inv_sqrt)
-
-
 def test_inverse_sqrt_helper(rng):
     n = 8
     X = random_signal(n, rng)
@@ -316,12 +306,6 @@ def test_figa_random_quadruples():
             lhs, rhs = figa_sides_by_hand(*sigs, lat)
             assert abs(lhs - rhs) / (1 + abs(lhs)) < 1e-10
     assert worst < 1e-10
-
-
-def test_figa_reference_mode_matches(rng):
-    lat = lattice_from_generators(8, [(2, 0), (0, 4)])
-    sigs = [random_signal(8, rng) for _ in range(4)]
-    assert abs(figa_check(*sigs, lat) - oracles.figa_residual(*sigs, lat)) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -402,14 +386,6 @@ def test_reconstruct_shape_mismatch(rng):
     sys = GaborSystem((random_signal(n, rng),), full_lattice(n))
     with pytest.raises(ValueError):
         reconstruct(random_signal(n, rng), sys, [])
-
-
-def test_analysis_coefficients_reference_matches(rng):
-    lat = lattice_from_generators(12, [(2, 1), (0, 6)])
-    f, g = random_signal(12, rng), random_signal(12, rng)
-    fast = analysis_coefficients(f, g, lat)
-    ref = oracles.analysis_coefficients(f, g, lat)
-    np.testing.assert_allclose(fast, ref, atol=1e-11)
 
 
 def test_multiwindow_frame_bounds(rng):

@@ -86,11 +86,12 @@ def test_shifted_matches_loop_oracle(rng):
         h = random_signal(lat.n, rng)
         both = _shifted(pts, np.stack([g.values, h.values]))
         assert_close(both[1], oracles.shifted(pts, h.values))
-        # translates by negative shifts and shifts >= N, one window and two
+        # row k mod N of the translate view is the translate by k, also for
+        # negative shifts and shifts >= N, one window and two
         ks = np.concatenate([pts[:, 0], -pts[:, 0] - 1, pts[:, 0] + lat.n, [-3 * lat.n - 1]])
         translates = np.stack([ks, np.zeros_like(ks)], axis=1)
-        assert_close(_translates(ks, g.values), oracles.shifted(translates, g.values))
-        assert_close(_translates(ks, np.stack([g.values, h.values]))[1],
+        assert_close(_translates(g.values)[ks % lat.n], oracles.shifted(translates, g.values))
+        assert_close(_translates(np.stack([g.values, h.values]))[1, ks % lat.n],
                      oracles.shifted(translates, h.values))
         k, l = (int(x) for x in rng.integers(lat.n, size=2))
         assert_close(tf_shift(TFPoint(lat.n, k, l), g).values, oracles.shift(k, l, g.values))
@@ -112,7 +113,7 @@ def test_band_index_rows_are_the_translates_at_the_time_shifts(rng):
             ks = np.arange(0, lat.n, lat.basis[0])
             g = np.stack([random_signal(lat.n, rng).values for _ in range(2)])
             for windows in (g[0], g):
-                assert np.array_equal(windows[..., columns], _translates(ks, windows))
+                assert np.array_equal(windows[..., columns], _translates(windows)[..., ks, :])
 
 
 def systems(lat, rng):

@@ -100,24 +100,6 @@ def test_adjoint_of_full_and_trivial():
     assert adj.size == 36
 
 
-def test_adjoint_duality_and_pairing_all_subgroups():
-    for n in (4, 6):
-        for lat in enumerate_subgroups(n):
-            adj = adjoint_lattice(lat)
-            assert lat.size * adj.size == n * n
-            assert point_pairs(adjoint_lattice(adj)) == point_pairs(lat)
-
-
-def test_adjoint_commutation_witness(rng, lattices):
-    for lat in lattices:
-        adj = adjoint_lattice(lat)
-        for _ in range(5):
-            p = tf_points(lat)[int(rng.integers(lat.size))]
-            q = tf_points(adj)[int(rng.integers(adj.size))]
-            A, B = shift_matrix(p), shift_matrix(q)
-            assert np.abs(A @ B - B @ A).max() < 1e-12
-
-
 def test_volume_values():
     assert volume(lattice_from_generators(12, [(2, 0), (0, 3)])) == Fraction(1, 2)
     assert volume(full_lattice(5)) == Fraction(1, 5)

@@ -1,5 +1,6 @@
 """Mixed weighted STFT norms and window equivalence."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,24 @@ def test_weight_table_matches_pointwise_weights(n):
         np.testing.assert_allclose(_lifted_weight_table(m, n), expect, rtol=1e-13, atol=0)
 
 
+def test_stft_and_mod_norm_hold_one_phase_space_array(rng):
+    # the STFT is one N x N complex array, 16 MiB at N=1024: f times the
+    # translate view of the window, transformed in place and shared, not
+    # copied; mod_norm weights its magnitudes in place
+    n = 1024
+    f, g = random_signal(n, rng), random_signal(n, rng)
+    spec = ModNormSpec(1.0, 1.0, Weight.polynomial(2), g)
+    for call, bound in ((lambda: stft(f, g), 1.5), (lambda: mod_norm(f, spec), 2.0)):
+        call()  # warm
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * n * n * 16
+
+
 def test_zero_window_rejected():
     with pytest.raises(ValueError):
         ModNormSpec(1.0, 1.0, Weight.one(), Signal.zero(4))
@@ -126,18 +145,6 @@ def test_homogeneity_and_triangle(rng):
             assert scaled == pytest.approx(abs(c) * mod_norm(f1, spec), rel=1e-10)
             total = mod_norm(Signal(n, f1.values + f2.values), spec)
             assert total <= mod_norm(f1, spec) + mod_norm(f2, spec) + 1e-10
-
-
-def test_shift_covariance_bound(rng):
-    n = 12
-    g = random_signal(n, rng)
-    v = Weight.polynomial(1)
-    spec = ModNormSpec(1.0, 1.0, v.power(2.0), g)
-    for _ in range(30):
-        f = random_signal(n, rng)
-        mu = TFPoint(n, int(rng.integers(n)), int(rng.integers(n)))
-        bound = v(mu.lift()) ** 2 * mod_norm(f, spec)
-        assert mod_norm(tf_shift(mu, f), spec) <= bound * (1 + 1e-10)
 
 
 def window_ratios(fs, g1, g2, p, q):
