@@ -116,14 +116,18 @@ def _from_basis(n: int, basis: tuple[int, int, int]) -> Lattice:
     return Lattice(n, basis, tuple(TFPoint(n, k, l) for k, l in gens))
 
 
+def _require_order(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"group order must be >= 2, got {n}")
+
+
 def lattice_from_generators(n: int, gens) -> Lattice:
     """Subgroup generated by the given points (closure under addition mod N).
 
     An empty generator list yields the trivial lattice {(0, 0)}.  The
     generators are kept as given, reduced mod N.
     """
-    if n < 2:
-        raise ValueError(f"group order must be >= 2, got {n}")
+    _require_order(n)
     pairs = []
     for g in gens:
         if isinstance(g, TFPoint):
@@ -165,6 +169,7 @@ def volume(lat: Lattice) -> Fraction:
 
 def enumerate_subgroups(n: int) -> list[Lattice]:
     """Every subgroup of Z_N x Z_N, one per normal form, by size then points."""
+    _require_order(n)
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     lattices = [
         _from_basis(n, (a, s, b))

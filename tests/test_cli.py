@@ -273,18 +273,22 @@ def test_selftest_failure_contract(capsys, monkeypatch):
         raise ZeroDivisionError("boom")
 
     registry = (
-        ("passes", 1e-12, lambda rng: 0.0),
-        ("fails", 0, lambda rng: 1),
+        ("passes", 1e-12, lambda rng: [0.0]),
+        ("fails", 0, lambda rng: [1]),
         ("raises", 0, boom),
+        ("nan", 1e-12, lambda rng: [0.0, np.nan, 0.0]),
+        ("empty", 1e-12, lambda rng: []),
     )
     monkeypatch.setattr(selftest, "REGISTRY", registry)
     code, out, err = run(capsys, "selftest")
     assert code == 3
     fails = [line for line in out.splitlines() if "FAIL" in line]
-    assert len(fails) == 2
+    assert len(fails) == 4
     assert fails[0].startswith("fails ") and "residual 1.00e+00" in fails[0]
     assert fails[1].startswith("raises ") and "raised ZeroDivisionError: boom" in fails[1]
-    assert out.splitlines()[-1] == "1/3 checks passed"
+    assert fails[2].startswith("nan ") and "residual nan" in fails[2]
+    assert fails[3].startswith("empty ") and "raised ValueError: the entry checked nothing" in fails[3]
+    assert out.splitlines()[-1] == "1/5 checks passed"
     assert "Traceback" not in out + err
 
 

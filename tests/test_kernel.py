@@ -1,12 +1,13 @@
 """The shift kernel and every shift sum built on it, against the loop oracles.
 
 Runs over every subgroup for N in {4, 6, 8, 9, 12} plus sheared lattices at
-N in {48, 96}, at 1e-12 relative to the largest oracle entry.  The fiber
+N in {48, 96}, at 1e-12 relative to the largest oracle entry.  The sector
 routes of the frame computations (frame designs on the sectors of the frame
-element, per-shift analysis, tiled synthesis) are checked against the dense
-G G^H route with one and two windows, and those of the lattice algebra
-(product, inversion, spectrum on the sectors of represent) against dense
-matrix products, inverses, SVDs and eigenvalues of the loop-built shift sums.
+element; analysis, inner products, actions and reconstruction in the sectors
+of L and L°) are checked against the dense G G^H route and the loop sums with
+one and two windows, and those of the lattice algebra (product, inversion,
+spectrum on the sectors of represent) against dense matrix products,
+inverses, SVDs and eigenvalues of the loop-built shift sums.
 The sectors themselves are pinned to the matrix bundle over the centre
 L ∩ L°: for X = L and X = L°, with basis (a, s), (0, b) and M = N/a, the
 a*K sectors of size c x c, c^2 |L ∩ L°| = |X| and K = M/c, are q' = N*c/|X|
@@ -14,7 +15,7 @@ copies of |L ∩ L°| distinct ones; the closed-form copies rebuild every
 sector of a dense oracle, in their basis represent(x) acts on vectors as the
 distinct sectors do, and the mean over the copies of a Gram's diagonal
 blocks is its orthogonal projection onto the span.  Each lattice's cached
-band index gathers the windows' translates to the fiber points bit for bit.
+band index gathers the windows' translates at its time shifts bit for bit.
 """
 import math
 
@@ -208,7 +209,7 @@ def test_represent_and_coefficients_of_match_loop_oracles(rng):
         assert abs(residual - expect) <= REL * np.linalg.norm(mat)
 
 
-def test_algebra_fiber_routes_match_dense_oracles(rng):
+def test_algebra_sector_routes_match_dense_oracles(rng):
     # the inverse is perturbed by up to eps * cond(A), so its tolerance scales with cond(A);
     # a - lambda * 1, lambda an eigenvalue of represent(a), is singular up to rounding
     for lat in (x for base in oracle_cases() for x in (base, adjoint_lattice(base))):

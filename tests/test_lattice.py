@@ -70,6 +70,9 @@ def test_generators_reduced_mod_n():
 def test_bad_order_rejected():
     with pytest.raises(ValueError):
         lattice_from_generators(1, [(0, 0)])
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"group order must be >= 2, got {n}"):
+            enumerate_subgroups(n)
 
 
 def brute_force_commutant(lat):
