@@ -65,7 +65,6 @@ from .module import (
     ModuleFrameReport,
     act_left,
     act_right,
-    associativity_residual,
     inner_left,
     inner_right,
     min_windows,

@@ -14,12 +14,12 @@ and commute up to the antisymmetric symplectic bicharacter
 
     c_symp((k,l), (m,n)) = exp(2*pi*i*(m*l - k*n)/N).
 
-Every shifted copy of a signal comes from one kernel, _translates: a
-read-only view of the doubled window whose row k, at a row stride of -1
-element, is the translate by k.  The short-time Fourier transform multiplies
-f into the view of conj(g) and FFTs each row in place: one N x N array.
-Sums over the points of a lattice take no shifted copies: they run in the
-lattice's sectors (algebra.py).
+tf_shift and shift_matrix take their phases from _roots, the cached N-th
+roots of unity.  The short-time Fourier transform multiplies f into
+_translates(conj(g)), a read-only view of the doubled window whose row k, at
+a row stride of -1 element, is the translate by k, and FFTs each row in
+place: one N x N array.  Sums over the points of a lattice take no shifted
+copies: they run in the lattice's sectors (algebra.py).
 Everything here is exact finite linear algebra.
 """
 from __future__ import annotations
@@ -180,34 +180,19 @@ def _roots(n: int) -> np.ndarray:
 
 
 def _translates(g: np.ndarray) -> np.ndarray:
-    """The translates of g, out[..., k, t] = g[..., (t - k) mod N]: a read-only
-    view of the doubled window with a row stride of -1 element, so row k is the
-    translate by k and a gather at rows k_i mod N costs one copy.  Leading axes
-    of g are further windows."""
+    """The translates of g, out[k, t] = g[(t - k) mod N]: a read-only view of
+    the doubled window with a row stride of -1 element, so row k is the
+    translate by k."""
     n = g.shape[-1]
-    doubled = np.concatenate([g, g], axis=-1)
+    doubled = np.concatenate([g, g])
     step = doubled.strides[-1]  # as_strided: sliding_window_view costs 2.5-5x more per call
-    return as_strided(doubled[..., n:], (*g.shape[:-1], n, n),
-                      (*doubled.strides[:-1], -step, step), writeable=False)
-
-
-def _shifted(points: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Shifted copies of g at the integer points (k_i, l_i), one row each.
-
-    out[..., i, t] = exp(2*pi*i*l_i*t/N) * g[..., (t - k_i) mod N]: the
-    translates times the roots of unity at (l_i * t) mod N.  Leading axes of
-    g are further windows.
-    """
-    n = g.shape[-1]
-    out = _translates(g)[..., points[:, 0] % n, :]
-    out *= _roots(n)[points[:, 1:] * np.arange(n) % n]
-    return out
+    return as_strided(doubled[n:], (n, n), (-step, step), writeable=False)
 
 
 def tf_shift(p: TFPoint, f: Signal) -> Signal:
     """Apply the time-frequency shift by p; preserves the 2-norm."""
     n = _check_same_n(p.n, f.n)
-    return Signal(n, _shifted(np.array([[p.k, p.l]]), f.values)[0])
+    return Signal(n, np.roll(f.values, p.k) * _roots(n)[p.l * np.arange(n) % n])
 
 
 def shift_matrix(p: TFPoint) -> np.ndarray:

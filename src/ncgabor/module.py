@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DimensionMismatch, Signal, _check_same_n, random_signal
+from .core import Signal, _check_same_n, random_signal
 from .lattice import Lattice, adjoint_lattice, volume
 from .algebra import (
     CoeffSeq,
@@ -70,7 +70,6 @@ __all__ = [
     "act_left",
     "act_right",
     "right_operator",
-    "associativity_residual",
     "module_frame_check",
     "module_frame_identity_residual",
     "multiwindow_parseval_residual",
@@ -107,36 +106,19 @@ def act_left(a: CoeffSeq, g: Signal) -> Signal:
     return _acted(_sectors(a.coeffs, a.lattice), g, a.lattice)
 
 
-def _right_element(b: CoeffSeq) -> CoeffSeq:
-    """vol^{-1} involution(conj b), represented as vol^{-1} sum b(mu) pi(mu)^H.
-
-    b lives on the adjoint lattice L° of some L, and vol(L)^-1 = vol(L°).
-    """
-    return involution(CoeffSeq(b.lattice, float(volume(b.lattice)) * np.conj(b.coeffs)))
-
-
-def act_right(g: Signal, b: CoeffSeq, lat: Lattice | None = None) -> Signal:
+def act_right(g: Signal, b: CoeffSeq) -> Signal:
     """Right action: vol^{-1} sum b(mu) pi(mu)^H g over the adjoint lattice,
     vol(L°) represent(conj b)^H g: the conjugate transpose of conj b's sectors."""
     _check_same_n(b.lattice.n, g.n)
-    if lat is not None and adjoint_lattice(lat) != b.lattice:
-        raise DimensionMismatch("coefficients do not live on the adjoint lattice")
     sectors = _sectors(float(volume(b.lattice)) * np.conj(b.coeffs), b.lattice)
     return _acted(sectors.conj().swapaxes(-1, -2), g, b.lattice)
 
 
 def right_operator(b: CoeffSeq) -> OperatorMatrix:
-    """Matrix of a right-algebra element: vol^{-1} sum b(mu) pi(mu)^H."""
-    return represent(_right_element(b))
-
-
-def associativity_residual(f: Signal, g: Signal, h: Signal, lat: Lattice) -> float:
-    """Relative gap between the two associativity routes; identically small."""
-    lhs = act_left(inner_left(f, g, lat), h)
-    rhs = act_right(f, inner_right(g, h, lat))
-    return float(
-        np.linalg.norm(lhs.values - rhs.values) / (1.0 + np.linalg.norm(lhs.values))
-    )
+    """Matrix of a right-algebra element: vol^{-1} sum b(mu) pi(mu)^H, which
+    represents vol^{-1} involution(conj b), with vol(L)^-1 = vol(L°) for b on L°."""
+    vol = float(volume(b.lattice))
+    return represent(involution(CoeffSeq(b.lattice, vol * np.conj(b.coeffs))))
 
 
 @dataclass(frozen=True)
@@ -166,7 +148,7 @@ def multiwindow_parseval_residual(windows, lat: Lattice, f: Signal) -> float:
     if not windows:
         raise ValueError("need at least one window")
     _check_same_n(lat.n, f.n, *(w.n for w in windows))
-    grams, scale = _grams(f.values[None], np.stack([w.values for w in windows]), lat)
+    grams, scale = _grams(f.values[None], np.array([w.values for w in windows]), lat)
     total = scale * float(np.sum(np.abs(grams) ** 2))
     norm_sq = f.norm2() ** 2
     return abs(norm_sq - total) / (1.0 + norm_sq)
@@ -184,8 +166,6 @@ def module_frame_check(windows, lat: Lattice) -> ModuleFrameReport:
     internal consistency check.
     """
     windows = list(windows)
-    if not windows:
-        raise ValueError("need at least one window")
     vol = volume(lat)
     try:
         tight = tight_multiwindow(windows, lat)

@@ -557,8 +557,7 @@ def _check_right_compatibility(rng):
 
 
 def _check_associativity(rng):
-    """||<f, g>_L h - f <g, h>_R|| / ||<f, g>_L h||: scale-invariant, so it
-    bounds associativity_residual (relative to 1 + ||lhs||) on any scaling."""
+    """||<f, g>_L h - f <g, h>_R|| / ||<f, g>_L h||: scale-invariant."""
     for lat, _, f, g, h in _module_draws(rng, 3):
         lhs = act_left(inner_left(f, g, lat), h).values
         rhs = act_right(f, inner_right(g, h, lat)).values

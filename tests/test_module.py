@@ -7,14 +7,12 @@ import pytest
 
 from ncgabor import (
     CoeffSeq,
-    DimensionMismatch,
     GaborSystem,
     NotAFrame,
     Signal,
     act_left,
     act_right,
     adjoint_lattice,
-    associativity_residual,
     delta_seq,
     frame_bounds,
     frame_operator,
@@ -100,14 +98,14 @@ def test_act_right_unit_normalization(rng):
     adj = adjoint_lattice(lat)
     g = random_signal(12, rng)
     b = CoeffSeq(adj, float(volume(lat)) * unit(adj).coeffs)
-    np.testing.assert_allclose(act_right(g, b, lat).values, g.values, atol=1e-12)
+    np.testing.assert_allclose(act_right(g, b).values, g.values, atol=1e-12)
 
 
 def test_act_right_zero_signal():
     lat = lattice_from_generators(6, [(2, 0), (0, 2)])
     adj = adjoint_lattice(lat)
     b = unit(adj)
-    out = act_right(Signal.zero(6), b, lat)
+    out = act_right(Signal.zero(6), b)
     assert np.abs(out.values).max() == 0.0
 
 
@@ -120,7 +118,7 @@ def test_act_right_dense_matrix_oracle(rng):
     for c, q in zip(b.coeffs, tf_points(adj)):
         dense += c * shift_matrix(q).conj().T
     expect = (1.0 / float(volume(lat))) * dense @ g.values
-    np.testing.assert_allclose(act_right(g, b, lat).values, expect, atol=1e-11)
+    np.testing.assert_allclose(act_right(g, b).values, expect, atol=1e-11)
 
 
 def test_act_right_linear(rng):
@@ -129,17 +127,9 @@ def test_act_right_linear(rng):
     g = random_signal(6, rng)
     b1 = CoeffSeq(adj, rng.standard_normal(adj.size) + 0j)
     b2 = CoeffSeq(adj, rng.standard_normal(adj.size) + 0j)
-    lhs = act_right(g, CoeffSeq(adj, 2 * b1.coeffs - 1j * b2.coeffs), lat).values
-    rhs = 2 * act_right(g, b1, lat).values - 1j * act_right(g, b2, lat).values
+    lhs = act_right(g, CoeffSeq(adj, 2 * b1.coeffs - 1j * b2.coeffs)).values
+    rhs = 2 * act_right(g, b1).values - 1j * act_right(g, b2).values
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_act_right_lattice_mismatch(rng):
-    lat = lattice_from_generators(8, [(2, 0), (0, 2)])
-    wrong = lattice_from_generators(8, [(1, 0)])
-    b = unit(wrong)
-    with pytest.raises(DimensionMismatch):
-        act_right(random_signal(8, rng), b, lat)
 
 
 def test_frame_type_operator_tight_case(rng):
@@ -183,8 +173,9 @@ def test_frame_type_matches_frame_operator(rng):
 def test_associativity_zero_case(rng):
     n = 6
     lat = lattice_from_generators(n, [(2, 0), (0, 3)])
-    f, h = random_signal(n, rng), random_signal(n, rng)
-    assert associativity_residual(f, Signal.zero(n), h, lat) == 0.0
+    f, g, h = random_signal(n, rng), Signal.zero(n), random_signal(n, rng)
+    assert not act_left(inner_left(f, g, lat), h).values.any()
+    assert not act_right(f, inner_right(g, h, lat)).values.any()
 
 
 def test_associativity_delta_full_lattice():
@@ -195,7 +186,6 @@ def test_associativity_delta_full_lattice():
     rhs = act_right(d, inner_right(d, d, lat))
     np.testing.assert_allclose(lhs.values, n * d.values, atol=1e-12)
     np.testing.assert_allclose(rhs.values, n * d.values, atol=1e-12)
-    assert associativity_residual(d, d, d, lat) < 1e-12
 
 
 def test_module_frame_check_orthonormal_basis():
