@@ -14,14 +14,17 @@ inversion inside the algebra (support preservation) observable here.
 
 The algebra works in the lattice's fibers.  With the normal-form basis
 (a, s), (0, b), the points at time shift i*a are (i*a, sigma_i + j*b),
-sigma_i = i*s mod b, and (i*a, sigma_i) are the fiber points.  The bands
-band[i, t] = represent(c)[t, (t - i*a) mod N] are the band phase
-exp(2*pi*i*sigma_i*t/N) times sum_j c[i, j] exp(2*pi*i*j*t/(N/b)), one
-inverse FFT of length N/b per time shift repeated b times along t; the other
-bands are zero.  coefficients_of recovers c from the bands times the
-conjugate phase, summed over t mod N/b, by one FFT of length N/b, over N.
-represent writes the bands through the flat index t*N + (t - i*a) mod N and
-coefficients_of reads them; _band_index caches it, read-only, per lattice.
+sigma_i = i*s mod b.  The band band[i, t] = represent(c)[t, (t - i*a) mod N]
+is sum_l c(i*a, l) exp(2*pi*i*l*t/N), the inverse DFT of the lattice's
+frequencies at that time shift; the other bands are zero.  represent places
+the coefficients on the (N/a, N) grid of time shifts by frequencies, point
+(i*a, l) at row i, column l, and takes one length-N inverse FFT per row;
+coefficients_of takes the forward FFT of the bands and reads the grid back,
+over N.  Both move the bands through the flat index t*N + (t - i*a) mod N,
+built on each call: there is no phase table and no cache.  Along j each band
+is the band phase exp(2*pi*i*sigma_i*t/N) times the length-N/b inverse FFT of
+c[i, :], repeated b times along t: the band spectra (N/a, N/b) that the
+sectors below gather from.
 Every other route, on coefficients or on signals, runs in the sectors below.
 
 In the order t = r + a*q, M = N/a, represent(x) is block diagonal: a blocks of
@@ -69,7 +72,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DimensionMismatch, TFPoint, _check_same_n, _frozen, _lifted, _roots
+from .core import DimensionMismatch, TFPoint, _check_same_n, _frozen, _lifted, _translates
 from .lattice import Lattice
 from .weights import Weight
 
@@ -186,22 +189,17 @@ def weighted_norm(a: CoeffSeq, v: Weight, s: float) -> float:
     return float(np.abs(a.coeffs) @ v.power(s)._grid(lifts[:, 0], lifts[:, 1]))
 
 
-@lru_cache(maxsize=64)
-def _band_phase(lat: Lattice) -> np.ndarray:
-    """The band phase exp(2*pi*i*sigma_i*t/N), (N/a, N): the modulations of the
-    fiber points (i*a, sigma_i), the first per time shift: roots at (sigma_i*t) mod N."""
-    sigma = lat.as_array()[:: lat.n // lat.basis[2], 1:]
-    return _roots(lat.n)[sigma * np.arange(lat.n) % lat.n]
-
-
-@lru_cache(maxsize=64)
 def _band_index(lat: Lattice) -> np.ndarray:
     """The bands' flat index t*N + (t - i*a) mod N into an N x N matrix,
-    (N/a, N) intp, read-only."""
-    t = np.arange(lat.n, dtype=np.intp)
-    index = (t - t[:: lat.basis[0], None]) % lat.n + lat.n * t
-    index.setflags(write=False)
-    return index
+    (N/a, N) intp: the translates of 0 .. N-1 at the time shifts i*a."""
+    n = lat.n
+    return _translates(np.arange(n))[:: lat.basis[0]] + n * np.arange(n)
+
+
+def _grid_index(lat: Lattice) -> np.ndarray:
+    """Each lattice point's flat position i*N + l in the (N/a, N) grid of
+    time shifts by frequencies, in canonical order."""
+    return lat.as_array() @ (lat.n // lat.basis[0], 1)
 
 
 @lru_cache(maxsize=64)
@@ -272,10 +270,10 @@ def represent(a: CoeffSeq) -> OperatorMatrix:
     """Assemble the matrix sum of shift matrices weighted by the coefficients:
     its bands at the lattice's time shifts; the other bands are zero."""
     lat, n = a.lattice, a.lattice.n
-    p = n // lat.basis[2]
     mat = np.zeros((n, n), dtype=complex)  # before the temporaries, so they free from the heap top
-    spec = np.fft.ifft(a.coeffs.reshape(-1, 1, p), norm="forward")
-    mat.reshape(-1)[_band_index(lat)] = (_band_phase(lat).reshape(-1, n // p, p) * spec).reshape(-1, n)
+    grid = np.zeros((n // lat.basis[0], n), dtype=complex)
+    grid.reshape(-1)[_grid_index(lat)] = a.coeffs
+    mat.reshape(-1)[_band_index(lat)] = np.fft.ifft(grid, norm="forward")
     mat.setflags(write=False)  # handed over: OperatorMatrix shares it rather than copying
     return OperatorMatrix(n, mat)
 
@@ -288,20 +286,18 @@ def coefficients_of(A, lat: Lattice) -> tuple[CoeffSeq, float]:
     distance between A and the reassembled span element; it vanishes exactly
     when A lies in the span of the lattice shifts.
     """
-    # the one N x N temporary: a copy of A, whose band entries become their
-    # distance from the rebuilt bands (up to the band phase); the entries off
-    # the bands lie outside the span
+    # the one N x N temporary: a copy of A, whose bands become what is left
+    # of them outside the lattice's frequencies; the entries off the bands
+    # lie outside the span
     rest = np.array(A.entries if isinstance(A, OperatorMatrix) else A, dtype=complex, order="C")
     n = lat.n
     if rest.shape != (n, n):
         raise DimensionMismatch(f"matrix shape {rest.shape} does not match order {n}")
-    p, index = n // lat.basis[2], _band_index(lat)
-    bands = rest.take(index)
-    bands *= _band_phase(lat).conj()
-    bands = bands.reshape(-1, n // p, p)
-    seq = CoeffSeq(lat, np.fft.fft(bands.sum(axis=1)).reshape(-1) / n)
-    bands -= np.fft.ifft(seq.coeffs.reshape(-1, 1, p), norm="forward")
-    rest.reshape(-1)[index] = bands.reshape(-1, n)
+    index, at = _band_index(lat), _grid_index(lat)
+    spec = np.fft.fft(rest.take(index)).reshape(-1)
+    seq = CoeffSeq(lat, spec[at] / n)
+    spec[at] = 0
+    rest.reshape(-1)[index] = np.fft.ifft(spec.reshape(index.shape))
     return seq, float(np.linalg.norm(rest))
 
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "DimensionMismatch",
@@ -116,8 +115,11 @@ class TFPoint:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"group order must be >= 2, got {self.n}")
-        object.__setattr__(self, "k", int(self.k) % self.n)
-        object.__setattr__(self, "l", int(self.l) % self.n)
+        for name in ("k", "l"):
+            value = getattr(self, name)
+            if int(value) != value:
+                raise ValueError(f"coordinate {name} = {value!r} is not an integer")
+            object.__setattr__(self, name, int(value) % self.n)
 
     def __add__(self, other: "TFPoint") -> "TFPoint":
         _check_same_n(self.n, other.n)
@@ -182,11 +184,14 @@ def _roots(n: int) -> np.ndarray:
 def _translates(g: np.ndarray) -> np.ndarray:
     """The translates of g, out[k, t] = g[(t - k) mod N]: a read-only view of
     the doubled window with a row stride of -1 element, so row k is the
-    translate by k."""
+    translate by k.  Of g = 0 .. N-1, its rows at the time shifts i*a are the
+    columns of the bands' flat index (algebra._band_index)."""
     n = g.shape[-1]
     doubled = np.concatenate([g, g])
-    step = doubled.strides[-1]  # as_strided: sliding_window_view costs 2.5-5x more per call
-    return as_strided(doubled[n:], (n, n), (-step, step), writeable=False)
+    step = doubled.strides[-1]  # a bare ndarray: as_strided costs 2.5x more per call
+    out = np.ndarray((n, n), doubled.dtype, doubled, n * step, (-step, step))
+    out.flags.writeable = False
+    return out
 
 
 def tf_shift(p: TFPoint, f: Signal) -> Signal:

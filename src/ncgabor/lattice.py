@@ -128,17 +128,15 @@ def lattice_from_generators(n: int, gens) -> Lattice:
     generators are kept as given, reduced mod N.
     """
     _require_order(n)
-    pairs = []
+    generators = []
     for g in gens:
-        if isinstance(g, TFPoint):
-            if g.n != n:
-                raise ValueError(f"generator ({g.k},{g.l}) has order {g.n}, lattice has {n}")
-            pairs.append((g.k, g.l))
-        else:
+        if not isinstance(g, TFPoint):
             k, l = g
-            pairs.append((int(k) % n, int(l) % n))
-    generators = tuple(TFPoint(n, k, l) for k, l in pairs)
-    return Lattice(n, _normal_form(n, pairs), generators)
+            g = TFPoint(n, k, l)
+        elif g.n != n:
+            raise ValueError(f"generator ({g.k},{g.l}) has order {g.n}, lattice has {n}")
+        generators.append(g)
+    return Lattice(n, _normal_form(n, [(g.k, g.l) for g in generators]), tuple(generators))
 
 
 def full_lattice(n: int) -> Lattice:

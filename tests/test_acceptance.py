@@ -27,7 +27,7 @@ def test_public_surface_is_the_modules_all():
         "SubmultiplicativityReport", "ModerateReport", "window_equivalence_ratio",
         "EquivalenceRatios", "frame_type_operator", "hermitian_inverse_sqrt",
         "EIGENVALUE_FLOOR_REL", "phase_space_to_csv", "phase_space_from_csv",
-        "associativity_residual", "_shifted", "_right_element",
+        "associativity_residual", "_shifted", "_right_element", "_band_phase",
     }
     for module in (ncgabor, ncgabor.serialize, *(getattr(ncgabor, m) for m in modules)):
         assert not deleted & set(vars(module)), module.__name__

@@ -178,12 +178,12 @@ def test_coefficients_of_outside_point():
 
 def test_coefficients_of_holds_one_matrix_temporary(rng):
     # represent(a) is 16 MiB at N=1024; the residual is the norm of one copy
-    # with the bands replaced by their distance from the rebuilt bands, so the
-    # peak holds that copy and band-sized arrays, not a second N x N matrix
+    # with the bands replaced by what is left of them outside the lattice's
+    # frequencies, so the peak of a cold call holds that copy and band-sized
+    # arrays, not a second N x N matrix
     lat = lattice_from_generators(1024, [(8, 0), (0, 8)])
     a = rand_seq(lat, rng)
     mat = represent(a)
-    coefficients_of(mat, lat)  # warm: the band tables are cached per lattice
     tracemalloc.start()
     try:
         seq, residual = coefficients_of(mat, lat)
@@ -193,6 +193,22 @@ def test_coefficients_of_holds_one_matrix_temporary(rng):
     assert peak < 28 * 2**20
     assert np.abs(seq.coeffs - a.coeffs).max() < 1e-12 * np.abs(a.coeffs).max()
     assert residual < 1e-11 * np.linalg.norm(mat.entries)
+
+
+def test_represent_and_coefficients_of_leave_nothing_behind(rng):
+    # with a = 1 a band table would hold N x N entries per lattice; once the
+    # matrix and the coefficients are dropped, only O(N + |L|) may remain
+    lat = lattice_from_generators(1024, [(1, 0), (0, 64)])
+    a = rand_seq(lat, rng)
+    tracemalloc.start()
+    try:
+        seq, residual = coefficients_of(represent(a), lat)
+        assert residual < 1e-9
+        del seq
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
 
 
 def test_trace_orthogonality_exhaustive():

@@ -94,15 +94,14 @@ def test_shift_matches_loop_oracle(rng):
 
 
 def test_band_index_rows_are_the_translates_at_the_time_shifts(rng):
-    # the cached flat index of represent and coefficients_of, t*N + column, names
+    # the flat index of represent and coefficients_of, t*N + column, names
     # row t of the matrix, and its columns gather a window's translates to the
     # lattice's time shifts i*a
     for base in oracle_cases():
         for lat in (base, adjoint_lattice(base)):
             index = _band_index(lat)
             assert index.shape == (lat.n // lat.basis[0], lat.n)
-            assert index.dtype == np.intp and not index.flags.writeable
-            assert index is _band_index(lat)
+            assert index.dtype == np.intp
             rows, columns = np.divmod(index, lat.n)
             assert np.array_equal(rows, np.broadcast_to(np.arange(lat.n), index.shape))
             ks = np.arange(0, lat.n, lat.basis[0])

@@ -63,8 +63,15 @@ def test_lattice_invariants():
 
 
 def test_generators_reduced_mod_n():
-    lat = lattice_from_generators(6, [(-2, 8)])
-    assert (lat.generators[0].k, lat.generators[0].l) == (4, 2)
+    lat = lattice_from_generators(6, [(-2, 8), (np.int64(3), 2.0)])
+    assert [(g.k, g.l) for g in lat.generators] == [(4, 2), (3, 2)]
+    # a non-integer coordinate is refused, not truncated
+    with pytest.raises(ValueError, match="coordinate k = 1.5 is not an integer"):
+        lattice_from_generators(8, [(1.5, 0)])
+    with pytest.raises(ValueError, match="coordinate k = 2.7 is not an integer"):
+        TFPoint(8, 2.7, -0.5)
+    with pytest.raises(ValueError, match="coordinate l = -0.5 is not an integer"):
+        TFPoint(8, 2, -0.5)
 
 
 def test_bad_order_rejected():
