@@ -20,11 +20,14 @@ frequencies at that time shift; the other bands are zero.  represent places
 the coefficients on the (N/a, N) grid of time shifts by frequencies, point
 (i*a, l) at row i, column l, and takes one length-N inverse FFT per row;
 coefficients_of takes the forward FFT of the bands and reads the grid back,
-over N.  Both move the bands through the flat index t*N + (t - i*a) mod N,
-built on each call: there is no phase table and no cache.  Along j each band
-is the band phase exp(2*pi*i*sigma_i*t/N) times the length-N/b inverse FFT of
-c[i, :], repeated b times along t: the band spectra (N/a, N/b) that the
-sectors below gather from.
+over N.  Both move the bands through the flat index t*N + (t - i*a) mod N
+and place the points by their grid positions.  Both tables come from
+core._tables, the index once per (N, a) and the positions once per lattice,
+while they fit its 2 MiB cap: the index has (N/a)*N entries, so with a = 1
+it is built on each call past N = 512.  There is no phase table.  Along j
+each band is the band phase exp(2*pi*i*sigma_i*t/N) times the length-N/b
+inverse FFT of c[i, :], repeated b times along t: the band spectra
+(N/a, N/b) that the sectors below gather from.
 Every other route, on coefficients or on signals, runs in the sectors below.
 
 In the order t = r + a*q, M = N/a, represent(x) is block diagonal: a blocks of
@@ -72,7 +75,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DimensionMismatch, TFPoint, _check_same_n, _frozen, _lifted, _translates
+from .core import DimensionMismatch, TFPoint, _check_same_n, _frozen, _lifted, _tables, _translates
 from .lattice import Lattice
 from .weights import Weight
 
@@ -189,17 +192,17 @@ def weighted_norm(a: CoeffSeq, v: Weight, s: float) -> float:
     return float(np.abs(a.coeffs) @ v.power(s)._grid(lifts[:, 0], lifts[:, 1]))
 
 
-def _band_index(lat: Lattice) -> np.ndarray:
+def _band_index(n: int, a: int) -> np.ndarray:
     """The bands' flat index t*N + (t - i*a) mod N into an N x N matrix,
     (N/a, N) intp: the translates of 0 .. N-1 at the time shifts i*a."""
-    n = lat.n
-    return _translates(np.arange(n))[:: lat.basis[0]] + n * np.arange(n)
+    return _translates(np.arange(n))[::a] + n * np.arange(n)
 
 
-def _grid_index(lat: Lattice) -> np.ndarray:
+def _grid_index(n: int, basis: tuple[int, int, int]) -> np.ndarray:
     """Each lattice point's flat position i*N + l in the (N/a, N) grid of
-    time shifts by frequencies, in canonical order."""
-    return lat.as_array() @ (lat.n // lat.basis[0], 1)
+    time shifts by frequencies, in canonical order.  The points are built
+    on a lattice of its own, so they are not kept on the caller's."""
+    return Lattice(n, basis, ()).as_array() @ (n // basis[0], 1)
 
 
 @lru_cache(maxsize=64)
@@ -272,8 +275,8 @@ def represent(a: CoeffSeq) -> OperatorMatrix:
     lat, n = a.lattice, a.lattice.n
     mat = np.zeros((n, n), dtype=complex)  # before the temporaries, so they free from the heap top
     grid = np.zeros((n // lat.basis[0], n), dtype=complex)
-    grid.reshape(-1)[_grid_index(lat)] = a.coeffs
-    mat.reshape(-1)[_band_index(lat)] = np.fft.ifft(grid, norm="forward")
+    grid.reshape(-1)[_tables(_grid_index, n, lat.basis)] = a.coeffs
+    mat.reshape(-1)[_tables(_band_index, n, lat.basis[0])] = np.fft.ifft(grid, norm="forward")
     mat.setflags(write=False)  # handed over: OperatorMatrix shares it rather than copying
     return OperatorMatrix(n, mat)
 
@@ -293,7 +296,7 @@ def coefficients_of(A, lat: Lattice) -> tuple[CoeffSeq, float]:
     n = lat.n
     if rest.shape != (n, n):
         raise DimensionMismatch(f"matrix shape {rest.shape} does not match order {n}")
-    index, at = _band_index(lat), _grid_index(lat)
+    index, at = _tables(_band_index, n, lat.basis[0]), _tables(_grid_index, n, lat.basis)
     spec = np.fft.fft(rest.take(index)).reshape(-1)
     seq = CoeffSeq(lat, spec[at] / n)
     spec[at] = 0

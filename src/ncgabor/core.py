@@ -21,9 +21,16 @@ a row stride of -1 element, is the translate by k, and FFTs each row in
 place: one N x N array.  Sums over the points of a lattice take no shifted
 copies: they run in the lattice's sectors (algebra.py).
 Everything here is exact finite linear algebra.
+
+_tables is the one byte-bounded cache for tables that grow with N or |L|
+and depend only on plain arguments: the bands' flat index and the grid
+positions (algebra.py), the lifted weight table (modspaces.py) and the
+adjoint lattice (lattice.py).  It keeps at most 32 MiB in all and no table
+over 2 MiB, so past that size a table is built on every call.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -179,6 +186,55 @@ def _roots(n: int) -> np.ndarray:
     roots = np.exp(2j * np.pi * np.arange(n) / n)
     roots.setflags(write=False)
     return roots
+
+
+class _TableCache:
+    """Tables that depend only on their builder's arguments, each built once
+    and kept while the total stays within a byte budget.
+
+    cache(build, *args) is build(*args), keyed by (build, args): keys hold
+    plain arguments, never a lattice whose points would stay alive
+    uncharged.  An array is frozen read-only and charged its nbytes after
+    the build; any other table is charged charge(table), what it will come to
+    hold.  A table charged more than cap is returned but not kept; otherwise
+    the oldest tables are evicted until the total fits the budget, so the
+    newest survives.  A hit is one dict lookup.
+    """
+
+    def __init__(self, budget: int, cap: int) -> None:
+        self.budget, self.cap = budget, cap
+        self.kept: dict = {}  # (build, args) -> (table, charge), oldest first
+        self.nbytes = self.hits = self.misses = 0
+        self._lock = threading.Lock()  # insertion and eviction are read-modify-writes
+
+    def __call__(self, build, *args, charge=None):
+        key = (build, args)
+        entry = self.kept.get(key)
+        if entry is not None:
+            self.hits += 1
+            return entry[0]
+        table = build(*args)
+        if charge is None:
+            table.setflags(write=False)
+            nbytes = table.nbytes
+        else:
+            nbytes = charge(table)
+        with self._lock:
+            self.misses += 1
+            if nbytes <= self.cap and key not in self.kept:
+                self.kept[key] = table, nbytes
+                self.nbytes += nbytes
+                while self.nbytes > self.budget:
+                    self.nbytes -= self.kept.pop(next(iter(self.kept)))[1]
+        return table
+
+    def clear(self) -> None:
+        with self._lock:
+            self.kept.clear()
+            self.nbytes = self.hits = self.misses = 0
+
+
+_tables = _TableCache(budget=32 * 2**20, cap=2 * 2**20)
 
 
 def _translates(g: np.ndarray) -> np.ndarray:

@@ -21,11 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .core import TFPoint
+from .core import TFPoint, _tables
 
 __all__ = [
     "Lattice",
@@ -147,16 +147,22 @@ def trivial_lattice(n: int) -> Lattice:
     return lattice_from_generators(n, [])
 
 
-@lru_cache(maxsize=256)
 def adjoint_lattice(lat: Lattice) -> Lattice:
     """All points whose shifts commute with every shift from the lattice.
 
     (m, n') is adjoint iff m*l - k*n' = 0 mod N for (k, l) = (a, s) and
     (0, b).  The second condition gives m in (N/b)Z; the first then fixes n'
     modulo N/a, so the adjoint has basis (N/b, (N/b)*s/a mod N/a), (0, N/a).
-    (a divides (N/b)*s because (N/a)*(a, s) lies in L at time 0.)
+    (a divides (N/b)*s because (N/a)*(a, s) lies in L at time 0.)  Equal
+    lattices share one adjoint from core._tables, charged the 16 bytes per
+    point its points take once built.
     """
-    n, (a, s, b) = lat.n, lat.basis
+    return _tables(_adjoint, lat.n, lat.basis, charge=lambda adj: 16 * adj.size)
+
+
+def _adjoint(n: int, basis: tuple[int, int, int]) -> Lattice:
+    """The adjoint of the lattice with this normal-form basis (adjoint_lattice)."""
+    a, s, b = basis
     return _from_basis(n, (n // b, (n // b) * s // a % (n // a), n // a))
 
 

@@ -8,6 +8,11 @@ Moyal identity, with the same constants as the frame-bound conventions.
 The (1, 1) family with weight powers is the workhorse window class; its norm
 is monotone in the power and transforms under time-frequency shifts with a
 factor bounded by the weight at the shift.
+
+The weight at every lifted phase-space point, an N x N table, depends only
+on the weight and N: mod_norm takes it from core._tables, keyed by the
+(weight, N) pair, so an equal weight built anew finds it.  Up to N = 512 it
+fits the cache's 2 MiB cap; past that it is built on every call.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Signal, _check_same_n, _lifted, stft
+from .core import Signal, _check_same_n, _lifted, _tables, stft
 from .weights import Weight
 
 __all__ = ["ModNormSpec", "mod_norm", "feichtinger_norm"]
@@ -55,7 +60,7 @@ def mod_norm(f: Signal, spec: ModNormSpec) -> float:
     """Weighted mixed norm: inner l^p over time, outer l^q over frequency."""
     _check_same_n(f.n, spec.window.n)
     weighted = np.abs(stft(f, spec.window).values)
-    weighted *= _lifted_weight_table(spec.m, f.n)
+    weighted *= _tables(_lifted_weight_table, spec.m, f.n)
     per_frequency = _lp(weighted, spec.p, axis=0)
     return float(_lp(per_frequency, spec.q, axis=0))
 

@@ -1,4 +1,7 @@
-"""Shifts, cocycles and the STFT on Z_N."""
+"""Shifts, cocycles, the STFT on Z_N and the byte-bounded table cache."""
+import sys
+import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,18 +11,26 @@ from hypothesis import strategies as st
 from ncgabor import (
     CoeffSeq,
     DimensionMismatch,
+    ModNormSpec,
     OperatorMatrix,
     PhaseSpaceArray,
     Signal,
     TFPoint,
+    Weight,
     cocycle,
     full_lattice,
+    lattice_from_generators,
+    mod_norm,
     random_signal,
+    represent,
     shift_matrix,
     stft,
     symplectic_bicharacter,
     tf_shift,
 )
+from ncgabor.algebra import _band_index, _grid_index
+from ncgabor.core import _TableCache, _tables
+from ncgabor.modspaces import _lifted_weight_table
 from oracles import stft_direct, stft_sample
 
 
@@ -218,3 +229,79 @@ def test_phase_space_moyal_invariant(rng):
     arr = stft(f, g)
     total = np.sum(np.abs(arr.values) ** 2)
     assert total == pytest.approx(n * f.norm2() ** 2 * g.norm2() ** 2, rel=1e-10)
+
+
+def test_table_cache_holds_its_budget(rng):
+    # mod_norm on a ladder of N and represent on 20 lattices drive the cache
+    # past its 32 MiB budget.  After each call the total fits the budget, no
+    # table over the 2 MiB cap is kept (the weight table and the a = 1 band
+    # index at N=1024 are 8 MiB each), every table the call looked up that
+    # fits the cap is kept, so the newest survives the evictions it caused,
+    # and each lookup counts once, as a hit or a miss
+    calls = []
+    for n in (64, 128, 256, 384, 448, 512, 1024):
+        f, g = random_signal(n, rng), random_signal(n, rng)
+        for m in (
+            Weight.polynomial(2),
+            Weight.polynomial(0.5),
+            Weight.subexponential(0.5, 0.5),
+            Weight.exponential(0.01),
+            Weight.exponential(0.02),
+        ):
+            calls.append((partial(mod_norm, f, ModNormSpec(1.0, 2.0, m, g)), [(_lifted_weight_table, (m, n))]))
+    gens = [(512, [(a, a // 2), (0, b)]) for a in (1, 2, 4, 8) for b in (1, 2, 4, 8)]
+    gens += [(1024, [(a, 0), (0, 64 // a)]) for a in (1, 2, 4, 8)]
+    for n, basis in gens:
+        lat = lattice_from_generators(n, basis)
+        seq = CoeffSeq(lat, rng.standard_normal(lat.size))
+        calls.append((partial(represent, seq), [(_grid_index, (n, lat.basis)), (_band_index, (n, lat.basis[0]))]))
+    _tables.clear()
+    evictions = 0
+    for call, keys in calls:
+        before, lookups = set(_tables.kept), _tables.hits + _tables.misses
+        call()
+        assert _tables.hits + _tables.misses == lookups + len(keys)
+        charges = [charge for _, charge in _tables.kept.values()]
+        assert _tables.nbytes == sum(charges) <= _tables.budget
+        assert max(charges) <= _tables.cap
+        for build, args in keys:
+            nbytes = build(*args).nbytes
+            assert ((build, args) in _tables.kept) == (nbytes <= _tables.cap), (build.__name__, args[1:])
+        evictions += len(before - set(_tables.kept))
+    assert evictions and len(_tables.kept) > 1
+    hits, misses = _tables.hits, _tables.misses
+    calls[-1][0]()
+    assert (_tables.hits, _tables.misses) == (hits + 2, misses)
+    for table, _ in _tables.kept.values():
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 0
+
+
+def test_table_cache_total_survives_concurrent_misses():
+    # eight threads miss, insert and evict on shared keys with the switch
+    # interval shortened: none may raise, and the byte total must still be
+    # the kept tables' sum
+    cache = _TableCache(budget=64 * 2**10, cap=16 * 2**10)
+    errors = []
+
+    def work(seed):
+        try:
+            for i in range(3000):
+                cache(np.zeros, (seed * 37 + i) % 300 + 1)
+        except Exception as exc:  # a thread's exception would otherwise go unseen
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert cache.nbytes == sum(charge for _, charge in cache.kept.values()) <= cache.budget
+    assert cache.misses >= len(cache.kept) > 1

@@ -60,7 +60,7 @@ from ncgabor.algebra import (
     _sectors,
     _vectors_of_sectors,
 )
-from ncgabor.core import _translates
+from ncgabor.core import _tables, _translates
 from ncgabor.frames import FRAME_DECISION_TOL, _pairing
 import oracles
 from oracles import oracle_cases
@@ -99,9 +99,10 @@ def test_band_index_rows_are_the_translates_at_the_time_shifts(rng):
     # lattice's time shifts i*a
     for base in oracle_cases():
         for lat in (base, adjoint_lattice(base)):
-            index = _band_index(lat)
+            index = _tables(_band_index, lat.n, lat.basis[0])
             assert index.shape == (lat.n // lat.basis[0], lat.n)
             assert index.dtype == np.intp
+            assert not index.flags.writeable
             rows, columns = np.divmod(index, lat.n)
             assert np.array_equal(rows, np.broadcast_to(np.arange(lat.n), index.shape))
             ks = np.arange(0, lat.n, lat.basis[0])

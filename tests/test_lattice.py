@@ -1,5 +1,6 @@
 """Subgroup closure, adjoints, covolume and subgroup enumeration."""
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from ncgabor import (
     volume,
 )
 from ncgabor.algebra import _involution_tables
+from ncgabor.core import _tables
 from oracles import oracle_cases, tf_points
 
 
@@ -270,9 +272,22 @@ def test_equal_subgroups_are_one_lattice():
     assert hash(lat) == hash(same)
     assert lat != lattice_from_generators(12, [(2, 0), (0, 6)])
     assert lat != lattice_from_generators(6, [(2, 0), (0, 3)])
-    adjoint_lattice.cache_clear()
+    _tables.clear()
     assert adjoint_lattice(lat) is adjoint_lattice(same)
-    assert adjoint_lattice.cache_info().currsize == 1
+    assert (_tables.misses, _tables.hits, len(_tables.kept)) == (1, 1, 1)
+
+
+def test_adjoint_of_a_large_lattice_is_not_kept():
+    # the adjoint of the trivial lattice mod 1024 is the full lattice, whose
+    # points take 16 MiB once built: charged that at insertion, it is over
+    # the table cache's cap, so nothing of it outlives the caller's reference
+    tracemalloc.start()
+    try:
+        adjoint_lattice(trivial_lattice(1024)).as_array()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
 
 
 def test_index_of_and_membership():

@@ -16,6 +16,7 @@ from ncgabor import (
     stft,
     tf_shift,
 )
+from ncgabor.core import _tables
 from ncgabor.modspaces import _lifted_weight_table
 from conftest import SEEDS
 
@@ -75,6 +76,24 @@ def test_weight_table_matches_pointwise_weights(n):
         expect = np.array([[m((k, l)) for l in lift] for k in lift])
         # numpy's and math's exp/log1p may differ in the last few ulp
         np.testing.assert_allclose(_lifted_weight_table(m, n), expect, rtol=1e-13, atol=0)
+
+
+def test_mod_norm_from_a_filled_cache_is_bit_identical(rng):
+    # a weight equal by value, built anew for every call, finds the table
+    # the first call cached, and the norm is the same to the last bit
+    n = 16
+    table = {(x, y): 1.0 + x * x + 2 * y * y for x in range(-8, 9) for y in range(-8, 9)}
+    f, g = random_signal(n, rng), random_signal(n, rng)
+    for make in (
+        lambda: Weight.polynomial(2.5),
+        lambda: Weight.subexponential(0.5, 0.5),
+        lambda: Weight.exponential(0.3),
+        lambda: Weight.custom(table).power(1.5),
+    ):
+        _tables.clear()
+        values = [mod_norm(f, ModNormSpec(1.0, 2.0, make(), g)).hex() for _ in range(3)]
+        assert (_tables.misses, _tables.hits) == (1, 2)
+        assert values == values[:1] * 3
 
 
 def test_stft_and_mod_norm_hold_one_phase_space_array(rng):
