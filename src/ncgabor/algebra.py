@@ -22,7 +22,7 @@ the coefficients on the (N/a, N) grid of time shifts by frequencies, point
 coefficients_of takes the forward FFT of the bands and reads the grid back,
 over N.  Both move the bands through the flat index t*N + (t - i*a) mod N
 and place the points by their grid positions.  Both tables come from
-core._tables, the index once per (N, a) and the positions once per lattice,
+lattice._tables, the index once per (N, a) and the positions once per lattice,
 while they fit its 2 MiB cap: the index has (N/a)*N entries, so with a = 1
 it is built on each call past N = 512.  There is no phase table.  Along j
 each band is the band phase exp(2*pi*i*sigma_i*t/N) times the length-N/b
@@ -72,12 +72,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import DimensionMismatch, TFPoint, _check_same_n, _frozen, _lifted, _tables, _translates
-from .lattice import Lattice
-from .weights import Weight
+from .core import _frozen, _lifted, _translates
+from .lattice import DimensionMismatch, Lattice, TFPoint, _check_same_n, _tables
+
+if TYPE_CHECKING:
+    from .weights import Weight
 
 __all__ = [
     "CoeffSeq",
@@ -157,10 +160,12 @@ def delta_seq(lat: Lattice, p: TFPoint, value: complex = 1.0) -> CoeffSeq:
 
 
 @lru_cache(maxsize=64)
-def _involution_tables(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
-    """Negation-index table and diagonal cocycle values."""
+def _involution_tables(n: int, basis: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Negation-index table and diagonal cocycle values.  Keyed by N and the
+    basis and built on a lattice of its own, so the cache keeps no caller's
+    lattice and its points alive."""
+    lat = Lattice(n, basis, ())
     pts = lat.as_array()
-    n = lat.n
     neg = lat.indices(-pts[:, 0], -pts[:, 1])
     diag = np.exp(-2j * np.pi * ((pts[:, 0] * pts[:, 1]) % n) / n)
     return neg, diag
@@ -180,7 +185,7 @@ def twisted_conv(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
 
 def involution(a: CoeffSeq) -> CoeffSeq:
     """The algebra involution; represent(involution(a)) = represent(a)^H."""
-    neg, diag = _involution_tables(a.lattice)
+    neg, diag = _involution_tables(a.lattice.n, a.lattice.basis)
     return CoeffSeq(a.lattice, diag * np.conj(a.coeffs[neg]))
 
 
@@ -206,15 +211,16 @@ def _grid_index(n: int, basis: tuple[int, int, int]) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _sector_tables(lat: Lattice) -> tuple[np.ndarray, ...]:
+def _sector_tables(n: int, basis: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
     """Copy j's coordinates: the times t + j*h*N/b (q', a/q', K, c) and the
     twist times pi(j*mu)'s phase, over sqrt(K), and its inverse.  The distinct
     sectors' entries [r, u, rho, rho'] (a/q', K, c, c) before the FFT over u:
     where each sits in the flattened band spectra (N/a, N/b), once, its band
     phase times conj(tw[u, rho]), the inverse's, over N/b and K, and the
     inverse index.  The inverse FFTs take norm="forward", which skips their
-    scaling; phases are exp(pi*i*e/N), e integer mod 2N.  Read-only."""
-    n, (a, s, b) = lat.n, lat.basis
+    scaling; phases are exp(pi*i*e/N), e integer mod 2N.  Read-only.  Keyed
+    by N and the basis, so the cache keeps no caller's lattice alive."""
+    a, s, b = basis
     m, p, g = n // a, n // b, math.gcd(n // a, b)
     c, copies = m // g, b // g
     k = m // c
@@ -241,7 +247,7 @@ def _sectors(coeffs: np.ndarray, lat: Lattice) -> np.ndarray:
     """The distinct sectors (a/q', K, c, c) of the element with these
     coefficients, gathered from its band spectra (N/a, N/b): one inverse FFT
     over N/b, the gather, one over K."""
-    at, phase = _sector_tables(lat)[3:5]
+    at, phase = _sector_tables(lat.n, lat.basis)[3:5]
     spec = np.fft.ifft(coeffs.reshape(-1, lat.n // lat.basis[2]), norm="forward")
     return np.fft.fft(spec.reshape(-1)[at] * phase, axis=-3)
 
@@ -249,7 +255,7 @@ def _sectors(coeffs: np.ndarray, lat: Lattice) -> np.ndarray:
 def _coeffs_of_sectors(sectors: np.ndarray, lat: Lattice) -> np.ndarray:
     """The inverse of _sectors: the coefficients of the element with these
     distinct sectors (a/q', K, c, c), gathered back through the inverse index."""
-    unphase, back = _sector_tables(lat)[5:]
+    unphase, back = _sector_tables(lat.n, lat.basis)[5:]
     spec = (np.fft.ifft(sectors, axis=-3, norm="forward") * unphase).reshape(-1)[back]
     return np.fft.fft(spec.reshape(-1, lat.n // lat.basis[2])).reshape(-1)
 
@@ -257,13 +263,13 @@ def _coeffs_of_sectors(sectors: np.ndarray, lat: Lattice) -> np.ndarray:
 def _sector_vectors(v: np.ndarray, lat: Lattice) -> np.ndarray:
     """Vectors v [w, N] in the sectors' basis, [q', a/q', K, c, w], each copy
     in its representative's: represent(x) @ v.T there is _sectors(x) @ it."""
-    times, twist = _sector_tables(lat)[:2]
+    times, twist = _sector_tables(lat.n, lat.basis)[:2]
     return np.fft.fft(v.T[times] * twist[..., None], axis=-3)
 
 
 def _vectors_of_sectors(y: np.ndarray, lat: Lattice) -> np.ndarray:
     """The inverse of _sector_vectors: [q', a/q', K, c, w] to [w, N]."""
-    times, _, untwist = _sector_tables(lat)[:3]
+    times, _, untwist = _sector_tables(lat.n, lat.basis)[:3]
     out = np.empty((y.shape[-1], lat.n), dtype=complex)
     out.T[times] = np.fft.ifft(y, axis=-3, norm="forward") * untwist[..., None]
     return out

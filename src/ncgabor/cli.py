@@ -4,11 +4,18 @@ Verbs operate on JSON artifacts (signals, lattices, weights) given inline or
 as file paths, and emit machine-readable JSON or CSV on stdout or to --out.
 Exit codes: 0 success, 2 input validation error, 3 numerical failure (not a
 frame, singular element, overflow, failed selftest): every ArithmeticError
-a verb raises exits 3 with one error line.  Verbs run with numpy overflow and
-invalid operations raising, and JSON output refuses NaN and infinity, so a
-result past the float range is an overflow too, never non-JSON output.  A
-request too large for memory exits 2 with one error line when its allocation
-fails; no budget refuses it before it allocates.
+a verb raises exits 3 with one error line.  JSON output refuses NaN and
+infinity, so a result past the float range is an overflow too, never
+non-JSON output.  A request too large for memory exits 2 with one error line
+when its allocation fails; no budget refuses it before it allocates.
+
+main parses the arguments and, for the verbs that take --n/--gens, builds
+the lattice before anything numeric loads, so a malformed request exits 2
+without numpy.  adjoint and vol compute nothing with arrays and never load
+it.  Every other verb runs in main under np.errstate(over="raise",
+invalid="raise"), so numpy overflow and invalid operations raise; the scope
+is the one call, numpy's global error state is left alone.  Each verb
+imports only the modules it computes with.
 """
 from __future__ import annotations
 
@@ -17,23 +24,16 @@ import json
 import re
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import serialize
-from .core import DimensionMismatch, Signal, random_signal
-from .frames import (
-    GaborSystem,
-    canonical_dual,
-    canonical_tight,
-    figa_check,
-    frame_bounds,
-    janssen_representation,
-)
-from .lattice import adjoint_lattice, lattice_from_generators, volume
-from .modspaces import ModNormSpec, mod_norm
-from .module import module_frame_check
-from .weights import Weight, grs_probe
+from .lattice import DimensionMismatch, adjoint_lattice, lattice_from_generators, volume
+
+if TYPE_CHECKING:
+    from .core import Signal
+    from .frames import GaborSystem
+    from .lattice import Lattice
+    from .weights import Weight
 
 VALIDATION_ERROR = 2
 NUMERICAL_ERROR = 3
@@ -76,11 +76,13 @@ def _load_signal(text: str) -> Signal:
 
 def _load_weight(text: str | None) -> Weight:
     if text is None:
+        from .weights import Weight
+
         return Weight.one()
     return serialize.weight_from_dict(_load_json_arg(text, "weight"))
 
 
-def _lattice_from_args(args) -> "Lattice":
+def _lattice_from_args(args) -> Lattice:
     if args.n is None:
         raise ValueError("missing required --n")
     if args.gens is None:
@@ -105,13 +107,13 @@ def _emit_json(args, payload) -> None:
 
 
 def _cmd_adjoint(args) -> int:
-    adj = adjoint_lattice(_lattice_from_args(args))
+    adj = adjoint_lattice(args.lattice)
     _emit_json(args, serialize.lattice_to_dict(adj))
     return 0
 
 
 def _cmd_vol(args) -> int:
-    lat = _lattice_from_args(args)
+    lat = args.lattice
     _emit_json(
         args,
         {
@@ -124,20 +126,25 @@ def _cmd_vol(args) -> int:
 
 
 def _system_from_args(args) -> GaborSystem:
-    lat = _lattice_from_args(args)
+    from .frames import GaborSystem
+
     if not args.window:
         raise ValueError("missing required --window")
     windows = tuple(_load_signal(w) for w in args.window)
-    return GaborSystem(windows, lat)
+    return GaborSystem(windows, args.lattice)
 
 
 def _cmd_bounds(args) -> int:
+    from .frames import frame_bounds
+
     b = frame_bounds(_system_from_args(args))
     _emit_json(args, serialize.bounds_to_dict(b))
     return 0
 
 
 def _cmd_dual(args) -> int:
+    from .frames import canonical_dual
+
     sys_ = _system_from_args(args)
     duals = canonical_dual(sys_)
     _emit_json(args, {"windows": [serialize.signal_to_dict(d) for d in duals]})
@@ -145,6 +152,8 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_tight(args) -> int:
+    from .frames import canonical_tight
+
     sys_ = _system_from_args(args)
     tight = canonical_tight(sys_)
     _emit_json(args, {"windows": [serialize.signal_to_dict(t) for t in tight]})
@@ -152,6 +161,8 @@ def _cmd_tight(args) -> int:
 
 
 def _cmd_janssen(args) -> int:
+    from .frames import janssen_representation
+
     sys_ = _system_from_args(args)
     if len(sys_.windows) != 1:
         raise ValueError("janssen takes exactly one --window")
@@ -161,7 +172,12 @@ def _cmd_janssen(args) -> int:
 
 
 def _cmd_figa(args) -> int:
-    lat = _lattice_from_args(args)
+    import numpy as np
+
+    from .core import random_signal
+    from .frames import figa_check
+
+    lat = args.lattice
     explicit = [args.f1, args.f2, args.g1, args.g2]
     if any(x is not None for x in explicit):
         if any(x is None for x in explicit):
@@ -182,6 +198,8 @@ def _cmd_figa(args) -> int:
 
 
 def _cmd_multiwindow(args) -> int:
+    from .module import module_frame_check
+
     sys_ = _system_from_args(args)
     report = module_frame_check(list(sys_.windows), sys_.lattice)
     payload = serialize.module_report_to_dict(report)
@@ -192,6 +210,8 @@ def _cmd_multiwindow(args) -> int:
 
 
 def _cmd_modnorm(args) -> int:
+    from .modspaces import ModNormSpec, mod_norm
+
     if args.signal is None:
         raise ValueError("missing required --signal")
     f = _load_signal(args.signal)
@@ -214,6 +234,8 @@ def _parse_point(text: str) -> tuple[int, int]:
 
 
 def _cmd_grs(args) -> int:
+    from .weights import grs_probe
+
     weight = _load_weight(args.weight)
     report = grs_probe(weight, _parse_point(args.point), args.nmax)
     _emit(args, serialize.grs_report_to_csv(report))
@@ -257,16 +279,17 @@ def build_parser() -> argparse.ArgumentParser:
     }
     lattice = ("--n", "--gens")
 
-    def add(name, fn, help_, *options):
-        """A verb with --out and only those shared options it reads."""
+    def add(name, fn, help_, *options, numeric=True):
+        """A verb with --out and only those shared options it reads; a numeric
+        verb runs under numpy's errstate (main)."""
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, numeric=numeric)
         for option in (*options, "--out"):
             p.add_argument(option, **shared[option])
         return p
 
-    add("adjoint", _cmd_adjoint, "adjoint (commutant) lattice", *lattice)
-    add("vol", _cmd_vol, "lattice covolume N/|L|", *lattice)
+    add("adjoint", _cmd_adjoint, "adjoint (commutant) lattice", *lattice, numeric=False)
+    add("vol", _cmd_vol, "lattice covolume N/|L|", *lattice, numeric=False)
     add("bounds", _cmd_bounds, "frame bounds of a Gabor system", *lattice, "--window")
     add("dual", _cmd_dual, "canonical dual windows", *lattice, "--window")
     add("tight", _cmd_tight, "canonical tight windows", *lattice, "--window")
@@ -296,6 +319,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "gens" in vars(args):
+            args.lattice = _lattice_from_args(args)
+        if not args.numeric:
+            return args.fn(args)
+        import numpy as np
+
         with np.errstate(over="raise", invalid="raise"):
             return args.fn(args)
     except ArithmeticError as exc:

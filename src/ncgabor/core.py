@@ -22,19 +22,18 @@ place: one N x N array.  Sums over the points of a lattice take no shifted
 copies: they run in the lattice's sectors (algebra.py).
 Everything here is exact finite linear algebra.
 
-_tables is the one byte-bounded cache for tables that grow with N or |L|
-and depend only on plain arguments: the bands' flat index and the grid
-positions (algebra.py), the lifted weight table (modspaces.py) and the
-adjoint lattice (lattice.py).  It keeps at most 32 MiB in all and no table
-over 2 MiB, so past that size a table is built on every call.
+The phase-space point TFPoint, DimensionMismatch and the byte-bounded table
+cache _tables live in lattice.py, which imports no numpy, so that lattice
+verbs run without it; core re-exports TFPoint and DimensionMismatch.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .lattice import DimensionMismatch, TFPoint, _check_same_n
 
 __all__ = [
     "DimensionMismatch",
@@ -48,18 +47,6 @@ __all__ = [
     "stft",
     "random_signal",
 ]
-
-
-class DimensionMismatch(ValueError):
-    """Operands live on cyclic groups of different order."""
-
-
-def _check_same_n(*ns: int) -> int:
-    first = ns[0]
-    for n in ns[1:]:
-        if n != first:
-            raise DimensionMismatch(f"group orders differ: {ns}")
-    return first
 
 
 def _frozen(values) -> np.ndarray:
@@ -111,42 +98,6 @@ class Signal:
         return Signal(n, vals)
 
 
-@dataclass(frozen=True)
-class TFPoint:
-    """A phase-space point (k, l) in Z_N x Z_N, canonically reduced mod N."""
-
-    n: int
-    k: int
-    l: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"group order must be >= 2, got {self.n}")
-        for name in ("k", "l"):
-            value = getattr(self, name)
-            if int(value) != value:
-                raise ValueError(f"coordinate {name} = {value!r} is not an integer")
-            object.__setattr__(self, name, int(value) % self.n)
-
-    def __add__(self, other: "TFPoint") -> "TFPoint":
-        _check_same_n(self.n, other.n)
-        return TFPoint(self.n, self.k + other.k, self.l + other.l)
-
-    def __sub__(self, other: "TFPoint") -> "TFPoint":
-        _check_same_n(self.n, other.n)
-        return TFPoint(self.n, self.k - other.k, self.l - other.l)
-
-    def __neg__(self) -> "TFPoint":
-        return TFPoint(self.n, -self.k, -self.l)
-
-    def lift(self) -> tuple[int, int]:
-        """Minimal integer representative; ties at N/2 resolve positive."""
-        half = self.n // 2
-        k = self.k if self.k <= half else self.k - self.n
-        l = self.l if self.l <= half else self.l - self.n
-        return (k, l)
-
-
 def _lifted(values: np.ndarray, n: int) -> np.ndarray:
     """TFPoint.lift on an integer array of residues mod N, elementwise."""
     return np.where(values > n // 2, values - n, values)
@@ -186,55 +137,6 @@ def _roots(n: int) -> np.ndarray:
     roots = np.exp(2j * np.pi * np.arange(n) / n)
     roots.setflags(write=False)
     return roots
-
-
-class _TableCache:
-    """Tables that depend only on their builder's arguments, each built once
-    and kept while the total stays within a byte budget.
-
-    cache(build, *args) is build(*args), keyed by (build, args): keys hold
-    plain arguments, never a lattice whose points would stay alive
-    uncharged.  An array is frozen read-only and charged its nbytes after
-    the build; any other table is charged charge(table), what it will come to
-    hold.  A table charged more than cap is returned but not kept; otherwise
-    the oldest tables are evicted until the total fits the budget, so the
-    newest survives.  A hit is one dict lookup.
-    """
-
-    def __init__(self, budget: int, cap: int) -> None:
-        self.budget, self.cap = budget, cap
-        self.kept: dict = {}  # (build, args) -> (table, charge), oldest first
-        self.nbytes = self.hits = self.misses = 0
-        self._lock = threading.Lock()  # insertion and eviction are read-modify-writes
-
-    def __call__(self, build, *args, charge=None):
-        key = (build, args)
-        entry = self.kept.get(key)
-        if entry is not None:
-            self.hits += 1
-            return entry[0]
-        table = build(*args)
-        if charge is None:
-            table.setflags(write=False)
-            nbytes = table.nbytes
-        else:
-            nbytes = charge(table)
-        with self._lock:
-            self.misses += 1
-            if nbytes <= self.cap and key not in self.kept:
-                self.kept[key] = table, nbytes
-                self.nbytes += nbytes
-                while self.nbytes > self.budget:
-                    self.nbytes -= self.kept.pop(next(iter(self.kept)))[1]
-        return table
-
-    def clear(self) -> None:
-        with self._lock:
-            self.kept.clear()
-            self.nbytes = self.hits = self.misses = 0
-
-
-_tables = _TableCache(budget=32 * 2**20, cap=2 * 2**20)
 
 
 def _translates(g: np.ndarray) -> np.ndarray:

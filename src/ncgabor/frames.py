@@ -40,8 +40,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Signal, _check_same_n
-from .lattice import Lattice, adjoint_lattice, volume
+from .core import Signal
+from .lattice import Lattice, _check_same_n, adjoint_lattice, volume
 from .algebra import (
     CoeffSeq,
     OperatorMatrix,

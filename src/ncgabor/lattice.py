@@ -15,17 +15,29 @@ with every shift from the lattice; the pairing is perfect, so
 |L| * |adjoint(L)| = N^2 and the adjoint of the adjoint returns the original
 subgroup.  Its normal form follows from the basis alone.  The covolume is the
 rational N / |L|; critical density is covolume 1.
+
+The phase-space point TFPoint, DimensionMismatch and the table cache _tables
+live here, not in core.py (which re-exports the first two), so that this
+module imports no numpy at load time: building a lattice, its adjoint and
+its covolume touch no array, and numpy loads where points are built
+(Lattice._points, Lattice.indices).  _tables is the toolkit's one
+byte-bounded cache for tables that grow with N or |L| and depend only on
+plain arguments: the bands' flat index and the grid positions (algebra.py),
+the lifted weight table (modspaces.py) and the adjoint lattice.  It keeps at
+most 32 MiB in all and no table over 2 MiB, so past that size a table is
+built on every call.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import TFPoint, _tables
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Lattice",
@@ -36,6 +48,103 @@ __all__ = [
     "volume",
     "enumerate_subgroups",
 ]
+
+
+class DimensionMismatch(ValueError):
+    """Operands live on cyclic groups of different order."""
+
+
+def _check_same_n(*ns: int) -> int:
+    first = ns[0]
+    for n in ns[1:]:
+        if n != first:
+            raise DimensionMismatch(f"group orders differ: {ns}")
+    return first
+
+
+@dataclass(frozen=True)
+class TFPoint:
+    """A phase-space point (k, l) in Z_N x Z_N, canonically reduced mod N."""
+
+    n: int
+    k: int
+    l: int
+
+    def __post_init__(self) -> None:
+        if self.n < 2:
+            raise ValueError(f"group order must be >= 2, got {self.n}")
+        for name in ("k", "l"):
+            value = getattr(self, name)
+            if int(value) != value:
+                raise ValueError(f"coordinate {name} = {value!r} is not an integer")
+            object.__setattr__(self, name, int(value) % self.n)
+
+    def __add__(self, other: "TFPoint") -> "TFPoint":
+        _check_same_n(self.n, other.n)
+        return TFPoint(self.n, self.k + other.k, self.l + other.l)
+
+    def __sub__(self, other: "TFPoint") -> "TFPoint":
+        _check_same_n(self.n, other.n)
+        return TFPoint(self.n, self.k - other.k, self.l - other.l)
+
+    def __neg__(self) -> "TFPoint":
+        return TFPoint(self.n, -self.k, -self.l)
+
+    def lift(self) -> tuple[int, int]:
+        """Minimal integer representative; ties at N/2 resolve positive."""
+        half = self.n // 2
+        k = self.k if self.k <= half else self.k - self.n
+        l = self.l if self.l <= half else self.l - self.n
+        return (k, l)
+
+
+class _TableCache:
+    """Tables that depend only on their builder's arguments, each built once
+    and kept while the total stays within a byte budget.
+
+    cache(build, *args) is build(*args), keyed by (build, args): keys hold
+    plain arguments, never a lattice whose points would stay alive
+    uncharged.  An array is frozen read-only and charged its nbytes after
+    the build; any other table is charged charge(table), what it will come to
+    hold.  A table charged more than cap is returned but not kept; otherwise
+    the oldest tables are evicted until the total fits the budget, so the
+    newest survives.  A hit is one dict lookup.
+    """
+
+    def __init__(self, budget: int, cap: int) -> None:
+        self.budget, self.cap = budget, cap
+        self.kept: dict = {}  # (build, args) -> (table, charge), oldest first
+        self.nbytes = self.hits = self.misses = 0
+        self._lock = threading.Lock()  # insertion and eviction are read-modify-writes
+
+    def __call__(self, build, *args, charge=None):
+        key = (build, args)
+        entry = self.kept.get(key)
+        if entry is not None:
+            self.hits += 1
+            return entry[0]
+        table = build(*args)
+        if charge is None:
+            table.setflags(write=False)
+            nbytes = table.nbytes
+        else:
+            nbytes = charge(table)
+        with self._lock:
+            self.misses += 1
+            if nbytes <= self.cap and key not in self.kept:
+                self.kept[key] = table, nbytes
+                self.nbytes += nbytes
+                while self.nbytes > self.budget:
+                    self.nbytes -= self.kept.pop(next(iter(self.kept)))[1]
+        return table
+
+    def clear(self) -> None:
+        with self._lock:
+            self.kept.clear()
+            self.nbytes = self.hits = self.misses = 0
+
+
+_tables = _TableCache(budget=32 * 2**20, cap=2 * 2**20)
 
 
 @dataclass(frozen=True)
@@ -63,6 +172,8 @@ class Lattice:
     @cached_property
     def _points(self) -> np.ndarray:
         # row i holds k = i*a with l = (i*s mod b) + j*b: lexicographic as built
+        import numpy as np
+
         n, (a, s, b) = self.n, self.basis
         i = np.arange(n // a, dtype=np.int64)[:, None]
         j = np.arange(n // b, dtype=np.int64)[None, :]
@@ -73,6 +184,8 @@ class Lattice:
 
     def indices(self, k, l) -> np.ndarray:
         """Canonical indices of the points (k, l) mod N, elementwise; -1 off the lattice."""
+        import numpy as np
+
         a, s, b = self.basis
         k, l = np.mod(k, self.n), np.mod(l, self.n)
         i = k // a
@@ -154,7 +267,7 @@ def adjoint_lattice(lat: Lattice) -> Lattice:
     (0, b).  The second condition gives m in (N/b)Z; the first then fixes n'
     modulo N/a, so the adjoint has basis (N/b, (N/b)*s/a mod N/a), (0, N/a).
     (a divides (N/b)*s because (N/a)*(a, s) lies in L at time 0.)  Equal
-    lattices share one adjoint from core._tables, charged the 16 bytes per
+    lattices share one adjoint from _tables, charged the 16 bytes per
     point its points take once built.
     """
     return _tables(_adjoint, lat.n, lat.basis, charge=lambda adj: 16 * adj.size)

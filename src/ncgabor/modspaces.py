@@ -10,7 +10,7 @@ is monotone in the power and transforms under time-frequency shifts with a
 factor bounded by the weight at the shift.
 
 The weight at every lifted phase-space point, an N x N table, depends only
-on the weight and N: mod_norm takes it from core._tables, keyed by the
+on the weight and N: mod_norm takes it from lattice._tables, keyed by the
 (weight, N) pair, so an equal weight built anew finds it.  Up to N = 512 it
 fits the cache's 2 MiB cap; past that it is built on every call.
 """
@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Signal, _check_same_n, _lifted, _tables, stft
+from .core import Signal, _lifted, stft
+from .lattice import _check_same_n, _tables
 from .weights import Weight
 
 __all__ = ["ModNormSpec", "mod_norm", "feichtinger_norm"]

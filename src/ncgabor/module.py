@@ -40,8 +40,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Signal, _check_same_n, random_signal
-from .lattice import Lattice, adjoint_lattice, volume
+from .core import Signal, random_signal
+from .lattice import Lattice, _check_same_n, adjoint_lattice, volume
 from .algebra import (
     CoeffSeq,
     OperatorMatrix,

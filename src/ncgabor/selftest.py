@@ -381,7 +381,7 @@ def _check_sector_copies(rng):
     for lat in _frame_lattices() + _lattices(_COPY_EXTRA):
         for x in (lat, adjoint_lattice(lat)):
             a = _rand_seq(x, rng)
-            times, twist = _sector_tables(x)[:2]
+            times, twist = _sector_tables(x.n, x.basis)[:2]
             k = times.shape[2]
             dft = np.exp(2j * np.pi * np.outer(np.arange(k), np.arange(k)) / k)
             j, r, u, rho = np.indices(times.shape)

@@ -4,20 +4,24 @@ Complex numbers serialize as [re, im] pairs and rationals as "p/q" strings,
 so integer and rational data round-trip bit-exactly and floats survive at
 full double precision.  Parsers raise ValueError naming the offending field,
 also when a field has the wrong JSON type or the document is not an object.
+The module loads without numpy: the parsers that build arrays import it and
+their types when called, so a lattice round-trips without it.
 """
 from __future__ import annotations
 
 import io
+import math
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import Signal
 from .lattice import Lattice, lattice_from_generators
-from .algebra import CoeffSeq
-from .frames import FrameBounds
-from .module import ModuleFrameReport
-from .weights import GrsReport, Weight
+
+if TYPE_CHECKING:
+    from .algebra import CoeffSeq
+    from .core import Signal
+    from .frames import FrameBounds
+    from .module import ModuleFrameReport
+    from .weights import GrsReport, Weight
 
 __all__ = [
     "signal_to_dict",
@@ -87,6 +91,10 @@ def signal_to_dict(f: Signal) -> dict:
 
 
 def signal_from_dict(d: dict) -> Signal:
+    import numpy as np
+
+    from .core import Signal
+
     n = _require(d, "n", "signal", "an integer", _is_int)
     re = _require(d, "re", "signal", "a list of numbers", _is_list_of(_is_number))
     im = _require(d, "im", "signal", "a list of numbers", _is_list_of(_is_number))
@@ -114,6 +122,10 @@ def coeffseq_to_dict(a: CoeffSeq) -> dict:
 
 
 def coeffseq_from_dict(d: dict) -> CoeffSeq:
+    import numpy as np
+
+    from .algebra import CoeffSeq
+
     lat = lattice_from_dict(_require(d, "lattice", "coefficient sequence"))
     raw = _require(d, "coeffs", "coefficient sequence", "a list of [re, im] pairs",
                    _is_list_of(_is_list_of(_is_number, 2)))
@@ -142,6 +154,8 @@ def weight_to_dict(v: Weight) -> dict:
 
 
 def weight_from_dict(d: dict) -> Weight:
+    from .weights import Weight
+
     family = _require(d, "family", "weight")
     if family == "polynomial":
         return Weight.polynomial(_number(d, "s", "weight"))
@@ -164,7 +178,7 @@ def bounds_to_dict(b: FrameBounds) -> dict:
 
 
 def module_report_to_dict(r: ModuleFrameReport) -> dict:
-    residual = None if not np.isfinite(r.residual) else float(r.residual)
+    residual = None if not math.isfinite(r.residual) else float(r.residual)
     return {
         "is_module_frame": r.is_module_frame,
         "residual": residual,

@@ -86,10 +86,15 @@ class Weight:
             if sym.get((0, 0), 1.0) < 1.0:
                 raise ValueError("weight at the origin must be >= 1")
             object.__setattr__(self, "table", MappingProxyType(sym))
+        # hashed once: mod_norm hashes its weight on every table-cache lookup.
+        # The family enters by its index and a missing table as an empty one,
+        # hashes that hold across processes, so the hash survives pickling.
+        table = frozenset((self.table or {}).items())
+        key = (_FAMILIES.index(self.family), self.s, self.b, self.beta, table, self.outer_power)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __hash__(self) -> int:
-        table = None if self.table is None else frozenset(self.table.items())
-        return hash((self.family, self.s, self.b, self.beta, table, self.outer_power))
+        return self._hash
 
     @staticmethod
     def polynomial(s: float) -> "Weight":

@@ -17,6 +17,18 @@ import ncgabor.serialize
 def test_public_surface_is_the_modules_all():
     modules = ("core", "lattice", "weights", "algebra", "frames", "module", "modspaces")
     declared = set().union(*(getattr(ncgabor, m).__all__ for m in modules))
+    # the package resolves its names on first access: what it lists and
+    # what dir() shows, each name the defining module's own object
+    listed = {
+        name for name in dir(ncgabor)
+        if not name.startswith("_") and not isinstance(getattr(ncgabor, name), ModuleType)
+    }
+    assert set(ncgabor.__all__) == declared == listed
+    for m in modules:
+        module = getattr(ncgabor, m)
+        assert isinstance(module, ModuleType)
+        for name in module.__all__:
+            assert getattr(ncgabor, name) is getattr(module, name), name
     exported = {
         name for name, value in vars(ncgabor).items()
         if not name.startswith("_") and not isinstance(value, ModuleType)

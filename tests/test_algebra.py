@@ -25,6 +25,7 @@ from ncgabor import (
     unit,
     weighted_norm,
 )
+from ncgabor.algebra import _involution_tables, _sector_tables
 from conftest import SEEDS, matrix_lattices
 from oracles import is_hermitian
 
@@ -209,6 +210,29 @@ def test_represent_and_coefficients_of_leave_nothing_behind(rng):
     finally:
         tracemalloc.stop()
     assert held < 2**20
+
+
+def test_involution_and_product_tables_keep_no_lattice_alive(rng):
+    # the two lru_caches are keyed by N and the basis: once the lattice and the
+    # element are dropped, what stays is their tables, not the lattice's
+    # 2 MiB of points (16 bytes for each of its 131072)
+    n, gens = 1024, [(2, 0), (0, 4)]
+    _involution_tables.cache_clear()
+    _sector_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        lat = lattice_from_generators(n, gens)
+        a = rand_seq(lat, rng)
+        involution(a)
+        twisted_conv(a, a)
+        basis = lat.basis
+        del a, lat
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    tables = (*_involution_tables(n, basis), *_sector_tables(n, basis))
+    assert _involution_tables.cache_info().hits and _sector_tables.cache_info().hits
+    assert held - sum(t.nbytes for t in tables) < 2**19
 
 
 def test_trace_orthogonality_exhaustive():

@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: verbs, exit codes, artifact round trips."""
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -10,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncgabor import Signal, lattice_from_generators, random_signal, tight_multiwindow
-from ncgabor import cli
+import ncgabor
+from ncgabor import frames
 from ncgabor.cli import main
 from ncgabor.serialize import lattice_from_dict, signal_from_dict, signal_to_dict
 
@@ -162,6 +166,70 @@ def test_malformed_signal_exits_two(capsys):
     )
     assert code == 2
     assert "'im'" in err
+
+
+# runs main on the given argv in a fresh interpreter and reports, last on
+# stderr, whether numpy was ever imported and which ncgabor modules were
+IMPORT_PROBE = (
+    "import json, sys\n"
+    "from ncgabor.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "modules = sorted(m[8:] for m in sys.modules if m.startswith('ncgabor.'))\n"
+    "print(json.dumps({'numpy': 'numpy' in sys.modules, 'modules': modules}), file=sys.stderr)\n"
+    "raise SystemExit(code)\n"
+)
+
+
+def fresh_process(*argv):
+    src = os.path.dirname(os.path.dirname(ncgabor.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout",
+    [
+        (["adjoint", "--n", "12", "--gens", "(2,0),(0,3)"], 0,
+         json.dumps({"n": 12, "generators": [[4, 0], [0, 6]]}, indent=2) + "\n"),
+        (["vol", "--n", "12", "--gens", "(2,0),(0,3)"], 0,
+         json.dumps({"n": 12, "size": 24, "vol": "1/2"}, indent=2) + "\n"),
+        (["bounds", "--n", "12", "--gens", "(2,0),(0,3", "--window", delta_json(12)], 2, ""),
+    ],
+    ids=["adjoint", "vol", "bad-gens"],
+)
+def test_lattice_verbs_and_malformed_requests_never_import_numpy(argv, code, stdout):
+    done = fresh_process("-c", IMPORT_PROBE, *argv)
+    *lines, last = done.stderr.splitlines()
+    assert (done.returncode, done.stdout) == (code, stdout)
+    assert json.loads(last) == {"numpy": False, "modules": ["cli", "lattice", "serialize"]}
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error: malformed generator list")
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["grs", "--weight", '{"family":"polynomial","s":1}', "--nmax", "16"], ["weights"]),
+        (["modnorm", "--signal", delta_json(4), "--window", delta_json(4)],
+         ["core", "modspaces", "weights"]),
+        (["bounds", "--n", "4", "--gens", "(1,0)", "--window", delta_json(4)],
+         ["algebra", "core", "frames"]),
+        (["multiwindow", *LATTICE, "--window", delta_json(8), "--window", delta_json(8)],
+         ["algebra", "core", "frames", "module"]),
+    ],
+    ids=["grs", "modnorm", "bounds", "multiwindow"],
+)
+def test_each_verb_imports_only_the_modules_it_computes_with(argv, modules):
+    done = fresh_process("-c", IMPORT_PROBE, *argv)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stderr.splitlines()[-1])
+    assert loaded == {"numpy": True, "modules": sorted(["cli", "lattice", "serialize", *modules])}
+
+
+def test_importing_the_package_loads_no_numpy():
+    # resolving a lattice name imports lattice.py, which needs no numpy either
+    done = fresh_process("-c", "import sys, ncgabor; f = ncgabor.volume; print('numpy' in sys.modules, f.__name__)")
+    assert (done.returncode, done.stdout) == (0, "False volume\n")
 
 
 def test_malformed_gens_exits_two(capsys):
@@ -449,7 +517,7 @@ def test_allocation_failure_exits_two(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError("Unable to allocate 74.5 GiB for an array")
 
-    monkeypatch.setattr(cli, "figa_check", exhausted)
+    monkeypatch.setattr(frames, "figa_check", exhausted)
     code, out, err = run(capsys, "figa", "--n", "8", "--gens", "(1,0),(0,1)", "--trials", "1")
     assert code == 2
     assert out == ""

@@ -29,7 +29,7 @@ from ncgabor import (
     tf_shift,
 )
 from ncgabor.algebra import _band_index, _grid_index
-from ncgabor.core import _TableCache, _tables
+from ncgabor.lattice import _TableCache, _tables
 from ncgabor.modspaces import _lifted_weight_table
 from oracles import stft_direct, stft_sample
 

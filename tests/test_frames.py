@@ -319,13 +319,13 @@ def test_figa_check_fails_when_one_side_loses_its_copy_phase(monkeypatch, rng, n
     target = adjoint_lattice(lat) if side == "adjoint" else lat
     tables = algebra._sector_tables
 
-    def mutant(x):
-        times, twist, untwist, *rest = tables(x)
-        if x == target:
+    def mutant(n, basis):
+        times, twist, untwist, *rest = tables(n, basis)
+        if (n, basis) == (target.n, target.basis):
             twist, untwist = (np.broadcast_to(t[:1], t.shape) for t in (twist, untwist))
         return (times, twist, untwist, *rest)
 
-    twist = tables(target)[1]
+    twist = tables(target.n, target.basis)[1]
     assert len(twist) > 1 and not np.allclose(twist, twist[:1])
     sigs = [random_signal(n, rng) for _ in range(4)]
     assert figa_check(*sigs, lat) <= 1e-12

@@ -60,7 +60,8 @@ from ncgabor.algebra import (
     _sectors,
     _vectors_of_sectors,
 )
-from ncgabor.core import _tables, _translates
+from ncgabor.core import _translates
+from ncgabor.lattice import _tables
 from ncgabor.frames import FRAME_DECISION_TOL, _pairing
 import oracles
 from oracles import oracle_cases

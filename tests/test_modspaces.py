@@ -16,7 +16,7 @@ from ncgabor import (
     stft,
     tf_shift,
 )
-from ncgabor.core import _tables
+from ncgabor.lattice import _tables
 from ncgabor.modspaces import _lifted_weight_table
 from conftest import SEEDS
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncgabor import GRS_CONSISTENT, GRS_INCONCLUSIVE, GRS_VIOLATES, Weight, grs_probe
+from ncgabor import GRS_CONSISTENT, GRS_INCONCLUSIVE, GRS_VIOLATES, Weight, grs_probe, weights
 
 
 def test_polynomial_values():
@@ -151,3 +151,17 @@ def test_custom_weight_hashable_and_immutable():
     assert len({v, same, Weight.custom({(1, 0): 3.0}), v.power(2.0)}) == 3
     with pytest.raises(TypeError):
         v.table[(2, 0)] = 4.0
+
+
+def test_hashing_a_built_custom_weight_builds_nothing(monkeypatch):
+    # mod_norm hashes its weight on every table-cache lookup: the hash is
+    # computed once, at construction, not from a fresh frozenset of the table
+    table = {(x, y): 1.0 + x * x + y * y for x in range(-8, 9) for y in range(-8, 9)}
+    v, same = Weight.custom(table), Weight.custom(dict(reversed(table.items())))
+
+    def refuse(*args):
+        raise AssertionError("hashing built a frozenset")
+
+    monkeypatch.setattr(weights, "frozenset", refuse, raising=False)
+    assert hash(v) == hash(v) == hash(same)
+    assert len({v, same}) == 1
