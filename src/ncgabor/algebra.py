@@ -21,13 +21,14 @@ the coefficients on the (N/a, N) grid of time shifts by frequencies, point
 (i*a, l) at row i, column l, and takes one length-N inverse FFT per row;
 coefficients_of takes the forward FFT of the bands and reads the grid back,
 over N.  Both move the bands through the flat index t*N + (t - i*a) mod N
-and place the points by their grid positions.  Both tables come from
-lattice._tables, the index once per (N, a) and the positions once per lattice,
-while they fit its 2 MiB cap: the index has (N/a)*N entries, so with a = 1
-it is built on each call past N = 512.  There is no phase table.  Along j
-each band is the band phase exp(2*pi*i*sigma_i*t/N) times the length-N/b
-inverse FFT of c[i, :], repeated b times along t: the band spectra
-(N/a, N/b) that the sectors below gather from.
+and place the points by their grid positions, which the lattice carries
+like its involution and sector tables (lattice.py).  The index depends only
+on (N, a) and comes from lattice._tables while it fits its 2 MiB cap: it
+has (N/a)*N entries, so with a = 1 it is built on each call past N = 512.
+There is no phase table.  Along j each band is the band phase
+exp(2*pi*i*sigma_i*t/N) times the length-N/b inverse FFT of c[i, :],
+repeated b times along t: the band spectra (N/a, N/b) that the sectors
+below gather from.
 Every other route, on coefficients or on signals, runs in the sectors below.
 
 In the order t = r + a*q, M = N/a, represent(x) is block diagonal: a blocks of
@@ -71,7 +72,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -159,18 +159,6 @@ def delta_seq(lat: Lattice, p: TFPoint, value: complex = 1.0) -> CoeffSeq:
     return CoeffSeq(lat, coeffs)
 
 
-@lru_cache(maxsize=64)
-def _involution_tables(n: int, basis: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Negation-index table and diagonal cocycle values.  Keyed by N and the
-    basis and built on a lattice of its own, so the cache keeps no caller's
-    lattice and its points alive."""
-    lat = Lattice(n, basis, ())
-    pts = lat.as_array()
-    neg = lat.indices(-pts[:, 0], -pts[:, 1])
-    diag = np.exp(-2j * np.pi * ((pts[:, 0] * pts[:, 1]) % n) / n)
-    return neg, diag
-
-
 def _require_same_lattice(a: CoeffSeq, b: CoeffSeq) -> Lattice:
     if a.lattice != b.lattice:
         raise DimensionMismatch("coefficient sequences live on different lattices")
@@ -185,7 +173,7 @@ def twisted_conv(a: CoeffSeq, b: CoeffSeq) -> CoeffSeq:
 
 def involution(a: CoeffSeq) -> CoeffSeq:
     """The algebra involution; represent(involution(a)) = represent(a)^H."""
-    neg, diag = _involution_tables(a.lattice.n, a.lattice.basis)
+    neg, diag = a.lattice._involution_tables
     return CoeffSeq(a.lattice, diag * np.conj(a.coeffs[neg]))
 
 
@@ -203,24 +191,16 @@ def _band_index(n: int, a: int) -> np.ndarray:
     return _translates(np.arange(n))[::a] + n * np.arange(n)
 
 
-def _grid_index(n: int, basis: tuple[int, int, int]) -> np.ndarray:
-    """Each lattice point's flat position i*N + l in the (N/a, N) grid of
-    time shifts by frequencies, in canonical order.  The points are built
-    on a lattice of its own, so they are not kept on the caller's."""
-    return Lattice(n, basis, ()).as_array() @ (n // basis[0], 1)
-
-
-@lru_cache(maxsize=64)
-def _sector_tables(n: int, basis: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
+def _sector_tables_of(lat: Lattice) -> tuple[np.ndarray, ...]:
     """Copy j's coordinates: the times t + j*h*N/b (q', a/q', K, c) and the
     twist times pi(j*mu)'s phase, over sqrt(K), and its inverse.  The distinct
     sectors' entries [r, u, rho, rho'] (a/q', K, c, c) before the FFT over u:
     where each sits in the flattened band spectra (N/a, N/b), once, its band
     phase times conj(tw[u, rho]), the inverse's, over N/b and K, and the
     inverse index.  The inverse FFTs take norm="forward", which skips their
-    scaling; phases are exp(pi*i*e/N), e integer mod 2N.  Read-only.  Keyed
-    by N and the basis, so the cache keeps no caller's lattice alive."""
-    a, s, b = basis
+    scaling; phases are exp(pi*i*e/N), e integer mod 2N.  The lattice keeps
+    them, read-only, as Lattice._sector_tables."""
+    n, (a, s, b) = lat.n, lat.basis
     m, p, g = n // a, n // b, math.gcd(n // a, b)
     c, copies = m // g, b // g
     k = m // c
@@ -237,17 +217,14 @@ def _sector_tables(n: int, basis: tuple[int, int, int]) -> tuple[np.ndarray, ...
     back = np.empty(at.size, dtype=np.intp)
     back[at.ravel()] = np.arange(at.size)
     twist, phase = np.exp(1j * np.pi * twist / n) / math.sqrt(k), np.exp(1j * np.pi * phase / n)
-    tables = (times, twist, twist.conj(), at, phase, phase.conj() / (p * k), back)
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    return times, twist, twist.conj(), at, phase, phase.conj() / (p * k), back
 
 
 def _sectors(coeffs: np.ndarray, lat: Lattice) -> np.ndarray:
     """The distinct sectors (a/q', K, c, c) of the element with these
     coefficients, gathered from its band spectra (N/a, N/b): one inverse FFT
     over N/b, the gather, one over K."""
-    at, phase = _sector_tables(lat.n, lat.basis)[3:5]
+    at, phase = lat._sector_tables[3:5]
     spec = np.fft.ifft(coeffs.reshape(-1, lat.n // lat.basis[2]), norm="forward")
     return np.fft.fft(spec.reshape(-1)[at] * phase, axis=-3)
 
@@ -255,7 +232,7 @@ def _sectors(coeffs: np.ndarray, lat: Lattice) -> np.ndarray:
 def _coeffs_of_sectors(sectors: np.ndarray, lat: Lattice) -> np.ndarray:
     """The inverse of _sectors: the coefficients of the element with these
     distinct sectors (a/q', K, c, c), gathered back through the inverse index."""
-    unphase, back = _sector_tables(lat.n, lat.basis)[5:]
+    unphase, back = lat._sector_tables[5:]
     spec = (np.fft.ifft(sectors, axis=-3, norm="forward") * unphase).reshape(-1)[back]
     return np.fft.fft(spec.reshape(-1, lat.n // lat.basis[2])).reshape(-1)
 
@@ -263,13 +240,13 @@ def _coeffs_of_sectors(sectors: np.ndarray, lat: Lattice) -> np.ndarray:
 def _sector_vectors(v: np.ndarray, lat: Lattice) -> np.ndarray:
     """Vectors v [w, N] in the sectors' basis, [q', a/q', K, c, w], each copy
     in its representative's: represent(x) @ v.T there is _sectors(x) @ it."""
-    times, twist = _sector_tables(lat.n, lat.basis)[:2]
+    times, twist = lat._sector_tables[:2]
     return np.fft.fft(v.T[times] * twist[..., None], axis=-3)
 
 
 def _vectors_of_sectors(y: np.ndarray, lat: Lattice) -> np.ndarray:
     """The inverse of _sector_vectors: [q', a/q', K, c, w] to [w, N]."""
-    times, _, untwist = _sector_tables(lat.n, lat.basis)[:3]
+    times, _, untwist = lat._sector_tables[:3]
     out = np.empty((y.shape[-1], lat.n), dtype=complex)
     out.T[times] = np.fft.ifft(y, axis=-3, norm="forward") * untwist[..., None]
     return out
@@ -281,7 +258,7 @@ def represent(a: CoeffSeq) -> OperatorMatrix:
     lat, n = a.lattice, a.lattice.n
     mat = np.zeros((n, n), dtype=complex)  # before the temporaries, so they free from the heap top
     grid = np.zeros((n // lat.basis[0], n), dtype=complex)
-    grid.reshape(-1)[_tables(_grid_index, n, lat.basis)] = a.coeffs
+    grid.reshape(-1)[lat._grid_index] = a.coeffs
     mat.reshape(-1)[_tables(_band_index, n, lat.basis[0])] = np.fft.ifft(grid, norm="forward")
     mat.setflags(write=False)  # handed over: OperatorMatrix shares it rather than copying
     return OperatorMatrix(n, mat)
@@ -302,7 +279,7 @@ def coefficients_of(A, lat: Lattice) -> tuple[CoeffSeq, float]:
     n = lat.n
     if rest.shape != (n, n):
         raise DimensionMismatch(f"matrix shape {rest.shape} does not match order {n}")
-    index, at = _tables(_band_index, n, lat.basis[0]), _tables(_grid_index, n, lat.basis)
+    index, at = _tables(_band_index, n, lat.basis[0]), lat._grid_index
     spec = np.fft.fft(rest.take(index)).reshape(-1)
     seq = CoeffSeq(lat, spec[at] / n)
     spec[at] = 0

@@ -14,11 +14,11 @@ and commute up to the antisymmetric symplectic bicharacter
 
     c_symp((k,l), (m,n)) = exp(2*pi*i*(m*l - k*n)/N).
 
-tf_shift and shift_matrix take their phases from _roots, the cached N-th
-roots of unity.  The short-time Fourier transform multiplies f into
-_translates(conj(g)), a read-only view of the doubled window whose row k, at
-a row stride of -1 element, is the translate by k, and FFTs each row in
-place: one N x N array.  Sums over the points of a lattice take no shifted
+tf_shift and shift_matrix take their phases from _roots, the N-th roots of
+unity, kept once per N in lattice._tables.  The short-time Fourier transform
+multiplies f into _translates(conj(g)), a read-only view of the doubled
+window whose row k, at a row stride of -1 element, is the translate by k,
+and FFTs each row in place: one N x N array.  Sums over the points of a lattice take no shifted
 copies: they run in the lattice's sectors (algebra.py).
 Everything here is exact finite linear algebra.
 
@@ -29,11 +29,10 @@ verbs run without it; core re-exports TFPoint and DimensionMismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .lattice import DimensionMismatch, TFPoint, _check_same_n
+from .lattice import DimensionMismatch, TFPoint, _check_same_n, _tables
 
 __all__ = [
     "DimensionMismatch",
@@ -131,12 +130,9 @@ def symplectic_bicharacter(lam: TFPoint, mu: TFPoint) -> complex:
     return complex(np.exp(2j * np.pi * ((mu.k * lam.l - lam.k * mu.l) % n) / n))
 
 
-@lru_cache(maxsize=64)
 def _roots(n: int) -> np.ndarray:
-    """The N-th roots of unity exp(2*pi*i*j/N), j = 0 .. N-1, read-only."""
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
-    roots.setflags(write=False)
-    return roots
+    """The N-th roots of unity exp(2*pi*i*j/N), j = 0 .. N-1."""
+    return np.exp(2j * np.pi * np.arange(n) / n)
 
 
 def _translates(g: np.ndarray) -> np.ndarray:
@@ -155,7 +151,7 @@ def _translates(g: np.ndarray) -> np.ndarray:
 def tf_shift(p: TFPoint, f: Signal) -> Signal:
     """Apply the time-frequency shift by p; preserves the 2-norm."""
     n = _check_same_n(p.n, f.n)
-    return Signal(n, np.roll(f.values, p.k) * _roots(n)[p.l * np.arange(n) % n])
+    return Signal(n, np.roll(f.values, p.k) * _tables(_roots, n)[p.l * np.arange(n) % n])
 
 
 def shift_matrix(p: TFPoint) -> np.ndarray:
@@ -163,7 +159,7 @@ def shift_matrix(p: TFPoint) -> np.ndarray:
     n = p.n
     rows = np.arange(n)
     mat = np.zeros((n, n), dtype=complex)
-    mat[rows, (rows - p.k) % n] = _roots(n)[(p.l * rows) % n]
+    mat[rows, (rows - p.k) % n] = _tables(_roots, n)[(p.l * rows) % n]
     return mat
 
 

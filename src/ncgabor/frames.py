@@ -102,16 +102,15 @@ class GaborSystem:
         return self.lattice.n
 
     @cached_property
-    def _spectrum(self) -> tuple[Lattice, np.ndarray, np.ndarray, np.ndarray]:
-        """L°, the windows in its sectors' basis, and the eigenvalues and
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The windows in L°'s sectors' basis, and the eigenvalues and
         eigenvectors of the frame element's distinct sectors, read-only: one
         transform of the windows and one eigh for the system's whole life."""
-        adj = adjoint_lattice(self.lattice)
-        y = _sector_vectors(_windows(self), adj)
+        y = _sector_vectors(_windows(self), adjoint_lattice(self.lattice))
         eigs, vecs = np.linalg.eigh(_projected_gram(y, y, self.lattice))
         for arr in (y, eigs, vecs):
             arr.setflags(write=False)
-        return adj, y, eigs, vecs
+        return y, eigs, vecs
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,7 @@ def _bounds(eigs: np.ndarray) -> FrameBounds:
 
 def frame_bounds(sys: GaborSystem) -> FrameBounds:
     """Extreme eigenvalues of the frame operator and the frame verdict."""
-    return _bounds(sys._spectrum[2])
+    return _bounds(sys._spectrum[1])
 
 
 def _frame_power(sys: GaborSystem, power: float) -> list[Signal]:
@@ -175,12 +174,12 @@ def _frame_power(sys: GaborSystem, power: float) -> list[Signal]:
     The system's eigendecomposition of the frame element's distinct sectors
     gives the verdict and the power, broadcast over the windows' copies.
     """
-    adj, y, eigs, vecs = sys._spectrum
+    y, eigs, vecs = sys._spectrum
     bounds = _bounds(eigs)
     if not bounds.is_frame:
         raise NotAFrame(bounds.lower)
     y = vecs @ ((vecs.conj().swapaxes(-1, -2) @ y) * eigs[..., None] ** power)
-    return [Signal(sys.n, row) for row in _vectors_of_sectors(y, adj)]
+    return [Signal(sys.n, row) for row in _vectors_of_sectors(y, adjoint_lattice(sys.lattice))]
 
 
 def canonical_dual(sys: GaborSystem) -> list[Signal]:

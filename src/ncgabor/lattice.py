@@ -16,16 +16,19 @@ with every shift from the lattice; the pairing is perfect, so
 subgroup.  Its normal form follows from the basis alone.  The covolume is the
 rational N / |L|; critical density is covolume 1.
 
+A lattice carries the tables derived from it as cached properties, built on
+first use, read-only and freed with it: its points, its adjoint, the
+involution's, the grid positions and the sector tables (algebra.py).
+
 The phase-space point TFPoint, DimensionMismatch and the table cache _tables
 live here, not in core.py (which re-exports the first two), so that this
 module imports no numpy at load time: building a lattice, its adjoint and
-its covolume touch no array, and numpy loads where points are built
-(Lattice._points, Lattice.indices).  _tables is the toolkit's one
-byte-bounded cache for tables that grow with N or |L| and depend only on
-plain arguments: the bands' flat index and the grid positions (algebra.py),
-the lifted weight table (modspaces.py) and the adjoint lattice.  It keeps at
-most 32 MiB in all and no table over 2 MiB, so past that size a table is
-built on every call.
+its covolume touch no array, and numpy loads where the tables are built.
+_tables keeps the tables that are shared across lattices and keyed by plain
+arguments: the bands' flat index by (N, a) (algebra.py), the lifted weight
+table by (weight, N) (modspaces.py) and the roots of unity by N (core.py).
+It keeps at most 32 MiB in all and no table over 2 MiB, so past that size a
+table is built on every call.
 """
 from __future__ import annotations
 
@@ -99,43 +102,36 @@ class TFPoint:
 
 
 class _TableCache:
-    """Tables that depend only on their builder's arguments, each built once
+    """Arrays that depend only on their builder's arguments, each built once
     and kept while the total stays within a byte budget.
 
-    cache(build, *args) is build(*args), keyed by (build, args): keys hold
-    plain arguments, never a lattice whose points would stay alive
-    uncharged.  An array is frozen read-only and charged its nbytes after
-    the build; any other table is charged charge(table), what it will come to
-    hold.  A table charged more than cap is returned but not kept; otherwise
-    the oldest tables are evicted until the total fits the budget, so the
-    newest survives.  A hit is one dict lookup.
+    cache(build, *args) is build(*args), keyed by (build, args), frozen
+    read-only and charged its nbytes.  A table over cap is returned but not
+    kept; otherwise the oldest tables are evicted until the total fits the
+    budget, so the newest survives.  A hit is one dict lookup.
     """
 
     def __init__(self, budget: int, cap: int) -> None:
         self.budget, self.cap = budget, cap
-        self.kept: dict = {}  # (build, args) -> (table, charge), oldest first
+        self.kept: dict = {}  # (build, args) -> table, oldest first
         self.nbytes = self.hits = self.misses = 0
         self._lock = threading.Lock()  # insertion and eviction are read-modify-writes
 
-    def __call__(self, build, *args, charge=None):
+    def __call__(self, build, *args):
         key = (build, args)
-        entry = self.kept.get(key)
-        if entry is not None:
+        table = self.kept.get(key)
+        if table is not None:
             self.hits += 1
-            return entry[0]
+            return table
         table = build(*args)
-        if charge is None:
-            table.setflags(write=False)
-            nbytes = table.nbytes
-        else:
-            nbytes = charge(table)
+        table.setflags(write=False)
         with self._lock:
             self.misses += 1
-            if nbytes <= self.cap and key not in self.kept:
-                self.kept[key] = table, nbytes
-                self.nbytes += nbytes
+            if table.nbytes <= self.cap and key not in self.kept:
+                self.kept[key] = table
+                self.nbytes += table.nbytes
                 while self.nbytes > self.budget:
-                    self.nbytes -= self.kept.pop(next(iter(self.kept)))[1]
+                    self.nbytes -= self.kept.pop(next(iter(self.kept))).nbytes
         return table
 
     def clear(self) -> None:
@@ -178,9 +174,34 @@ class Lattice:
         i = np.arange(n // a, dtype=np.int64)[:, None]
         j = np.arange(n // b, dtype=np.int64)[None, :]
         k = np.broadcast_to(i * a, (n // a, n // b))
-        pts = np.stack([k.ravel(), ((i * s) % b + j * b).ravel()], axis=1)
-        pts.setflags(write=False)
-        return pts
+        return _read_only(np.stack([k.ravel(), ((i * s) % b + j * b).ravel()], axis=1))[0]
+
+    @cached_property
+    def _adjoint(self) -> Lattice:
+        n, (a, s, b) = self.n, self.basis
+        return _from_basis(n, (n // b, (n // b) * s // a % (n // a), n // a))
+
+    @cached_property
+    def _involution_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The index of -lam and cocycle(lam, lam), in canonical order."""
+        import numpy as np
+
+        n, pts = self.n, self._points
+        neg = self.indices(-pts[:, 0], -pts[:, 1])
+        return _read_only(neg, np.exp(-2j * np.pi * ((pts[:, 0] * pts[:, 1]) % n) / n))
+
+    @cached_property
+    def _grid_index(self) -> np.ndarray:
+        """Each point's flat position i*N + l in the (N/a, N) grid of time
+        shifts by frequencies, in canonical order."""
+        return _read_only(self._points @ (self.n // self.basis[0], 1))[0]
+
+    @cached_property
+    def _sector_tables(self) -> tuple[np.ndarray, ...]:
+        """The copies' coordinates and the distinct sectors' gather (algebra.py)."""
+        from .algebra import _sector_tables_of
+
+        return _read_only(*_sector_tables_of(self))
 
     def indices(self, k, l) -> np.ndarray:
         """Canonical indices of the points (k, l) mod N, elementwise; -1 off the lattice."""
@@ -195,6 +216,13 @@ class Lattice:
     def as_array(self) -> np.ndarray:
         """Points as a read-only int64 array (|L|, 2) in canonical order, built on first use."""
         return self._points
+
+
+def _read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The tables, each frozen read-only."""
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _ext_gcd(x: int, y: int) -> tuple[int, int, int]:
@@ -266,17 +294,10 @@ def adjoint_lattice(lat: Lattice) -> Lattice:
     (m, n') is adjoint iff m*l - k*n' = 0 mod N for (k, l) = (a, s) and
     (0, b).  The second condition gives m in (N/b)Z; the first then fixes n'
     modulo N/a, so the adjoint has basis (N/b, (N/b)*s/a mod N/a), (0, N/a).
-    (a divides (N/b)*s because (N/a)*(a, s) lies in L at time 0.)  Equal
-    lattices share one adjoint from _tables, charged the 16 bytes per
-    point its points take once built.
+    (a divides (N/b)*s because (N/a)*(a, s) lies in L at time 0.)  Built
+    once per lattice and kept on it.
     """
-    return _tables(_adjoint, lat.n, lat.basis, charge=lambda adj: 16 * adj.size)
-
-
-def _adjoint(n: int, basis: tuple[int, int, int]) -> Lattice:
-    """The adjoint of the lattice with this normal-form basis (adjoint_lattice)."""
-    a, s, b = basis
-    return _from_basis(n, (n // b, (n // b) * s // a % (n // a), n // a))
+    return lat._adjoint
 
 
 def volume(lat: Lattice) -> Fraction:

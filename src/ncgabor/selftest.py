@@ -43,7 +43,6 @@ from .weights import (
 )
 from .algebra import (
     CoeffSeq,
-    _sector_tables,
     _sectors,
     coefficients_of,
     delta_seq,
@@ -122,8 +121,12 @@ class CheckResult:
         return self.error is None and self.residual <= self.tol
 
 
+# Each pair's lattice, built once so that every entry shares its tables.
+_BUILT = {p: lattice_from_generators(*p) for p in LATTICE_MATRIX + _JANSSEN_EXTRA + _COPY_EXTRA}
+
+
 def _lattices(pairs=LATTICE_MATRIX):
-    return [lattice_from_generators(n, gens) for n, gens in pairs]
+    return [_BUILT[pair] for pair in pairs]
 
 
 def _frame_lattices():
@@ -381,7 +384,7 @@ def _check_sector_copies(rng):
     for lat in _frame_lattices() + _lattices(_COPY_EXTRA):
         for x in (lat, adjoint_lattice(lat)):
             a = _rand_seq(x, rng)
-            times, twist = _sector_tables(x.n, x.basis)[:2]
+            times, twist = x._sector_tables[:2]
             k = times.shape[2]
             dft = np.exp(2j * np.pi * np.outer(np.arange(k), np.arange(k)) / k)
             j, r, u, rho = np.indices(times.shape)

@@ -1,5 +1,6 @@
 """Twisted convolution, involution, representation, inversion, trace, spectrum."""
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,16 +8,21 @@ import pytest
 from ncgabor import (
     CoeffSeq,
     DimensionMismatch,
+    GaborSystem,
+    Lattice,
     SingularElement,
     TFPoint,
     Weight,
     cocycle,
     coefficients_of,
+    adjoint_lattice,
     delta_seq,
+    frame_bounds,
     full_lattice,
     invert_in_algebra,
     involution,
     lattice_from_generators,
+    random_signal,
     represent,
     shift_matrix,
     spectrum,
@@ -25,9 +31,7 @@ from ncgabor import (
     unit,
     weighted_norm,
 )
-from ncgabor.algebra import _involution_tables, _sector_tables
 from conftest import SEEDS, matrix_lattices
-from oracles import is_hermitian
 
 
 def rand_seq(lat, rng):
@@ -212,27 +216,49 @@ def test_represent_and_coefficients_of_leave_nothing_behind(rng):
     assert held < 2**20
 
 
-def test_involution_and_product_tables_keep_no_lattice_alive(rng):
-    # the two lru_caches are keyed by N and the basis: once the lattice and the
-    # element are dropped, what stays is their tables, not the lattice's
-    # 2 MiB of points (16 bytes for each of its 131072)
-    n, gens = 1024, [(2, 0), (0, 4)]
-    _involution_tables.cache_clear()
-    _sector_tables.cache_clear()
+def test_dropped_lattices_leave_no_tables_behind(rng):
+    # a lattice keeps its points, involution and sector tables and its adjoint
+    # with theirs: once the lattices, elements and systems are dropped, none
+    # of it stays (the N=1024 <(2,0),(0,4)> points alone take 2 MiB)
     tracemalloc.start()
     try:
-        lat = lattice_from_generators(n, gens)
+        lat = lattice_from_generators(1024, [(2, 0), (0, 4)])
         a = rand_seq(lat, rng)
         involution(a)
         twisted_conv(a, a)
-        basis = lat.basis
-        del a, lat
+        frame = lattice_from_generators(1024, [(16, 0), (0, 32)])
+        assert frame_bounds(GaborSystem((random_signal(1024, rng),), frame)).is_frame
+        del a, lat, frame
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    tables = (*_involution_tables(n, basis), *_sector_tables(n, basis))
-    assert _involution_tables.cache_info().hits and _sector_tables.cache_info().hits
-    assert held - sum(t.nbytes for t in tables) < 2**19
+    assert held < 2**19
+
+
+def test_a_lattice_builds_each_table_once(monkeypatch, rng):
+    # repeated routes on one lattice read the tables it carries, built on first use
+    builds = Counter()
+
+    def counted(name, build):
+        def wrapper(lat):
+            builds[name] += 1
+            return build(lat)
+
+        return wrapper
+
+    names = ("_points", "_adjoint", "_involution_tables", "_grid_index", "_sector_tables")
+    for name in names:
+        prop = vars(Lattice)[name]
+        monkeypatch.setattr(prop, "func", counted(name, prop.func))
+    lat = lattice_from_generators(12, [(2, 1), (0, 6)])
+    a = rand_seq(lat, rng)
+    for _ in range(3):
+        involution(a)
+        twisted_conv(a, a)
+        represent(a)
+        adjoint_lattice(lat)
+    assert builds == Counter(names)
+    assert adjoint_lattice(lat) is adjoint_lattice(lat)
 
 
 def test_trace_orthogonality_exhaustive():
@@ -321,9 +347,3 @@ def test_spectrum_of_unit_and_shift():
     np.testing.assert_allclose(got, expect, atol=1e-10)
 
 
-def test_operator_matrix_hermitian_flag(rng):
-    lat = lattice_from_generators(6, [(1, 1)])
-    a = rand_seq(lat, rng)
-    herm = CoeffSeq(lat, (a.coeffs + involution(a).coeffs) / 2)
-    assert is_hermitian(represent(herm).entries)
-    assert is_hermitian(represent(unit(lat)).entries)

@@ -28,7 +28,7 @@ from ncgabor import (
     symplectic_bicharacter,
     tf_shift,
 )
-from ncgabor.algebra import _band_index, _grid_index
+from ncgabor.algebra import _band_index
 from ncgabor.lattice import _TableCache, _tables
 from ncgabor.modspaces import _lifted_weight_table
 from oracles import stft_direct, stft_sample
@@ -254,14 +254,14 @@ def test_table_cache_holds_its_budget(rng):
     for n, basis in gens:
         lat = lattice_from_generators(n, basis)
         seq = CoeffSeq(lat, rng.standard_normal(lat.size))
-        calls.append((partial(represent, seq), [(_grid_index, (n, lat.basis)), (_band_index, (n, lat.basis[0]))]))
+        calls.append((partial(represent, seq), [(_band_index, (n, lat.basis[0]))]))
     _tables.clear()
     evictions = 0
     for call, keys in calls:
         before, lookups = set(_tables.kept), _tables.hits + _tables.misses
         call()
         assert _tables.hits + _tables.misses == lookups + len(keys)
-        charges = [charge for _, charge in _tables.kept.values()]
+        charges = [table.nbytes for table in _tables.kept.values()]
         assert _tables.nbytes == sum(charges) <= _tables.budget
         assert max(charges) <= _tables.cap
         for build, args in keys:
@@ -271,8 +271,8 @@ def test_table_cache_holds_its_budget(rng):
     assert evictions and len(_tables.kept) > 1
     hits, misses = _tables.hits, _tables.misses
     calls[-1][0]()
-    assert (_tables.hits, _tables.misses) == (hits + 2, misses)
-    for table, _ in _tables.kept.values():
+    assert (_tables.hits, _tables.misses) == (hits + 1, misses)
+    for table in _tables.kept.values():
         with pytest.raises(ValueError, match="read-only"):
             table.flat[0] = 0
 
@@ -303,5 +303,5 @@ def test_table_cache_total_survives_concurrent_misses():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not errors
-    assert cache.nbytes == sum(charge for _, charge in cache.kept.values()) <= cache.budget
+    assert cache.nbytes == sum(table.nbytes for table in cache.kept.values()) <= cache.budget
     assert cache.misses >= len(cache.kept) > 1

@@ -9,18 +9,24 @@ import pytest
 from ncgabor import (
     CoeffSeq,
     Lattice,
+    ModNormSpec,
     TFPoint,
+    Weight,
     adjoint_lattice,
     delta_seq,
     enumerate_subgroups,
     full_lattice,
+    involution,
     lattice_from_generators,
+    mod_norm,
+    random_signal,
+    represent,
     shift_matrix,
+    tf_shift,
     trivial_lattice,
     twisted_conv,
     volume,
 )
-from ncgabor.algebra import _involution_tables
 from ncgabor.lattice import _tables
 from oracles import oracle_cases, tf_points
 
@@ -260,7 +266,7 @@ def test_lattice_tables_match_brute_force_oracles(rng):
         expect = (coc_o * b[sub_o]) @ a
         got = twisted_conv(CoeffSeq(lat, a), CoeffSeq(lat, b)).coeffs
         assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
-        neg, diag = _involution_tables(lat.n, lat.basis)
+        neg, diag = lat._involution_tables
         neg_o, diag_o = involution_tables_oracle(lat)
         assert np.array_equal(neg, neg_o) and np.array_equal(diag, diag_o)
 
@@ -272,15 +278,30 @@ def test_equal_subgroups_are_one_lattice():
     assert hash(lat) == hash(same)
     assert lat != lattice_from_generators(12, [(2, 0), (0, 6)])
     assert lat != lattice_from_generators(6, [(2, 0), (0, 3)])
-    _tables.clear()
-    assert adjoint_lattice(lat) is adjoint_lattice(same)
-    assert (_tables.misses, _tables.hits, len(_tables.kept)) == (1, 1, 1)
+    assert adjoint_lattice(lat) == adjoint_lattice(same)
+
+
+def test_lattice_and_shared_tables_are_read_only(rng):
+    # the tables a lattice carries and those _tables shares across lattices
+    # are handed to every caller: none may be written through
+    lat = lattice_from_generators(12, [(2, 1), (0, 6)])
+    a = CoeffSeq(lat, rng.standard_normal(lat.size) + 0j)
+    involution(a)
+    twisted_conv(a, a)
+    represent(a)
+    f = random_signal(12, rng)
+    tf_shift(TFPoint(12, 1, 1), f)
+    mod_norm(f, ModNormSpec(1.0, 1.0, Weight.polynomial(1), f))
+    shared = list(_tables.kept.values())
+    assert {build.__name__ for build, _ in _tables.kept} >= {"_band_index", "_lifted_weight_table", "_roots"}
+    arrays = [lat._points, *lat._involution_tables, lat._grid_index, *lat._sector_tables, *shared]
+    assert [arr.flags.writeable for arr in arrays] == [False] * len(arrays)
 
 
 def test_adjoint_of_a_large_lattice_is_not_kept():
     # the adjoint of the trivial lattice mod 1024 is the full lattice, whose
-    # points take 16 MiB once built: charged that at insertion, it is over
-    # the table cache's cap, so nothing of it outlives the caller's reference
+    # points take 16 MiB once built: the trivial lattice carries it, so
+    # nothing of it outlives the caller's references
     tracemalloc.start()
     try:
         adjoint_lattice(trivial_lattice(1024)).as_array()
