@@ -71,13 +71,12 @@ A product takes |L|*c multiply-adds besides the FFTs, against the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import _frozen, _lifted, _translates
-from .lattice import DimensionMismatch, Lattice, TFPoint, _check_same_n, _tables
+from .lattice import DimensionMismatch, Lattice, TFPoint, _check_same_n, _Frozen, _set, _tables
 
 if TYPE_CHECKING:
     from .weights import Weight
@@ -111,36 +110,38 @@ class SingularElement(ArithmeticError):
         self.smallest_singular_value = smallest_singular_value
 
 
-@dataclass(frozen=True)
-class CoeffSeq:
+class CoeffSeq(_Frozen):
     """Complex coefficients indexed by the canonical order of a lattice."""
 
+    __slots__ = _fields = ("lattice", "coeffs")
     lattice: Lattice
     coeffs: np.ndarray
 
-    def __post_init__(self) -> None:
-        vals = _frozen(self.coeffs)
-        if vals.shape != (self.lattice.size,):
-            raise ValueError(
-                f"expected {self.lattice.size} coefficients, got shape {vals.shape}"
-            )
+    def __init__(self, lattice: Lattice, coeffs: np.ndarray) -> None:
+        if not isinstance(lattice, Lattice):
+            raise TypeError(f"the lattice must be a Lattice, got {type(lattice).__name__}")
+        vals = _frozen(coeffs)
+        if vals.shape != (lattice.size,):
+            raise ValueError(f"expected {lattice.size} coefficients, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("coefficients contain non-finite entries")
-        object.__setattr__(self, "coeffs", vals)
+        _set(self, "lattice", lattice)
+        _set(self, "coeffs", vals)
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
+class OperatorMatrix(_Frozen):
     """An N x N complex matrix."""
 
+    __slots__ = _fields = ("n", "entries")
     n: int
     entries: np.ndarray
 
-    def __post_init__(self) -> None:
-        mat = _frozen(self.entries)
-        if mat.shape != (self.n, self.n):
-            raise ValueError(f"expected shape ({self.n}, {self.n}), got {mat.shape}")
-        object.__setattr__(self, "entries", mat)
+    def __init__(self, n: int, entries: np.ndarray) -> None:
+        mat = _frozen(entries)
+        if mat.shape != (n, n):
+            raise ValueError(f"expected shape ({n}, {n}), got {mat.shape}")
+        _set(self, "n", n)
+        _set(self, "entries", mat)
 
 
 def unit(lat: Lattice) -> CoeffSeq:

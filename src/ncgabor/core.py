@@ -28,11 +28,9 @@ verbs run without it; core re-exports TFPoint and DimensionMismatch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .lattice import DimensionMismatch, TFPoint, _check_same_n, _tables
+from .lattice import DimensionMismatch, TFPoint, _check_same_n, _Frozen, _group_order, _set, _tables
 
 __all__ = [
     "DimensionMismatch",
@@ -63,22 +61,22 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Signal:
+class Signal(_Frozen):
     """A complex-valued function on Z_N."""
 
+    __slots__ = _fields = ("n", "values")
     n: int
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"group order must be >= 2, got {self.n}")
-        vals = _frozen(self.values)
-        if vals.shape != (self.n,):
-            raise ValueError(f"expected {self.n} samples, got shape {vals.shape}")
+    def __init__(self, n: int, values: np.ndarray) -> None:
+        n = _group_order(n)
+        vals = _frozen(values)
+        if vals.shape != (n,):
+            raise ValueError(f"expected {n} samples, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("signal contains non-finite entries")
-        object.__setattr__(self, "values", vals)
+        _set(self, "n", n)
+        _set(self, "values", vals)
 
     def norm2(self) -> float:
         return float(np.linalg.norm(self.values))
@@ -88,10 +86,12 @@ class Signal:
 
     @staticmethod
     def zero(n: int) -> "Signal":
+        n = _group_order(n)
         return Signal(n, np.zeros(n, dtype=complex))
 
     @staticmethod
     def delta(n: int, t: int = 0) -> "Signal":
+        n = _group_order(n)
         vals = np.zeros(n, dtype=complex)
         vals[t % n] = 1.0
         return Signal(n, vals)
@@ -102,18 +102,19 @@ def _lifted(values: np.ndarray, n: int) -> np.ndarray:
     return np.where(values > n // 2, values - n, values)
 
 
-@dataclass(frozen=True)
-class PhaseSpaceArray:
+class PhaseSpaceArray(_Frozen):
     """An N x N complex array over phase space, indexed [k, l]."""
 
+    __slots__ = _fields = ("n", "values")
     n: int
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        vals = _frozen(self.values)
-        if vals.shape != (self.n, self.n):
-            raise ValueError(f"expected shape ({self.n}, {self.n}), got {vals.shape}")
-        object.__setattr__(self, "values", vals)
+    def __init__(self, n: int, values: np.ndarray) -> None:
+        vals = _frozen(values)
+        if vals.shape != (n, n):
+            raise ValueError(f"expected shape ({n}, {n}), got {vals.shape}")
+        _set(self, "n", n)
+        _set(self, "values", vals)
 
 
 def cocycle(lam: TFPoint, mu: TFPoint) -> complex:

@@ -35,13 +35,12 @@ of the same expansion: its sides pair Grams in L's sectors and in L°'s.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .core import Signal
-from .lattice import Lattice, _check_same_n, adjoint_lattice, volume
+from .lattice import Lattice, _check_same_n, _Frozen, _Value, adjoint_lattice
 from .algebra import (
     CoeffSeq,
     OperatorMatrix,
@@ -76,26 +75,27 @@ class NotAFrame(ArithmeticError):
         self.lower_bound = lower_bound
 
 
-@dataclass(frozen=True)
-class GaborSystem:
-    """Windows plus a lattice; the system is all lattice shifts of all windows."""
+class GaborSystem(_Frozen):
+    """Windows plus a lattice; the system is all lattice shifts of all windows.
+    Its spectrum is a cached property, kept in its __dict__."""
 
+    _fields = ("windows", "lattice")
     windows: tuple[Signal, ...]
     lattice: Lattice
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.lattice, Lattice):
-            raise TypeError(f"the lattice must be a Lattice, got {type(self.lattice).__name__}")
-        windows = tuple(self.windows)
+    def __init__(self, windows: tuple[Signal, ...], lattice: Lattice) -> None:
+        if not isinstance(lattice, Lattice):
+            raise TypeError(f"the lattice must be a Lattice, got {type(lattice).__name__}")
+        windows = tuple(windows)
         if not windows:
             raise ValueError("a Gabor system needs at least one window")
         for w in windows:
             if not isinstance(w, Signal):
                 raise TypeError(f"every window must be a Signal, got {type(w).__name__}")
-        object.__setattr__(self, "windows", windows)
-        _check_same_n(self.lattice.n, *(w.n for w in windows))
+        _check_same_n(lattice.n, *(w.n for w in windows))
         if all(w.is_zero() for w in windows):
             raise ValueError("at least one window must be nonzero")
+        self._assign(windows, lattice)
 
     @property
     def n(self) -> int:
@@ -113,11 +113,14 @@ class GaborSystem:
         return y, eigs, vecs
 
 
-@dataclass(frozen=True)
-class FrameBounds:
+class FrameBounds(_Value):
+    __slots__ = _fields = ("lower", "upper", "is_frame")
     lower: float
     upper: float
     is_frame: bool
+
+    def __init__(self, lower: float, upper: float, is_frame: bool) -> None:
+        self._assign(lower, upper, is_frame)
 
 
 def _windows(sys: GaborSystem) -> np.ndarray:
@@ -245,7 +248,7 @@ def figa_check(
     _check_same_n(lat.n, f1.n, f2.n, g1.n, g2.n)
     sigs = np.array([f1.values, f2.values, g1.values, g2.values])
     lhs = _pairing(sigs[[0, 1]], sigs[[2, 3]], lat)  # <f1, pi g1>, <f2, pi g2>
-    rhs = _pairing(sigs[[0, 2]], sigs[[1, 3]], adjoint_lattice(lat)) / float(volume(lat))
+    rhs = _pairing(sigs[[0, 2]], sigs[[1, 3]], adjoint_lattice(lat)) / (lat.n / lat.size)
     return float(abs(lhs - rhs) / (1.0 + abs(lhs)))
 
 

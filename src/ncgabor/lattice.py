@@ -20,10 +20,15 @@ A lattice carries the tables derived from it as cached properties, built on
 first use, read-only and freed with it: its points, its adjoint, the
 involution's, the grid positions and the sector tables (algebra.py).
 
-The phase-space point TFPoint, DimensionMismatch and the table cache _tables
-live here, not in core.py (which re-exports the first two), so that this
-module imports no numpy at load time: building a lattice, its adjoint and
-its covolume touch no array, and numpy loads where the tables are built.
+The phase-space point TFPoint, DimensionMismatch, the base _Frozen of the
+toolkit's immutable types and the table cache _tables live here, not in
+core.py (which re-exports the first two), so that this module imports no
+numpy at load time: building a lattice, its adjoint and its covolume touch
+no array, and numpy loads where the tables are built.  Nor does loading
+generate code: the value types are plain classes, not dataclasses, and
+fractions loads only where a covolume is formed or parsed as a rational
+(volume, serialize.fraction_from_str).
+
 _tables keeps the tables that are shared across lattices and keyed by plain
 arguments: the bands' flat index by (N, a) (algebra.py), the lifted weight
 table by (weight, N) (modspaces.py) and the roots of unity by N (core.py).
@@ -34,12 +39,12 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 __all__ = [
@@ -65,22 +70,84 @@ def _check_same_n(*ns: int) -> int:
     return first
 
 
-@dataclass(frozen=True)
-class TFPoint:
+def _group_order(n) -> int:
+    """n as an int; ValueError unless it is an integer >= 2."""
+    if n < 2:
+        raise ValueError(f"group order must be >= 2, got {n}")
+    if int(n) != n:
+        raise ValueError(f"group order n = {n!r} is not an integer")
+    return int(n)
+
+
+_set = object.__setattr__  # how __init__ sets a field of a _Frozen instance
+
+
+class _Frozen:
+    """Base of the toolkit's immutable types, whose fields _fields names.
+
+    __init__ validates its arguments and sets each field once: with _assign,
+    or with _set where a type is built on every call; assigning or deleting
+    an attribute afterwards raises AttributeError.  The repr lists the
+    fields, and pickle and copy rebuild an instance by calling its class on
+    them, so a copy is validated too.  Equality is identity and instances are
+    unhashable; _Value compares and hashes by value.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def _assign(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+
+class _Value(_Frozen):
+    """A _Frozen type whose instances are equal when their class and _key()
+    agree, hashed by _key(); the key is every field unless a type says less."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class TFPoint(_Value):
     """A phase-space point (k, l) in Z_N x Z_N, canonically reduced mod N."""
 
+    __slots__ = _fields = ("n", "k", "l")
     n: int
     k: int
     l: int
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"group order must be >= 2, got {self.n}")
-        for name in ("k", "l"):
-            value = getattr(self, name)
+    def __init__(self, n: int, k: int, l: int) -> None:
+        n = _group_order(n)
+        _set(self, "n", n)
+        for name, value in (("k", k), ("l", l)):
             if int(value) != value:
                 raise ValueError(f"coordinate {name} = {value!r} is not an integer")
-            object.__setattr__(self, name, int(value) % self.n)
+            _set(self, name, int(value) % n)
 
     def __add__(self, other: "TFPoint") -> "TFPoint":
         _check_same_n(self.n, other.n)
@@ -143,22 +210,28 @@ class _TableCache:
 _tables = _TableCache(budget=32 * 2**20, cap=2 * 2**20)
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(_Value):
     """A subgroup of Z_N x Z_N, identified by N and its normal-form basis.
 
     basis is (a, s, b) for the basis vectors (a, s) and (0, b).  generators
-    records how the lattice was given and takes no part in equality.
+    records how the lattice was given and takes no part in equality.  Its
+    tables are cached properties, kept in its __dict__.
     """
 
+    _fields = ("n", "basis", "generators")
     n: int
     basis: tuple[int, int, int]
-    generators: tuple[TFPoint, ...] = field(compare=False)
+    generators: tuple[TFPoint, ...]
 
-    def __post_init__(self) -> None:
-        n, (a, s, b) = self.n, self.basis
+    def __init__(self, n: int, basis: tuple[int, int, int],
+                 generators: tuple[TFPoint, ...]) -> None:
+        a, s, b = basis
         if min(a, b) < 1 or n % a or n % b or not 0 <= s < b or (s * (n // a)) % b:
             raise ValueError(f"({a}, {s}, {b}) is not a normal-form basis mod {n}")
+        self._assign(n, basis, generators)
+
+    def _key(self) -> tuple:
+        return (self.n, self.basis)
 
     @property
     def size(self) -> int:
@@ -257,18 +330,13 @@ def _from_basis(n: int, basis: tuple[int, int, int]) -> Lattice:
     return Lattice(n, basis, tuple(TFPoint(n, k, l) for k, l in gens))
 
 
-def _require_order(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"group order must be >= 2, got {n}")
-
-
 def lattice_from_generators(n: int, gens) -> Lattice:
     """Subgroup generated by the given points (closure under addition mod N).
 
     An empty generator list yields the trivial lattice {(0, 0)}.  The
     generators are kept as given, reduced mod N.
     """
-    _require_order(n)
+    n = _group_order(n)
     generators = []
     for g in gens:
         if not isinstance(g, TFPoint):
@@ -301,13 +369,17 @@ def adjoint_lattice(lat: Lattice) -> Lattice:
 
 
 def volume(lat: Lattice) -> Fraction:
-    """Covolume N / |L|; equals 1 exactly at critical density."""
+    """Covolume N / |L|; equals 1 exactly at critical density.  Code that
+    consumes a float divides lat.n / lat.size instead: the same correctly
+    rounded value, without loading fractions."""
+    from fractions import Fraction
+
     return Fraction(lat.n, lat.size)
 
 
 def enumerate_subgroups(n: int) -> list[Lattice]:
     """Every subgroup of Z_N x Z_N, one per normal form, by size then points."""
-    _require_order(n)
+    n = _group_order(n)
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     lattices = [
         _from_basis(n, (a, s, b))

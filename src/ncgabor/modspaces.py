@@ -17,32 +17,32 @@ fits the cache's 2 MiB cap; past that it is built on every call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Signal, _lifted, stft
-from .lattice import _check_same_n, _tables
+from .lattice import _check_same_n, _Frozen, _tables
 from .weights import Weight
 
 __all__ = ["ModNormSpec", "mod_norm", "feichtinger_norm"]
 
 
-@dataclass(frozen=True)
-class ModNormSpec:
+class ModNormSpec(_Frozen):
     """Exponents, weight and analysis window for a mixed STFT norm."""
 
+    __slots__ = _fields = ("p", "q", "m", "window")
     p: float
     q: float
     m: Weight
     window: Signal
 
-    def __post_init__(self) -> None:
-        for name, e in (("p", self.p), ("q", self.q)):
+    def __init__(self, p: float, q: float, m: Weight, window: Signal) -> None:
+        for name, e in (("p", p), ("q", q)):
             if not (e >= 1.0 or e == math.inf):
                 raise ValueError(f"exponent {name} must be >= 1 or infinity, got {e}")
-        if self.window.is_zero():
+        if window.is_zero():
             raise ValueError("analysis window must be nonzero")
+        self._assign(p, q, m, window)
 
 
 def _lifted_weight_table(m: Weight, n: int) -> np.ndarray:

@@ -35,13 +35,12 @@ projective module of rank v over A(L) is generated by ceil(v) Gabor atoms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import Signal, random_signal
-from .lattice import Lattice, _check_same_n, adjoint_lattice, volume
+from .lattice import Lattice, _check_same_n, _Value, adjoint_lattice, volume
 from .algebra import (
     CoeffSeq,
     OperatorMatrix,
@@ -110,24 +109,34 @@ def act_right(g: Signal, b: CoeffSeq) -> Signal:
     """Right action: vol^{-1} sum b(mu) pi(mu)^H g over the adjoint lattice,
     vol(L°) represent(conj b)^H g: the conjugate transpose of conj b's sectors."""
     _check_same_n(b.lattice.n, g.n)
-    sectors = _sectors(float(volume(b.lattice)) * np.conj(b.coeffs), b.lattice)
+    sectors = _sectors(b.lattice.n / b.lattice.size * np.conj(b.coeffs), b.lattice)
     return _acted(sectors.conj().swapaxes(-1, -2), g, b.lattice)
 
 
 def right_operator(b: CoeffSeq) -> OperatorMatrix:
     """Matrix of a right-algebra element: vol^{-1} sum b(mu) pi(mu)^H, which
     represents vol^{-1} involution(conj b), with vol(L)^-1 = vol(L°) for b on L°."""
-    vol = float(volume(b.lattice))
+    vol = b.lattice.n / b.lattice.size
     return represent(involution(CoeffSeq(b.lattice, vol * np.conj(b.coeffs))))
 
 
-@dataclass(frozen=True)
-class ModuleFrameReport:
+class ModuleFrameReport(_Value):
+    """The verdict, its residual, the window count and the covolume, equal by
+    these; the tightened windows of a frame ride along."""
+
+    __slots__ = _fields = ("residual", "is_module_frame", "window_count", "vol", "tight_windows")
     residual: float
     is_module_frame: bool
     window_count: int
     vol: Fraction
-    tight_windows: tuple[Signal, ...] = field(default=(), compare=False)
+    tight_windows: tuple[Signal, ...]
+
+    def __init__(self, residual: float, is_module_frame: bool, window_count: int, vol: Fraction,
+                 tight_windows: tuple[Signal, ...] = ()) -> None:
+        self._assign(residual, is_module_frame, window_count, vol, tight_windows)
+
+    def _key(self) -> tuple:
+        return (self.residual, self.is_module_frame, self.window_count, self.vol)
 
 
 def module_frame_identity_residual(windows, lat: Lattice, f: Signal) -> float:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .core import (
     tf_shift,
 )
 from .lattice import (
+    _Value,
     adjoint_lattice,
     enumerate_subgroups,
     lattice_from_generators,
@@ -109,12 +109,15 @@ _MODULE_TRIALS = 50
 _TRIALS = 100
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Value):
+    __slots__ = _fields = ("name", "tol", "residual", "error")
     name: str
     tol: float
     residual: float
-    error: str | None = None  # "<exception type>: <message>" when the check raised
+    error: str | None  # "<exception type>: <message>" when the check raised
+
+    def __init__(self, name: str, tol: float, residual: float, error: str | None = None) -> None:
+        self._assign(name, tol, residual, error)
 
     @property
     def passed(self) -> bool:

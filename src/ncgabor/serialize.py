@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import io
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .lattice import Lattice, lattice_from_generators
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .algebra import CoeffSeq
     from .core import Signal
     from .frames import FrameBounds
@@ -75,6 +76,8 @@ def fraction_to_str(x: Fraction) -> str:
 
 
 def fraction_from_str(s: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         num, den = s.split("/")
         return Fraction(int(num), int(den))

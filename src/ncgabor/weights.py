@@ -22,11 +22,12 @@ sampling are engineering choices: the probe is a diagnostic, not a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
+
+from .lattice import _set, _Value
 
 __all__ = [
     "Weight",
@@ -47,54 +48,62 @@ _FAMILIES = ("polynomial", "subexponential", "exponential", "custom")
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Value):
     """A positive symmetric weight on Z^2, v(p+q) <= C v(p) v(q) with the
     family's constant C (module docstring); a lookup table states none."""
 
+    _fields = ("family", "s", "b", "beta", "table", "outer_power")
+    __slots__ = (*_fields, "_hash")
     family: str
-    s: float = 0.0
-    b: float = 1.0
-    beta: float = 0.5
-    table: Mapping[tuple[int, int], float] | None = None
-    outer_power: float = 1.0
+    s: float
+    b: float
+    beta: float
+    table: Mapping[tuple[int, int], float] | None
+    outer_power: float
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown weight family {self.family!r}")
-        for name in ("s", "b", "beta", "outer_power"):
-            if not math.isfinite(getattr(self, name)):
+    def __init__(self, family: str, s: float = 0.0, b: float = 1.0, beta: float = 0.5,
+                 table: Mapping[tuple[int, int], float] | None = None,
+                 outer_power: float = 1.0) -> None:
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown weight family {family!r}")
+        for name, value in (("s", s), ("b", b), ("beta", beta), ("outer_power", outer_power)):
+            if not math.isfinite(value):
                 raise ValueError(f"weight parameter {name} must be finite")
-        if self.family == "polynomial" and self.s < 0:
+        if family == "polynomial" and s < 0:
             raise ValueError("polynomial exponent must be >= 0")
-        if self.family in ("subexponential", "exponential") and self.b <= 0:
+        if family in ("subexponential", "exponential") and b <= 0:
             raise ValueError("rate b must be > 0")
-        if self.family == "subexponential" and not 0 < self.beta < 1:
+        if family == "subexponential" and not 0 < beta < 1:
             raise ValueError("subexponential beta must lie in (0, 1)")
-        if self.family == "custom":
-            if not self.table:
+        if family == "custom":
+            if not table:
                 raise ValueError("custom weight needs a lookup table")
             sym = {}
-            for (x, y), val in self.table.items():
+            for (x, y), val in table.items():
                 if not 0 < val < math.inf:
                     raise ValueError(f"weight value at ({x},{y}) must be positive and finite")
                 neg = (-x, -y)
-                if neg in self.table and self.table[neg] != val:
+                if neg in table and table[neg] != val:
                     raise ValueError(f"table breaks symmetry at ({x},{y})")
                 sym[(int(x), int(y))] = float(val)
                 sym.setdefault((-int(x), -int(y)), float(val))
             if sym.get((0, 0), 1.0) < 1.0:
                 raise ValueError("weight at the origin must be >= 1")
-            object.__setattr__(self, "table", MappingProxyType(sym))
+            table = MappingProxyType(sym)
+        self._assign(family, s, b, beta, table, outer_power)
         # hashed once: mod_norm hashes its weight on every table-cache lookup.
         # The family enters by its index and a missing table as an empty one,
         # hashes that hold across processes, so the hash survives pickling.
-        table = frozenset((self.table or {}).items())
-        key = (_FAMILIES.index(self.family), self.s, self.b, self.beta, table, self.outer_power)
-        object.__setattr__(self, "_hash", hash(key))
+        key = (_FAMILIES.index(family), s, b, beta, frozenset((table or {}).items()), outer_power)
+        _set(self, "_hash", hash(key))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle: the table travels as a dict
+        table = None if self.table is None else dict(self.table)
+        return Weight, (self.family, self.s, self.b, self.beta, table, self.outer_power)
 
     @staticmethod
     def polynomial(s: float) -> "Weight":
@@ -160,13 +169,17 @@ class Weight:
         return np.exp(logs)
 
 
-@dataclass(frozen=True)
-class GrsReport:
+class GrsReport(_Value):
     """Dyadic ray samples v(n*p)^(1/n) and the resulting growth verdict."""
 
+    __slots__ = _fields = ("point", "samples", "verdict")
     point: tuple[int, int]
     samples: tuple[tuple[int, float], ...]
     verdict: str
+
+    def __init__(self, point: tuple[int, int], samples: tuple[tuple[int, float], ...],
+                 verdict: str) -> None:
+        self._assign(point, samples, verdict)
 
 
 def grs_probe(v: Weight, p, n_max: int) -> GrsReport:

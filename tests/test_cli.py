@@ -2,6 +2,7 @@
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -169,13 +170,15 @@ def test_malformed_signal_exits_two(capsys):
 
 
 # runs main on the given argv in a fresh interpreter and reports, last on
-# stderr, whether numpy was ever imported and which ncgabor modules were
+# stderr, whether numpy, dataclasses and fractions were ever imported and
+# which ncgabor modules were
 IMPORT_PROBE = (
     "import json, sys\n"
     "from ncgabor.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "modules = sorted(m[8:] for m in sys.modules if m.startswith('ncgabor.'))\n"
-    "print(json.dumps({'numpy': 'numpy' in sys.modules, 'modules': modules}), file=sys.stderr)\n"
+    "loaded = {m: m in sys.modules for m in ('numpy', 'dataclasses', 'fractions')}\n"
+    "print(json.dumps({**loaded, 'modules': modules}), file=sys.stderr)\n"
     "raise SystemExit(code)\n"
 )
 
@@ -187,21 +190,22 @@ def fresh_process(*argv):
 
 
 @pytest.mark.parametrize(
-    "argv, code, stdout",
+    "argv, code, stdout, fractions",
     [
         (["adjoint", "--n", "12", "--gens", "(2,0),(0,3)"], 0,
-         json.dumps({"n": 12, "generators": [[4, 0], [0, 6]]}, indent=2) + "\n"),
+         json.dumps({"n": 12, "generators": [[4, 0], [0, 6]]}, indent=2) + "\n", False),
         (["vol", "--n", "12", "--gens", "(2,0),(0,3)"], 0,
-         json.dumps({"n": 12, "size": 24, "vol": "1/2"}, indent=2) + "\n"),
-        (["bounds", "--n", "12", "--gens", "(2,0),(0,3", "--window", delta_json(12)], 2, ""),
+         json.dumps({"n": 12, "size": 24, "vol": "1/2"}, indent=2) + "\n", True),
+        (["bounds", "--n", "12", "--gens", "(2,0),(0,3", "--window", delta_json(12)], 2, "", False),
     ],
     ids=["adjoint", "vol", "bad-gens"],
 )
-def test_lattice_verbs_and_malformed_requests_never_import_numpy(argv, code, stdout):
+def test_lattice_verbs_and_malformed_requests_never_import_numpy(argv, code, stdout, fractions):
     done = fresh_process("-c", IMPORT_PROBE, *argv)
     *lines, last = done.stderr.splitlines()
     assert (done.returncode, done.stdout) == (code, stdout)
-    assert json.loads(last) == {"numpy": False, "modules": ["cli", "lattice", "serialize"]}
+    assert json.loads(last) == {"numpy": False, "dataclasses": False, "fractions": fractions,
+                                "modules": ["cli", "lattice", "serialize"]}
     if code:
         assert len(lines) == 1 and lines[0].startswith("error: malformed generator list")
 
@@ -214,22 +218,34 @@ def test_lattice_verbs_and_malformed_requests_never_import_numpy(argv, code, std
          ["core", "modspaces", "weights"]),
         (["bounds", "--n", "4", "--gens", "(1,0)", "--window", delta_json(4)],
          ["algebra", "core", "frames"]),
+        (["figa", "--n", "4", "--gens", "(1,0)", "--trials", "1"], ["algebra", "core", "frames"]),
         (["multiwindow", *LATTICE, "--window", delta_json(8), "--window", delta_json(8)],
          ["algebra", "core", "frames", "module"]),
     ],
-    ids=["grs", "modnorm", "bounds", "multiwindow"],
+    ids=["grs", "modnorm", "bounds", "figa", "multiwindow"],
 )
 def test_each_verb_imports_only_the_modules_it_computes_with(argv, modules):
+    # no verb generates code at import; only multiwindow prints a covolume
     done = fresh_process("-c", IMPORT_PROBE, *argv)
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stderr.splitlines()[-1])
-    assert loaded == {"numpy": True, "modules": sorted(["cli", "lattice", "serialize", *modules])}
+    assert loaded == {"numpy": True, "dataclasses": False, "fractions": "module" in modules,
+                      "modules": sorted(["cli", "lattice", "serialize", *modules])}
 
 
 def test_importing_the_package_loads_no_numpy():
     # resolving a lattice name imports lattice.py, which needs no numpy either
     done = fresh_process("-c", "import sys, ncgabor; f = ncgabor.volume; print('numpy' in sys.modules, f.__name__)")
     assert (done.returncode, done.stdout) == (0, "False volume\n")
+
+
+def test_importing_every_module_loads_no_dataclasses_or_fractions():
+    names = sorted(m.name for m in pkgutil.iter_modules(ncgabor.__path__))
+    assert {"cli", "selftest", "serialize"} <= set(names)
+    probe = (f"import sys, {', '.join('ncgabor.' + name for name in names)}\n"
+             "print('dataclasses' in sys.modules, 'fractions' in sys.modules)")
+    done = fresh_process("-c", probe)
+    assert (done.returncode, done.stdout) == (0, "False False\n"), done.stderr
 
 
 def test_malformed_gens_exits_two(capsys):

@@ -183,6 +183,34 @@ def test_signal_validation():
         Signal(2, np.array([0.0, 1j * np.inf]))
 
 
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: TFPoint(4.0, 5, 1), None, None),
+        (lambda: Signal(4.0, np.ones(4)), None, None),
+        (lambda: Signal(np.int64(4), np.ones(4)), None, None),
+        (lambda: Signal.zero(4.0), None, None),
+        (lambda: Signal.delta(np.float64(4.0), 1), None, None),
+        (lambda: TFPoint(4.5, 1, 1), ValueError, "group order n = 4.5 is not an integer"),
+        (lambda: Signal(4.5, np.ones(4)), ValueError, "group order n = 4.5 is not an integer"),
+        (lambda: Signal.zero(4.5), ValueError, "group order n = 4.5 is not an integer"),
+        (lambda: Signal.delta(1), ValueError, "group order must be >= 2, got 1"),
+        (lambda: CoeffSeq(None, np.ones(1)), TypeError, "must be a Lattice, got NoneType"),
+        (lambda: CoeffSeq((4, (1, 0, 1), ()), np.ones(16)), TypeError,
+         "must be a Lattice, got tuple"),
+    ],
+    ids=["tfpoint-4.0", "signal-4.0", "signal-int64", "zero-4.0", "delta-4.0", "tfpoint-4.5",
+         "signal-4.5", "zero-4.5", "delta-1", "coeffseq-none", "coeffseq-tuple"],
+)
+def test_constructors_take_an_integral_order_as_int_and_refuse_the_rest(build, error, match):
+    if error is None:
+        n = build().n
+        assert (n, type(n)) == (4, int)
+    else:
+        with pytest.raises(error, match=match):
+            build()
+
+
 def test_signal_from_a_strided_view():
     # the columns of a solve or matmul result are strided views
     cols = np.arange(8, dtype=complex).reshape(4, 2)

@@ -1,5 +1,8 @@
-"""Subgroup closure, adjoints, covolume and subgroup enumeration."""
+"""Subgroup closure, adjoints, covolume, subgroup enumeration and the
+contract of the immutable value types."""
+import copy
 import itertools
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -7,9 +10,17 @@ import numpy as np
 import pytest
 
 from ncgabor import (
+    GRS_VIOLATES,
     CoeffSeq,
+    FrameBounds,
+    GaborSystem,
+    GrsReport,
     Lattice,
     ModNormSpec,
+    ModuleFrameReport,
+    OperatorMatrix,
+    PhaseSpaceArray,
+    Signal,
     TFPoint,
     Weight,
     adjoint_lattice,
@@ -28,6 +39,7 @@ from ncgabor import (
     volume,
 )
 from ncgabor.lattice import _tables
+from ncgabor.selftest import CheckResult
 from oracles import oracle_cases, tf_points
 
 
@@ -279,6 +291,58 @@ def test_equal_subgroups_are_one_lattice():
     assert lat != lattice_from_generators(12, [(2, 0), (0, 6)])
     assert lat != lattice_from_generators(6, [(2, 0), (0, 3)])
     assert adjoint_lattice(lat) == adjoint_lattice(same)
+
+
+# Each type built by keyword, and for the types equal by value a twin built
+# apart that must equal it; the array types (no twin) are equal only to
+# themselves and unhashable.
+VALUE_TYPES = {
+    "TFPoint": (lambda: TFPoint(n=8, k=3, l=-1), lambda: TFPoint(8, 11, 7)),
+    "Lattice": (lambda: Lattice(n=12, basis=(2, 0, 3), generators=()),
+                lambda: lattice_from_generators(12, [(2, 3), (0, 3)])),
+    "Weight-polynomial": (lambda: Weight(family="polynomial", s=2.0), lambda: Weight.polynomial(2)),
+    "Weight-custom": (lambda: Weight(family="custom", table={(0, 0): 1.0, (1, 0): 2.0}),
+                      lambda: Weight.custom({(-1, 0): 2.0, (1, 0): 2.0, (0, 0): 1.0})),
+    "FrameBounds": (lambda: FrameBounds(lower=1.0, upper=2.0, is_frame=True),
+                    lambda: FrameBounds(1.0, 2.0, True)),
+    "ModuleFrameReport": (
+        lambda: ModuleFrameReport(residual=0.0, is_module_frame=True, window_count=1,
+                                  vol=Fraction(1, 2), tight_windows=(Signal.delta(4),)),
+        lambda: ModuleFrameReport(0.0, True, 1, Fraction(1, 2))),
+    "GrsReport": (lambda: GrsReport(point=(1, 0), samples=((1, 2.0),), verdict=GRS_VIOLATES),
+                  lambda: GrsReport((1, 0), ((1, 2.0),), GRS_VIOLATES)),
+    "CheckResult": (lambda: CheckResult(name="x", tol=0.0, residual=0.0),
+                    lambda: CheckResult("x", 0.0, 0.0, None)),
+    "Signal": (lambda: Signal(n=4, values=np.ones(4)), None),
+    "PhaseSpaceArray": (lambda: PhaseSpaceArray(n=2, values=np.ones((2, 2))), None),
+    "CoeffSeq": (lambda: CoeffSeq(lattice=full_lattice(2), coeffs=np.ones(4)), None),
+    "OperatorMatrix": (lambda: OperatorMatrix(n=2, entries=np.eye(2)), None),
+    "GaborSystem": (lambda: GaborSystem(windows=(Signal.delta(4),), lattice=full_lattice(4)), None),
+    "ModNormSpec": (lambda: ModNormSpec(p=1.0, q=2.0, m=Weight.one(), window=Signal.delta(4)),
+                    None),
+}
+
+
+@pytest.mark.parametrize("make, twin", VALUE_TYPES.values(), ids=VALUE_TYPES.keys())
+def test_value_type_contract(make, twin):
+    obj = make()
+    field = obj._fields[0]
+    for change in (lambda: setattr(obj, field, None), lambda: delattr(obj, field),
+                   lambda: setattr(obj, "extra", None)):
+        with pytest.raises(AttributeError, match="cannot (assign to|delete) field"):
+            change()
+    assert repr(obj).startswith(f"{type(obj).__name__}({field}=")
+    # pickle and copy rebuild an instance through its constructor
+    copies = [pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)]
+    assert all(type(c) is type(obj) and repr(c) == repr(obj) for c in copies)
+    if twin is None:
+        assert obj == obj and obj != make()
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(obj)
+        return
+    other = twin()
+    assert obj == other and hash(obj) == hash(other)
+    assert all(c == obj and hash(c) == hash(obj) for c in copies)
 
 
 def test_lattice_and_shared_tables_are_read_only(rng):
