@@ -76,7 +76,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import _frozen, _lifted, _translates
-from .lattice import DimensionMismatch, Lattice, TFPoint, _check_same_n, _Frozen, _set, _tables
+from .lattice import DimensionMismatch, Lattice, TFPoint, _check_same_n, _Frozen, _group_order, _set, _tables
 
 if TYPE_CHECKING:
     from .weights import Weight
@@ -137,6 +137,7 @@ class OperatorMatrix(_Frozen):
     entries: np.ndarray
 
     def __init__(self, n: int, entries: np.ndarray) -> None:
+        n = _group_order(n)
         mat = _frozen(entries)
         if mat.shape != (n, n):
             raise ValueError(f"expected shape ({n}, {n}), got {mat.shape}")

@@ -10,29 +10,33 @@ non-JSON output.  A request too large for memory exits 2 with one error line
 when its allocation fails; no budget refuses it before it allocates.
 
 main parses the arguments and, for the verbs that take --n/--gens, builds
-the lattice before anything numeric loads, so a malformed request exits 2
-without numpy.  adjoint and vol compute nothing with arrays and never load
-it.  Every other verb runs in main under np.errstate(over="raise",
-invalid="raise"), so numpy overflow and invalid operations raise; the scope
-is the one call, numpy's global error state is left alone.  Each verb
-imports only the modules it computes with.
+the lattice.  Each verb then reads and checks all its inputs before numpy
+loads: signal JSON (fields, types, lengths, finite samples), each window's
+order against the lattice or --signal, window counts, weight JSON and
+parameters, --p/--q/--s, --trials and --seed.  So a request refused for any
+of them exits 2 without numpy.  adjoint, vol and grs compute nothing with
+arrays and never load it.  The other verbs compute in a `with _numeric()`
+block, under np.errstate(over="raise", invalid="raise"), so numpy overflow
+and invalid operations raise; the scope is the block, numpy's global error
+state is left alone.  Each verb imports only the modules it computes with.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import serialize
-from .lattice import DimensionMismatch, adjoint_lattice, lattice_from_generators, volume
+from .lattice import DimensionMismatch, _check_same_n, adjoint_lattice, lattice_from_generators, volume
 
 if TYPE_CHECKING:
-    from .core import Signal
     from .frames import GaborSystem
     from .lattice import Lattice
+    from .serialize import SignalParts
     from .weights import Weight
 
 VALIDATION_ERROR = 2
@@ -70,8 +74,14 @@ def _load_json_arg(text: str, what: str) -> dict:
         raise ValueError(f"{what} file {text!r} is malformed JSON: {exc}") from exc
 
 
-def _load_signal(text: str) -> Signal:
-    return serialize.signal_from_dict(_load_json_arg(text, "signal"))
+def _read_signal(text: str) -> SignalParts:
+    """Signal JSON, read and checked without numpy (serialize._signal_parts)."""
+    return serialize._signal_parts(_load_json_arg(text, "signal"))
+
+
+def _is_zero(signal: SignalParts) -> bool:
+    _, real, imag = signal
+    return not (any(real) or any(imag))
 
 
 def _load_weight(text: str | None) -> Weight:
@@ -88,6 +98,14 @@ def _lattice_from_args(args) -> Lattice:
     if args.gens is None:
         raise ValueError("missing required --gens")
     return lattice_from_generators(args.n, _parse_gens(args.gens))
+
+
+def _numeric():
+    """numpy, loaded now, raising on overflow and invalid operations within
+    the with block that this opens; its global error state is left alone."""
+    import numpy as np
+
+    return np.errstate(over="raise", invalid="raise")
 
 
 def _emit(args, text: str) -> None:
@@ -125,104 +143,131 @@ def _cmd_vol(args) -> int:
     return 0
 
 
-def _system_from_args(args) -> GaborSystem:
-    from .frames import GaborSystem
-
+def _read_windows(args) -> list[SignalParts]:
+    """The --window signals, checked as a Gabor system on the lattice checks them."""
     if not args.window:
         raise ValueError("missing required --window")
-    windows = tuple(_load_signal(w) for w in args.window)
-    return GaborSystem(windows, args.lattice)
+    windows = [_read_signal(w) for w in args.window]
+    _check_same_n(args.lattice.n, *(n for n, _, _ in windows))
+    if all(map(_is_zero, windows)):
+        raise ValueError("at least one window must be nonzero")
+    return windows
+
+
+def _system(args, windows: list[SignalParts]) -> GaborSystem:
+    from .frames import GaborSystem
+
+    return GaborSystem(tuple(map(serialize._signal, windows)), args.lattice)
 
 
 def _cmd_bounds(args) -> int:
-    from .frames import frame_bounds
+    windows = _read_windows(args)
+    with _numeric():
+        from .frames import frame_bounds
 
-    b = frame_bounds(_system_from_args(args))
-    _emit_json(args, serialize.bounds_to_dict(b))
+        b = frame_bounds(_system(args, windows))
+        _emit_json(args, serialize.bounds_to_dict(b))
     return 0
 
 
 def _cmd_dual(args) -> int:
-    from .frames import canonical_dual
+    windows = _read_windows(args)
+    with _numeric():
+        from .frames import canonical_dual
 
-    sys_ = _system_from_args(args)
-    duals = canonical_dual(sys_)
-    _emit_json(args, {"windows": [serialize.signal_to_dict(d) for d in duals]})
+        duals = canonical_dual(_system(args, windows))
+        _emit_json(args, {"windows": [serialize.signal_to_dict(d) for d in duals]})
     return 0
 
 
 def _cmd_tight(args) -> int:
-    from .frames import canonical_tight
+    windows = _read_windows(args)
+    with _numeric():
+        from .frames import canonical_tight
 
-    sys_ = _system_from_args(args)
-    tight = canonical_tight(sys_)
-    _emit_json(args, {"windows": [serialize.signal_to_dict(t) for t in tight]})
+        tight = canonical_tight(_system(args, windows))
+        _emit_json(args, {"windows": [serialize.signal_to_dict(t) for t in tight]})
     return 0
 
 
 def _cmd_janssen(args) -> int:
-    from .frames import janssen_representation
-
-    sys_ = _system_from_args(args)
-    if len(sys_.windows) != 1:
+    windows = _read_windows(args)
+    if len(windows) != 1:
         raise ValueError("janssen takes exactly one --window")
-    seq = janssen_representation(sys_.windows[0], sys_.windows[0], sys_.lattice)
-    _emit_json(args, serialize.coeffseq_to_dict(seq))
+    with _numeric():
+        from .frames import janssen_representation
+
+        g = serialize._signal(windows[0])
+        seq = janssen_representation(g, g, args.lattice)
+        _emit_json(args, serialize.coeffseq_to_dict(seq))
     return 0
 
 
 def _cmd_figa(args) -> int:
-    import numpy as np
-
-    from .core import random_signal
-    from .frames import figa_check
-
     lat = args.lattice
     explicit = [args.f1, args.f2, args.g1, args.g2]
     if any(x is not None for x in explicit):
         if any(x is None for x in explicit):
             raise ValueError("figa needs all four of --f1 --f2 --g1 --g2, or none")
-        sigs = [_load_signal(x) for x in explicit]
-        residual = figa_check(*sigs, lat)
-        _emit_json(args, {"residual": residual})
+        sigs = [_read_signal(x) for x in explicit]
+        _check_same_n(lat.n, *(n for n, _, _ in sigs))
+        with _numeric():
+            from .frames import figa_check
+
+            residual = figa_check(*map(serialize._signal, sigs), lat)
+            _emit_json(args, {"residual": residual})
         return 0
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(args.trials):
-        sigs = [random_signal(lat.n, rng) for _ in range(4)]
-        worst = max(worst, figa_check(*sigs, lat))
-    _emit_json(args, {"max_residual": worst, "trials": args.trials, "seed": args.seed})
+    with _numeric():
+        import numpy as np
+
+        from .core import random_signal
+        from .frames import figa_check
+
+        rng = np.random.default_rng(args.seed)
+        worst = 0.0
+        for _ in range(args.trials):
+            sigs = [random_signal(lat.n, rng) for _ in range(4)]
+            worst = max(worst, figa_check(*sigs, lat))
+        _emit_json(args, {"max_residual": worst, "trials": args.trials, "seed": args.seed})
     return 0
 
 
 def _cmd_multiwindow(args) -> int:
-    from .module import module_frame_check
+    windows = _read_windows(args)
+    with _numeric():
+        from .module import module_frame_check
 
-    sys_ = _system_from_args(args)
-    report = module_frame_check(list(sys_.windows), sys_.lattice)
-    payload = serialize.module_report_to_dict(report)
-    if report.is_module_frame and args.emit_windows:
-        payload["tight_windows"] = [serialize.signal_to_dict(t) for t in report.tight_windows]
-    _emit_json(args, payload)
+        report = module_frame_check(list(map(serialize._signal, windows)), args.lattice)
+        payload = serialize.module_report_to_dict(report)
+        if report.is_module_frame and args.emit_windows:
+            payload["tight_windows"] = [serialize.signal_to_dict(t) for t in report.tight_windows]
+        _emit_json(args, payload)
     return 0
 
 
 def _cmd_modnorm(args) -> int:
-    from .modspaces import ModNormSpec, mod_norm
-
     if args.signal is None:
         raise ValueError("missing required --signal")
-    f = _load_signal(args.signal)
+    f = _read_signal(args.signal)
     if not args.window or len(args.window) != 1:
         raise ValueError("modnorm takes exactly one --window")
-    window = _load_signal(args.window[0])
+    window = _read_signal(args.window[0])
     weight = _load_weight(args.weight).power(args.s)
-    p = float("inf") if args.p == "inf" else float(args.p)
-    q = float("inf") if args.q == "inf" else float(args.q)
-    value = mod_norm(f, ModNormSpec(p, q, weight, window))
-    _emit_json(args, {"p": args.p, "q": args.q, "s": args.s, "value": value})
+    p, q = float(args.p), float(args.q)
+    for name, e in (("p", p), ("q", q)):  # ModNormSpec's checks, before numpy loads
+        if not (e >= 1.0 or e == math.inf):
+            raise ValueError(f"exponent {name} must be >= 1 or infinity, got {e}")
+    if _is_zero(window):
+        raise ValueError("analysis window must be nonzero")
+    _check_same_n(f[0], window[0])
+    with _numeric():
+        from .modspaces import ModNormSpec, mod_norm
+
+        spec = ModNormSpec(p, q, weight, serialize._signal(window))
+        value = mod_norm(serialize._signal(f), spec)
+        _emit_json(args, {"p": args.p, "q": args.q, "s": args.s, "value": value})
     return 0
 
 
@@ -244,10 +289,10 @@ def _cmd_grs(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    from .selftest import run_selftest  # only this verb needs the registry
-
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
+    from .selftest import run_selftest  # only this verb needs the registry
+
     results = run_selftest(seed=args.seed)
     width = max(len(r.name) for r in results)
     lines = [
@@ -279,17 +324,16 @@ def build_parser() -> argparse.ArgumentParser:
     }
     lattice = ("--n", "--gens")
 
-    def add(name, fn, help_, *options, numeric=True):
-        """A verb with --out and only those shared options it reads; a numeric
-        verb runs under numpy's errstate (main)."""
+    def add(name, fn, help_, *options):
+        """A verb with --out and only those shared options it reads."""
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(fn=fn, numeric=numeric)
+        p.set_defaults(fn=fn)
         for option in (*options, "--out"):
             p.add_argument(option, **shared[option])
         return p
 
-    add("adjoint", _cmd_adjoint, "adjoint (commutant) lattice", *lattice, numeric=False)
-    add("vol", _cmd_vol, "lattice covolume N/|L|", *lattice, numeric=False)
+    add("adjoint", _cmd_adjoint, "adjoint (commutant) lattice", *lattice)
+    add("vol", _cmd_vol, "lattice covolume N/|L|", *lattice)
     add("bounds", _cmd_bounds, "frame bounds of a Gabor system", *lattice, "--window")
     add("dual", _cmd_dual, "canonical dual windows", *lattice, "--window")
     add("tight", _cmd_tight, "canonical tight windows", *lattice, "--window")
@@ -321,12 +365,7 @@ def main(argv=None) -> int:
     try:
         if "gens" in vars(args):
             args.lattice = _lattice_from_args(args)
-        if not args.numeric:
-            return args.fn(args)
-        import numpy as np
-
-        with np.errstate(over="raise", invalid="raise"):
-            return args.fn(args)
+        return args.fn(args)
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR

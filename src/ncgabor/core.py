@@ -110,6 +110,7 @@ class PhaseSpaceArray(_Frozen):
     values: np.ndarray
 
     def __init__(self, n: int, values: np.ndarray) -> None:
+        n = _group_order(n)
         vals = _frozen(values)
         if vals.shape != (n, n):
             raise ValueError(f"expected shape ({n}, {n}), got {vals.shape}")
@@ -182,4 +183,5 @@ def stft(f: Signal, g: Signal) -> PhaseSpaceArray:
 
 def random_signal(n: int, rng: np.random.Generator) -> Signal:
     """Complex standard-normal signal, the generic test vector."""
+    n = _group_order(n)
     return Signal(n, rng.standard_normal(n) + 1j * rng.standard_normal(n))

@@ -5,7 +5,9 @@ so integer and rational data round-trip bit-exactly and floats survive at
 full double precision.  Parsers raise ValueError naming the offending field,
 also when a field has the wrong JSON type or the document is not an object.
 The module loads without numpy: the parsers that build arrays import it and
-their types when called, so a lattice round-trips without it.
+their types when called, so a lattice round-trips without it.  Signal JSON is
+read and checked in full by _signal_parts, as a Signal would check it, before
+_signal builds the array, so a front end can refuse a request without numpy.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import io
 import math
 from typing import TYPE_CHECKING
 
-from .lattice import Lattice, lattice_from_generators
+from .lattice import Lattice, _group_order, lattice_from_generators
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -23,6 +25,8 @@ if TYPE_CHECKING:
     from .frames import FrameBounds
     from .module import ModuleFrameReport
     from .weights import GrsReport, Weight
+
+SignalParts = tuple[int, list[float], list[float]]  # a signal's order, real and imaginary samples
 
 __all__ = [
     "signal_to_dict",
@@ -93,17 +97,33 @@ def signal_to_dict(f: Signal) -> dict:
     }
 
 
-def signal_from_dict(d: dict) -> Signal:
-    import numpy as np
-
-    from .core import Signal
-
+def _signal_parts(d: dict) -> SignalParts:
+    """The order and the real and imaginary samples of signal JSON, checked
+    as Signal checks them, without numpy."""
     n = _require(d, "n", "signal", "an integer", _is_int)
     re = _require(d, "re", "signal", "a list of numbers", _is_list_of(_is_number))
     im = _require(d, "im", "signal", "a list of numbers", _is_list_of(_is_number))
     if len(re) != n or len(im) != n:
         raise ValueError(f"signal field 're'/'im' length must equal n={n}")
+    re, im = [float(x) for x in re], [float(x) for x in im]
+    n = _group_order(n)
+    if not all(map(math.isfinite, re + im)):
+        raise ValueError("signal contains non-finite entries")
+    return n, re, im
+
+
+def _signal(parts: SignalParts) -> Signal:
+    """The Signal of checked parts (_signal_parts)."""
+    import numpy as np
+
+    from .core import Signal
+
+    n, re, im = parts
     return Signal(n, np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float))
+
+
+def signal_from_dict(d: dict) -> Signal:
+    return _signal(_signal_parts(d))
 
 
 def lattice_to_dict(lat: Lattice) -> dict:

@@ -18,16 +18,22 @@ samples v(n*p)^(1/n) along dyadic n; a limit of 1 separates weights whose
 weighted algebras behave spectrally like the unweighted one (polynomial,
 subexponential) from genuinely exponential growth.  Thresholds and dyadic
 sampling are engineering choices: the probe is a diagnostic, not a proof.
+
+One expression per family gives log v: at one point (log_eval, __call__) it
+runs on floats with math, so the growth probe needs no numpy; on the arrays
+of a weight table (_log_grid, _grid) it runs with numpy, loaded there.
 """
 from __future__ import annotations
 
 import math
+import sys
 from types import MappingProxyType
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .lattice import _set, _Value
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Weight",
@@ -45,7 +51,7 @@ GRS_INCONCLUSIVE = "inconclusive"
 _FAMILIES = ("polynomial", "subexponential", "exponential", "custom")
 
 # the largest x with exp(x) finite in double precision
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class Weight(_Value):
@@ -138,31 +144,49 @@ class Weight(_Value):
         return Weight("custom", table=self.table, outer_power=self.outer_power * t)
 
     def log_eval(self, p) -> float:
-        """log v(p); the growth probe divides this before exponentiating."""
-        return float(self._log_grid(int(p[0]), int(p[1])))
+        """log v(p); the growth probe divides this before exponentiating.
+        OverflowError when log v(p) leaves the float range."""
+        x, y = int(p[0]), int(p[1])
+        if self.family == "custom":
+            log = self.outer_power * self._log_entry(x, y)
+        else:
+            log = self._log_radial(float(x * x + y * y), math)
+        if not math.isfinite(log):
+            raise OverflowError(f"weight {self.family} exceeds the float range")
+        return log
 
     def __call__(self, p) -> float:
         return math.exp(self.log_eval(p))
 
-    def _log_grid(self, x, y) -> np.ndarray:
-        """log v at the integer points (x, y), elementwise on arrays or ints."""
-        if self.family == "custom":
-            x, y = np.broadcast_arrays(x, y)
-            logs = []
-            for px, py in zip(x.ravel().tolist(), y.ravel().tolist()):
-                if (px, py) not in self.table:
-                    raise KeyError(f"custom weight has no entry at ({px},{py})")
-                logs.append(math.log(self.table[(px, py)]))
-            return self.outer_power * np.reshape(logs, x.shape)
-        r2 = np.asarray(x * x + y * y, dtype=float)
+    def _log_entry(self, x: int, y: int) -> float:
+        """The log of a lookup table's entry at (x, y), before the outer power."""
+        if (x, y) not in self.table:
+            raise KeyError(f"custom weight has no entry at ({x},{y})")
+        return math.log(self.table[(x, y)])
+
+    def _log_radial(self, r2, xp):
+        """log v of a built-in family at the squared radius r2, with the log1p
+        and sqrt of xp: math on a float, numpy elementwise on an array."""
         if self.family == "polynomial":
-            return 0.5 * self.s * np.log1p(r2)
+            return 0.5 * self.s * xp.log1p(r2)
         if self.family == "subexponential":
             return self.b * r2 ** (self.beta / 2.0)
-        return self.b * np.sqrt(r2)
+        return self.b * xp.sqrt(r2)
+
+    def _log_grid(self, x, y) -> np.ndarray:
+        """log v at the integer points (x, y), elementwise on arrays or ints."""
+        import numpy as np
+
+        if self.family == "custom":
+            x, y = np.broadcast_arrays(x, y)
+            logs = [self._log_entry(px, py) for px, py in zip(x.ravel().tolist(), y.ravel().tolist())]
+            return self.outer_power * np.reshape(logs, x.shape)
+        return self._log_radial(np.asarray(x * x + y * y, dtype=float), np)
 
     def _grid(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """v at the integer points (x, y), elementwise; OverflowError past the float range."""
+        import numpy as np
+
         logs = self._log_grid(x, y)
         if logs.max() > _LOG_FLOAT_MAX:
             raise OverflowError(f"weight {self.family} exceeds the float range")

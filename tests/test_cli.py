@@ -210,6 +210,52 @@ def test_lattice_verbs_and_malformed_requests_never_import_numpy(argv, code, std
         assert len(lines) == 1 and lines[0].startswith("error: malformed generator list")
 
 
+# one request for each input a verb checks before numpy loads, with today's message
+MODNORM = ["modnorm", "--signal", delta_json(4), "--window", delta_json(4)]
+ZERO = window_json([0] * 8)
+REJECTIONS = {
+    "signal-field": (["bounds", *LATTICE, "--window", '{"n": 8, "re": [1, 0]}'],
+                     "signal JSON is missing field 'im'"),
+    "signal-type": (["bounds", *LATTICE, "--window", '{"n":8,"re":5,"im":5}'],
+                    "signal field 're' must be a list of numbers, got 5"),
+    "signal-length": (["tight", *LATTICE, "--window", '{"n": 8, "re": [1, 1, 1], "im": [0, 0, 0]}'],
+                      "signal field 're'/'im' length must equal n=8"),
+    "signal-non-finite": (["bounds", *LATTICE, "--window", window_json([1] * 7 + [float("nan")])],
+                          "signal contains non-finite entries"),
+    "window-order": (["dual", *LATTICE, "--window", window_json([1] * 7)], "group orders differ: (8, 7)"),
+    "zero-windows": (["multiwindow", *LATTICE, "--window", ZERO, "--window", ZERO],
+                     "at least one window must be nonzero"),
+    "janssen-count": (["janssen", *LATTICE, "--window", delta_json(8), "--window", delta_json(8)],
+                      "janssen takes exactly one --window"),
+    "figa-explicit": (["figa", *LATTICE, "--f1", delta_json(8), "--g2", delta_json(8)],
+                      "figa needs all four of --f1 --f2 --g1 --g2, or none"),
+    "figa-order": (["figa", *LATTICE, *(a for flag in ("--f1", "--f2", "--g1", "--g2")
+                                        for a in (flag, delta_json(6)))],
+                   "group orders differ: (8, 6, 6, 6, 6)"),
+    "trials": (["figa", *LATTICE, "--trials", "0"], "--trials must be >= 1, got 0"),
+    "modnorm-count": ([*MODNORM, "--window", delta_json(4)], "modnorm takes exactly one --window"),
+    "modnorm-order": (["modnorm", "--signal", delta_json(4), "--window", delta_json(6)],
+                      "group orders differ: (4, 6)"),
+    "modnorm-zero-window": (["modnorm", "--signal", delta_json(4), "--window", window_json([0] * 4)],
+                            "analysis window must be nonzero"),
+    "weight-field": ([*MODNORM, "--weight", '{"family":"polynomial"}'], "weight JSON is missing field 's'"),
+    "weight-parameter": ([*MODNORM, "--weight", '{"family":"subexponential","b":1,"beta":2}'],
+                         "subexponential beta must lie in (0, 1)"),
+    "p": ([*MODNORM, "--p", "0.5"], "exponent p must be >= 1 or infinity, got 0.5"),
+    "q": ([*MODNORM, "--q", "x"], "could not convert string to float: 'x'"),
+    "s": ([*MODNORM, "--s", "-1"], "weight powers must be finite and >= 0"),
+    "seed": (["selftest", "--seed", "-1"], "--seed must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("argv, message", REJECTIONS.values(), ids=REJECTIONS.keys())
+def test_rejected_requests_never_import_numpy(argv, message):
+    done = fresh_process("-c", IMPORT_PROBE, *argv)
+    *lines, last = done.stderr.splitlines()
+    assert (done.returncode, done.stdout, lines) == (2, "", [f"error: {message}"])
+    assert json.loads(last)["numpy"] is False
+
+
 @pytest.mark.parametrize(
     "argv, modules",
     [
@@ -229,7 +275,9 @@ def test_each_verb_imports_only_the_modules_it_computes_with(argv, modules):
     done = fresh_process("-c", IMPORT_PROBE, *argv)
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stderr.splitlines()[-1])
-    assert loaded == {"numpy": True, "dataclasses": False, "fractions": "module" in modules,
+    # grs evaluates its weight at one point at a time, with math
+    assert loaded == {"numpy": modules != ["weights"], "dataclasses": False,
+                      "fractions": "module" in modules,
                       "modules": sorted(["cli", "lattice", "serialize", *modules])}
 
 
@@ -423,8 +471,11 @@ def test_frame_element_overflow_exits_three(capsys, verb):
         ["modnorm", "--signal", BIG, "--window", BIG],
         # overflows inside a BLAS dot product, which sets no numpy flag
         ["figa", *LATTICE, "--f1", WIDE, "--f2", WIDE, "--g1", WIDE, "--g2", WIDE],
+        # a log-weight past the float range, evaluated without numpy
+        ["grs", "--weight", '{"family":"exponential","b":1e308}', "--point", "(5,0)"],
+        ["grs", "--weight", '{"family":"polynomial","s":1e308}', "--point", "(5,0)"],
     ],
-    ids=["figa", "modnorm", "figa-blas"],
+    ids=["figa", "modnorm", "figa-blas", "grs-exponential", "grs-polynomial"],
 )
 def test_results_past_the_float_range_exit_three(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -191,16 +191,22 @@ def test_signal_validation():
         (lambda: Signal(np.int64(4), np.ones(4)), None, None),
         (lambda: Signal.zero(4.0), None, None),
         (lambda: Signal.delta(np.float64(4.0), 1), None, None),
+        (lambda: random_signal(4.0, np.random.default_rng(0)), None, None),
+        (lambda: OperatorMatrix(4.0, np.eye(4)), None, None),
         (lambda: TFPoint(4.5, 1, 1), ValueError, "group order n = 4.5 is not an integer"),
         (lambda: Signal(4.5, np.ones(4)), ValueError, "group order n = 4.5 is not an integer"),
         (lambda: Signal.zero(4.5), ValueError, "group order n = 4.5 is not an integer"),
         (lambda: Signal.delta(1), ValueError, "group order must be >= 2, got 1"),
+        (lambda: random_signal(4.5, np.random.default_rng(0)), ValueError,
+         "group order n = 4.5 is not an integer"),
+        (lambda: PhaseSpaceArray(1, np.ones((1, 1))), ValueError, "group order must be >= 2, got 1"),
         (lambda: CoeffSeq(None, np.ones(1)), TypeError, "must be a Lattice, got NoneType"),
         (lambda: CoeffSeq((4, (1, 0, 1), ()), np.ones(16)), TypeError,
          "must be a Lattice, got tuple"),
     ],
-    ids=["tfpoint-4.0", "signal-4.0", "signal-int64", "zero-4.0", "delta-4.0", "tfpoint-4.5",
-         "signal-4.5", "zero-4.5", "delta-1", "coeffseq-none", "coeffseq-tuple"],
+    ids=["tfpoint-4.0", "signal-4.0", "signal-int64", "zero-4.0", "delta-4.0", "random-4.0",
+         "operator-4.0", "tfpoint-4.5", "signal-4.5", "zero-4.5", "delta-1", "random-4.5",
+         "phase-space-1", "coeffseq-none", "coeffseq-tuple"],
 )
 def test_constructors_take_an_integral_order_as_int_and_refuse_the_rest(build, error, match):
     if error is None:
