@@ -19,7 +19,6 @@ _EXPORTS = {
         "TFPoint",
         "cocycle",
         "random_signal",
-        "shift_matrix",
         "stft",
         "symplectic_bicharacter",
         "tf_shift",
@@ -65,7 +64,6 @@ _EXPORTS = {
         "canonical_tight",
         "figa_check",
         "frame_bounds",
-        "frame_operator",
         "janssen_representation",
         "reconstruct",
     ),
@@ -77,9 +75,7 @@ _EXPORTS = {
         "inner_right",
         "min_windows",
         "module_frame_check",
-        "module_frame_identity_residual",
         "multiwindow_parseval_residual",
-        "right_operator",
         "tight_multiwindow",
     ),
     "modspaces": ("ModNormSpec", "feichtinger_norm", "mod_norm"),

@@ -370,7 +370,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except (ValueError, KeyError, DimensionMismatch, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str is the repr of its message, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return VALIDATION_ERROR
     except MemoryError as exc:
         print(f"error: the request is too large for the available memory ({exc})", file=sys.stderr)

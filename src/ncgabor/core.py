@@ -14,23 +14,23 @@ and commute up to the antisymmetric symplectic bicharacter
 
     c_symp((k,l), (m,n)) = exp(2*pi*i*(m*l - k*n)/N).
 
-tf_shift and shift_matrix take their phases from _roots, the N-th roots of
-unity, kept once per N in lattice._tables.  The short-time Fourier transform
-multiplies f into _translates(conj(g)), a read-only view of the doubled
-window whose row k, at a row stride of -1 element, is the translate by k,
-and FFTs each row in place: one N x N array.  Sums over the points of a lattice take no shifted
-copies: they run in the lattice's sectors (algebra.py).
+tf_shift evaluates its phases exp(2*pi*i*(l*t mod N)/N) directly.  The
+short-time Fourier transform multiplies f into _translates(conj(g)), a
+read-only view of the doubled window whose row k, at a row stride of -1
+element, is the translate by k, and FFTs each row in place: one N x N
+array.  Sums over the points of a lattice take no shifted copies: they run
+in the lattice's sectors (algebra.py).
 Everything here is exact finite linear algebra.
 
-The phase-space point TFPoint, DimensionMismatch and the byte-bounded table
-cache _tables live in lattice.py, which imports no numpy, so that lattice
-verbs run without it; core re-exports TFPoint and DimensionMismatch.
+The phase-space point TFPoint and DimensionMismatch live in lattice.py,
+which imports no numpy, so that lattice verbs run without it; core
+re-exports them.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .lattice import DimensionMismatch, TFPoint, _check_same_n, _Frozen, _group_order, _set, _tables
+from .lattice import DimensionMismatch, TFPoint, _check_same_n, _Frozen, _group_order, _set
 
 __all__ = [
     "DimensionMismatch",
@@ -38,7 +38,6 @@ __all__ = [
     "TFPoint",
     "PhaseSpaceArray",
     "tf_shift",
-    "shift_matrix",
     "cocycle",
     "symplectic_bicharacter",
     "stft",
@@ -132,11 +131,6 @@ def symplectic_bicharacter(lam: TFPoint, mu: TFPoint) -> complex:
     return complex(np.exp(2j * np.pi * ((mu.k * lam.l - lam.k * mu.l) % n) / n))
 
 
-def _roots(n: int) -> np.ndarray:
-    """The N-th roots of unity exp(2*pi*i*j/N), j = 0 .. N-1."""
-    return np.exp(2j * np.pi * np.arange(n) / n)
-
-
 def _translates(g: np.ndarray) -> np.ndarray:
     """The translates of g, out[k, t] = g[(t - k) mod N]: a read-only view of
     the doubled window with a row stride of -1 element, so row k is the
@@ -153,16 +147,7 @@ def _translates(g: np.ndarray) -> np.ndarray:
 def tf_shift(p: TFPoint, f: Signal) -> Signal:
     """Apply the time-frequency shift by p; preserves the 2-norm."""
     n = _check_same_n(p.n, f.n)
-    return Signal(n, np.roll(f.values, p.k) * _tables(_roots, n)[p.l * np.arange(n) % n])
-
-
-def shift_matrix(p: TFPoint) -> np.ndarray:
-    """The N x N unitary matrix of the time-frequency shift by p."""
-    n = p.n
-    rows = np.arange(n)
-    mat = np.zeros((n, n), dtype=complex)
-    mat[rows, (rows - p.k) % n] = _tables(_roots, n)[(p.l * rows) % n]
-    return mat
+    return Signal(n, np.roll(f.values, p.k) * np.exp(2j * np.pi * (p.l * np.arange(n) % n) / n))
 
 
 def stft(f: Signal, g: Signal) -> PhaseSpaceArray:

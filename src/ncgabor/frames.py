@@ -25,8 +25,7 @@ the frozen system keeps it, read-only, with the windows' w*N coordinates.
 reconstruct is the right action of the mixed Janssen (Wexler-Raz) element
 |L| P(sum_w g_w gamma_w^H) of A(L°), windows g and duals gamma, the mean
 over the copies of their mixed Gram, on f's coordinates in L°'s sectors: it
-forms no coefficients on L.  frame_operator
-is represent of the element.  Analysis is the same construction with L and
+forms no coefficients on L.  Analysis is the same construction with L and
 L° swapped, the other inner product of the Morita equivalence (Rieffel
 1988): <f, pi(lam) g> is N times the coefficients of the projection of
 f g^H onto A(L), read in L's sectors in O(N + |L|) memory (Søndergaard
@@ -41,20 +40,12 @@ import numpy as np
 
 from .core import Signal
 from .lattice import Lattice, _check_same_n, _Frozen, _Value, adjoint_lattice
-from .algebra import (
-    CoeffSeq,
-    OperatorMatrix,
-    _coeffs_of_sectors,
-    _sector_vectors,
-    _vectors_of_sectors,
-    represent,
-)
+from .algebra import CoeffSeq, _coeffs_of_sectors, _sector_vectors, _vectors_of_sectors
 
 __all__ = [
     "GaborSystem",
     "FrameBounds",
     "NotAFrame",
-    "frame_operator",
     "frame_bounds",
     "canonical_dual",
     "canonical_tight",
@@ -153,11 +144,6 @@ def _frame_element(sys: GaborSystem) -> CoeffSeq:
     """The frame operator as an element of the adjoint lattice's algebra."""
     windows = _windows(sys)
     return _janssen(windows, windows, sys.lattice)
-
-
-def frame_operator(sys: GaborSystem) -> OperatorMatrix:
-    """Hermitian positive semidefinite frame operator: the frame element represented."""
-    return represent(_frame_element(sys))
 
 
 def _bounds(eigs: np.ndarray) -> FrameBounds:

@@ -30,8 +30,8 @@ fractions loads only where a covolume is formed or parsed as a rational
 (volume, serialize.fraction_from_str).
 
 _tables keeps the tables that are shared across lattices and keyed by plain
-arguments: the bands' flat index by (N, a) (algebra.py), the lifted weight
-table by (weight, N) (modspaces.py) and the roots of unity by N (core.py).
+arguments: the bands' flat index by (N, a) (algebra.py) and the lifted
+weight table by (weight, N) (modspaces.py).
 It keeps at most 32 MiB in all and no table over 2 MiB, so past that size a
 table is built on every call.
 """

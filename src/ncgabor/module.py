@@ -7,10 +7,9 @@ coefficients as an algebra element; the right inner product samples
 covolume factor carried by the right action.  Both inner products are
 analyses (frames.py), on L and on L°.  The right action of b is the left
 action of one element of the same algebra, vol^{-1} involution(conj b),
-whose represented matrix is vol^{-1} sum b(mu) pi(mu)^H = vol(L°)
-represent(conj b)^H: right_operator represents that element, and act_right
-applies the conjugate transpose of conj b's sectors to g in L°'s sectors,
-as act_left applies a's in L's (see algebra.py).
+whose matrix is vol^{-1} sum b(mu) pi(mu)^H = vol(L°) represent(conj b)^H:
+act_right applies the conjugate transpose of conj b's sectors to g in L°'s
+sectors, as act_left applies a's in L's (see algebra.py).
 
 Both conventions together make the associativity identity
 
@@ -41,17 +40,7 @@ import numpy as np
 
 from .core import Signal, random_signal
 from .lattice import Lattice, _check_same_n, _Value, adjoint_lattice, volume
-from .algebra import (
-    CoeffSeq,
-    OperatorMatrix,
-    _sector_vectors,
-    _sectors,
-    _vectors_of_sectors,
-    involution,
-    represent,
-    twisted_conv,
-    unit,
-)
+from .algebra import CoeffSeq, _sector_vectors, _sectors, _vectors_of_sectors, twisted_conv, unit
 from .frames import (
     GaborSystem,
     NotAFrame,
@@ -68,9 +57,7 @@ __all__ = [
     "inner_right",
     "act_left",
     "act_right",
-    "right_operator",
     "module_frame_check",
-    "module_frame_identity_residual",
     "multiwindow_parseval_residual",
     "tight_multiwindow",
     "min_windows",
@@ -86,8 +73,8 @@ def inner_left(f: Signal, g: Signal, lat: Lattice) -> CoeffSeq:
 def inner_right(f: Signal, g: Signal, lat: Lattice) -> CoeffSeq:
     """Right inner product: coefficients <pi(adjoint point) g, f> on the adjoint.
 
-    The covolume prefactor is not stored; it belongs to the right action and
-    to right_operator, so that associativity holds verbatim.
+    The covolume prefactor is not stored; it belongs to the right action,
+    so that associativity holds verbatim.
     """
     _check_same_n(lat.n, f.n, g.n)
     adj = adjoint_lattice(lat)
@@ -106,18 +93,16 @@ def act_left(a: CoeffSeq, g: Signal) -> Signal:
 
 
 def act_right(g: Signal, b: CoeffSeq) -> Signal:
-    """Right action: vol^{-1} sum b(mu) pi(mu)^H g over the adjoint lattice,
-    vol(L°) represent(conj b)^H g: the conjugate transpose of conj b's sectors."""
+    """Right action: vol^{-1} sum b(mu) pi(mu)^H g over the adjoint lattice.
+
+    Its matrix, vol(L°) represent(conj b)^H (vol(L)^-1 = vol(L°) for b on
+    L°), represents the element vol^{-1} involution(conj b) of the adjoint
+    lattice's algebra; it is applied as the conjugate transpose of conj b's
+    sectors.
+    """
     _check_same_n(b.lattice.n, g.n)
     sectors = _sectors(b.lattice.n / b.lattice.size * np.conj(b.coeffs), b.lattice)
     return _acted(sectors.conj().swapaxes(-1, -2), g, b.lattice)
-
-
-def right_operator(b: CoeffSeq) -> OperatorMatrix:
-    """Matrix of a right-algebra element: vol^{-1} sum b(mu) pi(mu)^H, which
-    represents vol^{-1} involution(conj b), with vol(L)^-1 = vol(L°) for b on L°."""
-    vol = b.lattice.n / b.lattice.size
-    return represent(involution(CoeffSeq(b.lattice, vol * np.conj(b.coeffs))))
 
 
 class ModuleFrameReport(_Value):
@@ -139,7 +124,7 @@ class ModuleFrameReport(_Value):
         return (self.residual, self.is_module_frame, self.window_count, self.vol)
 
 
-def module_frame_identity_residual(windows, lat: Lattice, f: Signal) -> float:
+def _identity_residual(windows, lat: Lattice, f: Signal) -> float:
     """l1 gap in  inner_left(f, f) = sum_i inner_left(f, g_i) # inner_left(g_i, f).
 
     Holds exactly when the windows form a (tight) module frame.
@@ -185,7 +170,7 @@ def module_frame_check(windows, lat: Lattice) -> ModuleFrameReport:
     rng = np.random.default_rng(0)
     for _ in range(2):
         probe = random_signal(lat.n, rng)
-        gap = module_frame_identity_residual(tight, lat, probe)
+        gap = _identity_residual(tight, lat, probe)
         if gap > 1e-10 * (1.0 + probe.norm2() ** 2):
             raise ArithmeticError(
                 f"tightened system failed the reconstruction identity (gap {gap:.3e})"

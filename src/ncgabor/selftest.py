@@ -8,7 +8,9 @@ entries run over LATTICE_MATRIX on complex standard-normal (unnormalized)
 signals and coefficients; an entry whose residual is normalized in a way
 its code does not make plain says so in its docstring.  The rng of an entry
 is seeded from (seed, crc32 of its name), so adding, removing or reordering
-entries leaves every other entry's inputs and residual unchanged.
+entries leaves every other entry's inputs and residual unchanged.  The dense
+N x N shift matrices and frame operators the entries compare against are
+private oracles here (_shift_matrix, _frame_operator), not library routes.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ from .core import (
     TFPoint,
     cocycle,
     random_signal,
-    shift_matrix,
     stft,
     symplectic_bicharacter,
     tf_shift,
@@ -58,11 +59,11 @@ from .algebra import (
 from .frames import (
     GaborSystem,
     NotAFrame,
+    _frame_element,
     canonical_dual,
     canonical_tight,
     figa_check,
     frame_bounds,
-    frame_operator,
     janssen_representation,
     reconstruct,
 )
@@ -74,7 +75,6 @@ from .module import (
     min_windows,
     module_frame_check,
     multiwindow_parseval_residual,
-    right_operator,
     tight_multiwindow,
 )
 from .modspaces import ModNormSpec, feichtinger_norm, mod_norm
@@ -150,6 +150,21 @@ def _module_draws(rng, signals: int, seq: bool = False):
             yield lat, a, *(random_signal(lat.n, rng) for _ in range(signals))
 
 
+def _shift_matrix(p: TFPoint) -> np.ndarray:
+    """Oracle: the N x N unitary matrix of the time-frequency shift by p, its
+    phases exp(2 pi i (l t mod N) / N) evaluated directly."""
+    n = p.n
+    rows = np.arange(n)
+    mat = np.zeros((n, n), dtype=complex)
+    mat[rows, (rows - p.k) % n] = np.exp(2j * np.pi * (p.l * rows % n) / n)
+    return mat
+
+
+def _frame_operator(sys: GaborSystem) -> np.ndarray:
+    """The frame operator of the system: its frame element, represented."""
+    return represent(_frame_element(sys)).entries
+
+
 def _check_norm_preservation(rng):
     for n in (5, 8, 12):
         f = random_signal(n, rng)
@@ -164,7 +179,7 @@ def _check_composition_commutation(rng):
     for N = 2..8."""
     for n in range(2, 9):
         points = [TFPoint(n, k, l) for k in range(n) for l in range(n)]
-        mats = np.array([shift_matrix(p) for p in points])
+        mats = np.array([_shift_matrix(p) for p in points])
         prods = np.einsum("aij,bjk->abik", mats, mats)  # prods[i, j] = mats[i] @ mats[j]
         k, l = np.divmod(np.arange(n * n), n)  # points[i] = (k[i], l[i])
         index = (k[:, None] + k) % n * n + (l[:, None] + l) % n  # of points[i] + points[j]
@@ -180,8 +195,8 @@ def _check_adjoint_rule(rng):
         for k in range(n):
             for l in range(n):
                 p = TFPoint(n, k, l)
-                lhs = shift_matrix(p).conj().T
-                rhs = cocycle(p, p) * shift_matrix(-p)
+                lhs = _shift_matrix(p).conj().T
+                rhs = cocycle(p, p) * _shift_matrix(-p)
                 yield np.abs(lhs - rhs).max()
 
 
@@ -239,7 +254,7 @@ def _check_adjoint_duality(rng):
 def _check_adjoint_commutation(rng):
     """Max abs entry of AB - BA over every shift A of L and every B of L°."""
     for lat in _lattices():
-        A, B = (np.array([shift_matrix(TFPoint(lat.n, *p)) for p in x.as_array()])
+        A, B = (np.array([_shift_matrix(TFPoint(lat.n, *p)) for p in x.as_array()])
                 for x in (lat, adjoint_lattice(lat)))
         yield np.abs(A[:, None] @ B - B @ A[:, None]).max()
 
@@ -404,9 +419,9 @@ def _check_sector_copies(rng):
 
 def _check_frame_commutation(rng):
     for lat in _frame_lattices():
-        S = frame_operator(GaborSystem((random_signal(lat.n, rng),), lat)).entries
+        S = _frame_operator(GaborSystem((random_signal(lat.n, rng),), lat))
         for k, l in lat.as_array().tolist():
-            P = shift_matrix(TFPoint(lat.n, k, l))
+            P = _shift_matrix(TFPoint(lat.n, k, l))
             yield np.linalg.norm(S @ P - P @ S) / np.linalg.norm(S)
 
 
@@ -414,7 +429,7 @@ def _frame_type_by_definition(g, h, lat):
     """sum_lam pi(lam) h (x) conj(pi(lam) g) over the lattice (h = g: the frame
     operator), one shift matrix per point: shares no code with the
     adjoint-lattice route."""
-    mats = np.array([shift_matrix(TFPoint(lat.n, k, l)) for k, l in lat.as_array().tolist()])
+    mats = np.array([_shift_matrix(TFPoint(lat.n, k, l)) for k, l in lat.as_array().tolist()])
     return (mats @ h.values).T @ (mats @ g.values).conj()
 
 
@@ -425,12 +440,13 @@ def _check_janssen(rng):
     for lat in _lattices(LATTICE_MATRIX + _JANSSEN_EXTRA):
         for _ in range(7):
             g, h = random_signal(lat.n, rng), random_signal(lat.n, rng)
+            expansion = represent(janssen_representation(g, h, lat)).entries
             pairs = (
-                (_frame_type_by_definition(g, h, lat), represent(janssen_representation(g, h, lat))),
-                (_frame_type_by_definition(g, g, lat), frame_operator(GaborSystem((g,), lat))),
+                (_frame_type_by_definition(g, h, lat), expansion),
+                (_frame_type_by_definition(g, g, lat), _frame_operator(GaborSystem((g,), lat))),
             )
             for S, J in pairs:
-                yield np.linalg.norm(S - J.entries) / np.linalg.norm(S)
+                yield np.linalg.norm(S - J) / np.linalg.norm(S)
 
 
 def _check_figa(rng):
@@ -474,7 +490,7 @@ def _check_wexler_raz(rng):
 def _check_tight_parseval(rng):
     for lat in _frame_lattices():
         tight = canonical_tight(GaborSystem((random_signal(lat.n, rng),), lat))
-        S = frame_operator(GaborSystem(tuple(tight), lat)).entries
+        S = _frame_operator(GaborSystem(tuple(tight), lat))
         yield np.linalg.norm(S - np.eye(lat.n))
 
 
@@ -495,7 +511,7 @@ def _hermitian_inverse_sqrt(mat: np.ndarray) -> np.ndarray:
 
 def _check_tight_span(rng):
     for lat in _frame_lattices():
-        S = frame_operator(GaborSystem((random_signal(lat.n, rng),), lat)).entries
+        S = _frame_operator(GaborSystem((random_signal(lat.n, rng),), lat))
         root = _hermitian_inverse_sqrt(S)
         _, residual = coefficients_of(root, adjoint_lattice(lat))
         yield residual / np.linalg.norm(root)
@@ -526,10 +542,13 @@ def _check_left_positivity(rng):
 
 def _check_right_positivity(rng):
     """max(-min eigenvalue, ||op - op^H|| / ||op||, ||op - S_f|| / ||S_f||) for
-    the right operator op of <f, f>_R, f unnormalized: op is the frame
-    operator S_f of f, summed from its definition, Hermitian and positive."""
+    the matrix op of the right action of b = <f, f>_R, f unnormalized, which
+    represents vol^{-1} involution(conj b): op is the frame operator S_f of f,
+    summed from its definition, Hermitian and positive."""
     for lat, _, f in _module_draws(rng, 1):
-        op = right_operator(inner_right(f, f, lat)).entries
+        b = inner_right(f, f, lat)
+        vol = b.lattice.n / b.lattice.size
+        op = represent(involution(CoeffSeq(b.lattice, vol * np.conj(b.coeffs)))).entries
         S = _frame_type_by_definition(f, f, lat)
         hermgap = np.linalg.norm(op - op.conj().T) / np.linalg.norm(op)
         framegap = np.linalg.norm(op - S) / np.linalg.norm(S)

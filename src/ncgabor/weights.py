@@ -213,6 +213,8 @@ def grs_probe(v: Weight, p, n_max: int) -> GrsReport:
       - consistent-with-GRS: final sample <= 1.05 and tail non-increasing;
       - violates-GRS: final sample >= 1.10 and tail flat;
       - inconclusive otherwise.
+
+    OverflowError, naming the weight, when a sample leaves the float range.
     """
     x, y = int(p[0]), int(p[1])
     if (x, y) == (0, 0):
@@ -222,7 +224,10 @@ def grs_probe(v: Weight, p, n_max: int) -> GrsReport:
     samples = []
     n = 1
     while n <= n_max:
-        samples.append((n, math.exp(v.log_eval((n * x, n * y)) / n)))
+        log = v.log_eval((n * x, n * y)) / n
+        if log > _LOG_FLOAT_MAX:
+            raise OverflowError(f"weight {v.family} exceeds the float range")
+        samples.append((n, math.exp(log)))
         n *= 2
     tail = [val for _, val in samples[-3:]]
     final = tail[-1]

@@ -136,7 +136,7 @@ def test_dual_verb_and_reconstruction(capsys, rng, tmp_path):
 
 
 def test_tight_verb_is_parseval(capsys, rng):
-    from ncgabor import GaborSystem, frame_operator
+    from ncgabor import janssen_representation, represent
 
     g = random_signal(8, rng)
     code, out, _ = run(
@@ -148,7 +148,7 @@ def test_tight_verb_is_parseval(capsys, rng):
     assert code == 0
     tight = signal_from_dict(json.loads(out)["windows"][0])
     lat = lattice_from_generators(8, [(2, 0), (0, 2)])
-    S = frame_operator(GaborSystem((tight,), lat)).entries
+    S = represent(janssen_representation(tight, tight, lat)).entries
     assert np.linalg.norm(S - np.eye(8)) < 1e-9
 
 
@@ -474,14 +474,34 @@ def test_frame_element_overflow_exits_three(capsys, verb):
         # a log-weight past the float range, evaluated without numpy
         ["grs", "--weight", '{"family":"exponential","b":1e308}', "--point", "(5,0)"],
         ["grs", "--weight", '{"family":"polynomial","s":1e308}', "--point", "(5,0)"],
+        # a finite log-weight whose sample exp(log v) is past the float range
+        ["grs", "--weight", '{"family":"exponential","b":1000}'],
     ],
-    ids=["figa", "modnorm", "figa-blas", "grs-exponential", "grs-polynomial"],
+    ids=["figa", "modnorm", "figa-blas", "grs-exponential", "grs-polynomial", "grs-sample"],
 )
 def test_results_past_the_float_range_exit_three(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    if argv[0] == "grs":  # the probe names the weight that overflows
+        assert err == f"error: weight {json.loads(argv[2])['family']} exceeds the float range\n"
+
+
+CUSTOM = '{"family":"custom","table":[[0,0,1],[1,0,2]]}'  # no entry at (0,1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["modnorm", "--signal", delta_json(4), "--window", delta_json(4), "--weight", CUSTOM],
+        ["grs", "--weight", CUSTOM, "--point", "(0,1)"],
+    ],
+    ids=["modnorm", "grs"],
+)
+def test_custom_weight_without_an_entry_exits_two_with_its_message(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: custom weight has no entry at (0,1)\n")
 
 
 def _reject_constant(name):

@@ -17,7 +17,6 @@ from ncgabor import (
     canonical_tight,
     figa_check,
     frame_bounds,
-    frame_operator,
     full_lattice,
     janssen_representation,
     lattice_from_generators,
@@ -33,12 +32,18 @@ from conftest import SEEDS
 import oracles
 
 
+def frame_operator(windows, lat):
+    """The library's frame operator: the represented Janssen elements of the
+    windows, summed."""
+    return sum(represent(janssen_representation(g, g, lat)).entries for g in windows)
+
+
 def test_full_lattice_frame_operator_is_scalar(rng):
     n = 6
     g = random_signal(n, rng)
     sys = GaborSystem((g,), full_lattice(n))
     expect = n * g.norm2() ** 2 * np.eye(n)
-    got = frame_operator(sys).entries
+    got = frame_operator(sys.windows, sys.lattice)
     np.testing.assert_allclose(got, expect, atol=1e-10 * n * g.norm2() ** 2)
     np.testing.assert_allclose(oracles.frame_operator_direct(sys), got, atol=1e-10)
 
@@ -47,9 +52,14 @@ def test_zero_window_contributes_nothing(rng):
     n = 8
     lat = lattice_from_generators(n, [(2, 0), (0, 2)])
     g = random_signal(n, rng)
-    with_zero = frame_operator(GaborSystem((g, Signal.zero(n)), lat)).entries
-    alone = frame_operator(GaborSystem((g,), lat)).entries
-    np.testing.assert_allclose(with_zero, alone, atol=1e-12)
+    # the system's spectrum, bounds and duals, is that of g alone
+    with_zero, alone = GaborSystem((g, Signal.zero(n)), lat), GaborSystem((g,), lat)
+    got, expect = frame_bounds(with_zero), frame_bounds(alone)
+    assert got.lower == pytest.approx(expect.lower, rel=1e-12)
+    assert got.upper == pytest.approx(expect.upper, rel=1e-12)
+    dual, zero_dual = canonical_dual(with_zero)
+    np.testing.assert_allclose(dual.values, canonical_dual(alone)[0].values, atol=1e-12)
+    assert not zero_dual.values.any()
 
 
 def test_all_zero_system_rejected():
@@ -86,7 +96,7 @@ def test_system_takes_only_signals_on_a_lattice(rng):
 def test_undersampled_rank_deficiency(rng):
     lat = lattice_from_generators(8, [(4, 0), (0, 4)])
     g = random_signal(8, rng)
-    S = frame_operator(GaborSystem((g,), lat)).entries
+    S = frame_operator([g], lat)
     eigs = np.linalg.eigvalsh(S)
     assert np.sum(eigs > 1e-10 * eigs[-1]) <= lat.size  # rank <= |L| = 4 < 8
     assert not frame_bounds(GaborSystem((g,), lat)).is_frame
@@ -94,9 +104,9 @@ def test_undersampled_rank_deficiency(rng):
 
 def test_frame_operator_hermitian_psd(rng):
     lat = lattice_from_generators(12, [(2, 0), (0, 3)])
-    op = frame_operator(GaborSystem((random_signal(12, rng),), lat))
-    assert oracles.is_hermitian(op.entries)
-    assert np.linalg.eigvalsh(op.entries)[0] > -1e-10
+    op = frame_operator([random_signal(12, rng)], lat)
+    assert oracles.is_hermitian(op)
+    assert np.linalg.eigvalsh(op)[0] > -1e-10
 
 
 def test_adjoint_expansion_full_lattice(rng):
@@ -242,7 +252,7 @@ def test_canonical_tight_parseval_and_idempotent(rng):
     lat = lattice_from_generators(12, [(2, 0), (0, 3)])
     g = random_signal(12, rng)
     tight = canonical_tight(GaborSystem((g,), lat))
-    S = frame_operator(GaborSystem(tuple(tight), lat)).entries
+    S = frame_operator(tight, lat)
     assert np.linalg.norm(S - np.eye(12)) < 1e-9
     again = canonical_tight(GaborSystem(tuple(tight), lat))
     assert np.linalg.norm(again[0].values - tight[0].values) < 1e-10

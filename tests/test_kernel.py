@@ -36,7 +36,6 @@ from ncgabor import (
     canonical_tight,
     coefficients_of,
     frame_bounds,
-    frame_operator,
     inner_left,
     inner_right,
     invert_in_algebra,
@@ -45,8 +44,6 @@ from ncgabor import (
     random_signal,
     reconstruct,
     represent,
-    right_operator,
-    shift_matrix,
     spectrum,
     tf_shift,
     twisted_conv,
@@ -86,7 +83,6 @@ def test_shift_matches_loop_oracle(rng):
         for k, l in np.concatenate([pts, -pts, pts + n]).tolist():
             p = TFPoint(n, k, l)
             assert_close(tf_shift(p, g).values, oracles.shift(k, l, g.values))
-            assert_close(shift_matrix(p), oracles.shift_matrix(k, l, n))
         # row k mod N of the translate view is the translate by k, also for
         # negative shifts and shifts >= N
         ks = np.concatenate([pts[:, 0], -pts[:, 0] - 1, pts[:, 0] + n, [-3 * n - 1]])
@@ -119,7 +115,6 @@ def systems(lat, rng):
 def test_system_columns_and_reconstruct_match_loop_oracles(rng):
     for lat in oracle_cases():
         for sys in systems(lat, rng):
-            assert_close(frame_operator(sys).entries, oracles.frame_operator(sys))
             f = random_signal(lat.n, rng)
             duals = [random_signal(lat.n, rng) for _ in sys.windows]
             assert_close(reconstruct(f, sys, duals).values, oracles.reconstruct(f, sys, duals))
@@ -177,7 +172,6 @@ def test_module_actions_match_loop_oracles(rng):
             norm_sq = np.linalg.norm(f.values) ** 2
             expect = abs(norm_sq - sum(np.sum(np.abs(c) ** 2) for c in samples)) / (1.0 + norm_sq)
             assert abs(multiwindow_parseval_residual(windows, lat, f) - expect) <= REL * max(1.0, expect)
-        assert_close(right_operator(b).entries, oracles.right_operator(b))
 
 
 def test_figa_pairings_match_the_loop_sums(rng):

@@ -32,7 +32,6 @@ from ncgabor import (
     mod_norm,
     random_signal,
     represent,
-    shift_matrix,
     tf_shift,
     trivial_lattice,
     twisted_conv,
@@ -40,7 +39,7 @@ from ncgabor import (
 )
 from ncgabor.lattice import _tables
 from ncgabor.selftest import CheckResult
-from oracles import oracle_cases, tf_points
+from oracles import oracle_cases, shift_matrix
 
 
 def point_pairs(lat):
@@ -105,11 +104,11 @@ def test_bad_order_rejected():
 def brute_force_commutant(lat):
     """Independent oracle: matrix commutation against every lattice shift."""
     n = lat.n
-    mats = [shift_matrix(p) for p in tf_points(lat)]
+    mats = [shift_matrix(k, l, n) for k, l in lat.as_array().tolist()]
     out = []
     for m in range(n):
         for nn in range(n):
-            B = shift_matrix(TFPoint(n, m, nn))
+            B = shift_matrix(m, nn, n)
             if all(np.abs(A @ B - B @ A).max() < 1e-10 for A in mats):
                 out.append((m, nn))
     return out
@@ -357,7 +356,7 @@ def test_lattice_and_shared_tables_are_read_only(rng):
     tf_shift(TFPoint(12, 1, 1), f)
     mod_norm(f, ModNormSpec(1.0, 1.0, Weight.polynomial(1), f))
     shared = list(_tables.kept.values())
-    assert {build.__name__ for build, _ in _tables.kept} >= {"_band_index", "_lifted_weight_table", "_roots"}
+    assert {build.__name__ for build, _ in _tables.kept} >= {"_band_index", "_lifted_weight_table"}
     arrays = [lat._points, *lat._involution_tables, lat._grid_index, *lat._sector_tables, *shared]
     assert [arr.flags.writeable for arr in arrays] == [False] * len(arrays)
 
