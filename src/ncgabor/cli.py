@@ -18,7 +18,9 @@ of them exits 2 without numpy.  adjoint, vol and grs compute nothing with
 arrays and never load it.  The other verbs compute in a `with _numeric()`
 block, under np.errstate(over="raise", invalid="raise"), so numpy overflow
 and invalid operations raise; the scope is the block, numpy's global error
-state is left alone.  Each verb imports only the modules it computes with.
+state is left alone.  figa and modnorm report such an error as their
+quantity (the fundamental-identity residual, the modulation norm) leaving
+the float range.  Each verb imports only the modules it computes with.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ import json
 import math
 import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -100,12 +103,20 @@ def _lattice_from_args(args) -> Lattice:
     return lattice_from_generators(args.n, _parse_gens(args.gens))
 
 
-def _numeric():
-    """numpy, loaded now, raising on overflow and invalid operations within
-    the with block that this opens; its global error state is left alone."""
+@contextmanager
+def _numeric(quantity: str | None = None):
+    """numpy, loaded on entry, raising on overflow and invalid operations
+    within the with block; its global error state is left alone.  Given the
+    verb's quantity, such an error becomes an OverflowError that names it."""
     import numpy as np
 
-    return np.errstate(over="raise", invalid="raise")
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            if quantity is None:
+                raise
+            raise OverflowError(f"the {quantity} leaves the float range ({exc})") from None
 
 
 def _emit(args, text: str) -> None:
@@ -170,23 +181,15 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _cmd_dual(args) -> int:
+def _cmd_design(args) -> int:
+    """dual and tight: the canonical dual or tight windows of the system."""
     windows = _read_windows(args)
     with _numeric():
-        from .frames import canonical_dual
+        from . import frames
 
-        duals = canonical_dual(_system(args, windows))
-        _emit_json(args, {"windows": [serialize.signal_to_dict(d) for d in duals]})
-    return 0
-
-
-def _cmd_tight(args) -> int:
-    windows = _read_windows(args)
-    with _numeric():
-        from .frames import canonical_tight
-
-        tight = canonical_tight(_system(args, windows))
-        _emit_json(args, {"windows": [serialize.signal_to_dict(t) for t in tight]})
+        design = frames.canonical_dual if args.verb == "dual" else frames.canonical_tight
+        designed = design(_system(args, windows))
+        _emit_json(args, {"windows": [serialize.signal_to_dict(w) for w in designed]})
     return 0
 
 
@@ -211,7 +214,7 @@ def _cmd_figa(args) -> int:
             raise ValueError("figa needs all four of --f1 --f2 --g1 --g2, or none")
         sigs = [_read_signal(x) for x in explicit]
         _check_same_n(lat.n, *(n for n, _, _ in sigs))
-        with _numeric():
+        with _numeric("fundamental-identity residual"):
             from .frames import figa_check
 
             residual = figa_check(*map(serialize._signal, sigs), lat)
@@ -219,7 +222,7 @@ def _cmd_figa(args) -> int:
         return 0
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    with _numeric():
+    with _numeric("fundamental-identity residual"):
         import numpy as np
 
         from .core import random_signal
@@ -262,7 +265,7 @@ def _cmd_modnorm(args) -> int:
     if _is_zero(window):
         raise ValueError("analysis window must be nonzero")
     _check_same_n(f[0], window[0])
-    with _numeric():
+    with _numeric("modulation norm"):
         from .modspaces import ModNormSpec, mod_norm
 
         spec = ModNormSpec(p, q, weight, serialize._signal(window))
@@ -335,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("adjoint", _cmd_adjoint, "adjoint (commutant) lattice", *lattice)
     add("vol", _cmd_vol, "lattice covolume N/|L|", *lattice)
     add("bounds", _cmd_bounds, "frame bounds of a Gabor system", *lattice, "--window")
-    add("dual", _cmd_dual, "canonical dual windows", *lattice, "--window")
-    add("tight", _cmd_tight, "canonical tight windows", *lattice, "--window")
+    add("dual", _cmd_design, "canonical dual windows", *lattice, "--window")
+    add("tight", _cmd_design, "canonical tight windows", *lattice, "--window")
     add("janssen", _cmd_janssen, "adjoint-lattice expansion of the frame operator",
         *lattice, "--window")
     figa = add("figa", _cmd_figa, "fundamental-identity residual", *lattice, "--seed", "--trials")

@@ -9,8 +9,9 @@ signals and coefficients; an entry whose residual is normalized in a way
 its code does not make plain says so in its docstring.  The rng of an entry
 is seeded from (seed, crc32 of its name), so adding, removing or reordering
 entries leaves every other entry's inputs and residual unchanged.  The dense
-N x N shift matrices and frame operators the entries compare against are
-private oracles here (_shift_matrix, _frame_operator), not library routes.
+N x N shift matrices, frame operators and direct STFT sums the entries
+compare against are private oracles here (_shift_matrix, _frame_operator,
+_stft_direct), not library routes; tests/oracles.py takes them from here.
 """
 from __future__ import annotations
 
@@ -200,14 +201,17 @@ def _check_adjoint_rule(rng):
                 yield np.abs(lhs - rhs).max()
 
 
+def _stft_direct(f: Signal, g: Signal) -> np.ndarray:
+    """Oracle: the STFT by direct summation in canonical (k, l, t) order."""
+    t = np.arange(f.n)
+    kernel = np.exp(-2j * np.pi * np.outer(t, t) / f.n)  # kernel[l, t]
+    return np.array([kernel @ (f.values * np.conj(np.roll(g.values, k))) for k in t])
+
+
 def _check_stft_agreement(rng):
     for n in (5, 8, 13):
         f, g = random_signal(n, rng), random_signal(n, rng)
-        # direct summation in canonical (k, l, t) order
-        t = np.arange(n)
-        kernel = np.exp(-2j * np.pi * np.outer(t, t) / n)  # kernel[l, t]
-        direct = np.array([kernel @ (f.values * np.conj(np.roll(g.values, k))) for k in t])
-        yield np.abs(stft(f, g).values - direct).max()
+        yield np.abs(stft(f, g).values - _stft_direct(f, g)).max()
 
 
 def _check_moyal(rng):
@@ -219,13 +223,15 @@ def _check_moyal(rng):
 
 
 def _check_stft_covariance(rng):
-    for n in (6, 10):
+    """Max abs gap of |V_g(pi(mu) f)| against |V_g f| rolled by mu, at N = 6,
+    10 and 9, for a random mu and for mu = (4, 7)."""
+    for n in (6, 10, 9):
         f, g = random_signal(n, rng), random_signal(n, rng)
-        mu = TFPoint(n, int(rng.integers(n)), int(rng.integers(n)))
-        shifted = np.abs(stft(tf_shift(mu, f), g).values)
         base = np.abs(stft(f, g).values)
-        rolled = np.roll(np.roll(base, mu.k, axis=0), mu.l, axis=1)
-        yield np.abs(shifted - rolled).max()
+        for mu in (TFPoint(n, int(rng.integers(n)), int(rng.integers(n))), TFPoint(n, 4, 7)):
+            shifted = np.abs(stft(tf_shift(mu, f), g).values)
+            rolled = np.roll(np.roll(base, mu.k, axis=0), mu.l, axis=1)
+            yield np.abs(shifted - rolled).max()
 
 
 def _commutant_by_scan(lat):
@@ -273,11 +279,13 @@ def _check_weight_symmetry(rng):
 
 
 def _check_weight_power(rng):
-    """Relative gap of (1 + |p|)^3 against ((1 + |p|)^1)^3."""
-    for _ in range(20):
-        p = tuple(int(x) for x in rng.integers(-40, 41, size=2))
-        rhs = Weight.polynomial(1.0)(p) ** 3
-        yield abs(Weight.polynomial(3.0)(p) - rhs) / rhs
+    """Relative gap of polynomial(s) against polynomial(1)^s for s in 3, 0, 1,
+    2, 3.5 at 20 random points of [-40, 40]^2 and at (0, 0), (3, 4), (-7, 2)."""
+    points = [tuple(int(x) for x in rng.integers(-40, 41, size=2)) for _ in range(20)]
+    for s in (3.0, 0.0, 1.0, 2.0, 3.5):
+        for p in points + [(0, 0), (3, 4), (-7, 2)]:
+            rhs = Weight.polynomial(1.0)(p) ** s
+            yield abs(Weight.polynomial(s)(p) - rhs) / rhs
 
 
 def _submult_constant(v: Weight) -> float:
@@ -345,15 +353,17 @@ def _check_involution_rep(rng):
 def _check_norm_submult(rng):
     """max(||a # b|| / (C ||a|| ||b||) - 1 over the v^s-weighted norms, s = 0, 1, 2,
     C the constant of v^s, on random pairs and on delta_(1,0) # delta_(1,0), where
-    C is attained; and the relative gap between the v-weighted norms of a* and a)."""
+    C is attained; and the relative gap between the v^s-weighted norms of a* and
+    a, s = 0, 1, 2)."""
     v = Weight.polynomial(1)
     delta = delta_seq(lattice_from_generators(8, ((1, 0),)), TFPoint(8, 1, 0))
     pairs = [(delta, delta)]
     for lat in _lattices():
         a, b = _rand_seq(lat, rng), _rand_seq(lat, rng)
         pairs.append((a, b))
-        norm = weighted_norm(a, v, 1.0)
-        yield abs(weighted_norm(involution(a), v, 1.0) - norm) / norm
+        for s in (0.0, 1.0, 2.0):
+            norm = weighted_norm(a, v, s)
+            yield abs(weighted_norm(involution(a), v, s) - norm) / norm
     for a, b in pairs:
         for s in (0.0, 1.0, 2.0):
             bound = _submult_constant(v.power(s)) * weighted_norm(a, v, s) * weighted_norm(b, v, s)
@@ -651,7 +661,9 @@ def _check_two_window_counts(rng):
 
 
 def _check_moyal_modnorm(rng):
-    for n in (6, 12):
+    """Relative gap of the M^{2,2} norm against sqrt(N) ||f|| ||g||; its
+    tolerance, 5e-11, is a relative bound of 1e-10 on the squared norm."""
+    for n in (6, 12, 8):
         g = random_signal(n, rng)
         for _ in range(10):
             f = random_signal(n, rng)
@@ -662,9 +674,10 @@ def _check_moyal_modnorm(rng):
 
 def _check_modnorm_axioms(rng):
     """max(relative homogeneity gap, triangle excess ||f1 + f2|| - ||f1|| - ||f2||)
-    for v = 1 + |p|, at N = 10 with (p, q) in (1, 1), (1, 2), (2, inf) and at
-    N = 12 with (p, q) = (1, 2)."""
-    for n, exponents in ((10, ((1.0, 1.0), (1.0, 2.0), (2.0, np.inf))), (12, ((1.0, 2.0),))):
+    for v = 1 + |p|, at N = 10 with (p, q) in (1, 1), (1, 2), (2, inf), at
+    N = 12 with (p, q) = (1, 2) and at N = 10 with (p, q) = (1.5, 3)."""
+    for n, exponents in ((10, ((1.0, 1.0), (1.0, 2.0), (2.0, np.inf))), (12, ((1.0, 2.0),)),
+                         (10, ((1.5, 3.0),))):
         g = random_signal(n, rng)
         for p, q in exponents:
             spec = ModNormSpec(p, q, Weight.polynomial(1), g)
@@ -690,14 +703,15 @@ def _check_modnorm_covariance(rng):
 
 
 def _check_feichtinger_monotone(rng):
-    """Largest ratio of the norm at weight power s to the norm at s + 1, minus 1."""
-    n = 10
-    g = random_signal(n, rng)
+    """Largest ratio of the norm at weight power s to the norm at s + 1, minus 1,
+    at N = 10 and 8: at most 0, with no rounding slack."""
     v = Weight.polynomial(1)
-    for _ in range(10):
-        f = random_signal(n, rng)
-        vals = [feichtinger_norm(f, v, s, g) for s in (0.0, 1.0, 2.0)]
-        yield from (vals[0] / vals[1] - 1.0, vals[1] / vals[2] - 1.0)
+    for n in (10, 8):
+        g = random_signal(n, rng)
+        for _ in range(10):
+            f = random_signal(n, rng)
+            vals = [feichtinger_norm(f, v, s, g) for s in (0.0, 1.0, 2.0)]
+            yield from (vals[0] / vals[1] - 1.0, vals[1] / vals[2] - 1.0)
 
 
 def _check_serialization(rng):
@@ -760,10 +774,10 @@ REGISTRY = (
     ("trace bridge parseval", 1e-10, _check_trace_bridge),
     ("minimum window count", 0, _check_min_windows),
     ("covolume 2 needs two windows", 0, _check_two_window_counts),
-    ("moyal ties mixed norm to hilbert norm", 1e-10, _check_moyal_modnorm),
+    ("moyal ties mixed norm to hilbert norm", 5e-11, _check_moyal_modnorm),
     ("modulation norm axioms", 1e-10, _check_modnorm_axioms),
     ("modulation norm shift covariance", 1e-10, _check_modnorm_covariance),
-    ("window-class norm monotonicity", 1e-12, _check_feichtinger_monotone),
+    ("window-class norm monotonicity", 0, _check_feichtinger_monotone),
     ("serialization round trips", 0, _check_serialization),
 )
 

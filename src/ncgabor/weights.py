@@ -144,19 +144,22 @@ class Weight(_Value):
         return Weight("custom", table=self.table, outer_power=self.outer_power * t)
 
     def log_eval(self, p) -> float:
-        """log v(p); the growth probe divides this before exponentiating.
-        OverflowError when log v(p) leaves the float range."""
+        """log v(p); the growth probe divides this before exponentiating."""
         x, y = int(p[0]), int(p[1])
         if self.family == "custom":
-            log = self.outer_power * self._log_entry(x, y)
-        else:
-            log = self._log_radial(float(x * x + y * y), math)
-        if not math.isfinite(log):
-            raise OverflowError(f"weight {self.family} exceeds the float range")
-        return log
+            return self.outer_power * self._log_entry(x, y)
+        return self._log_radial(float(x * x + y * y), math)
 
     def __call__(self, p) -> float:
-        return math.exp(self.log_eval(p))
+        """v(p); OverflowError past the float range."""
+        return math.exp(self._in_range(self.log_eval(p)))
+
+    def _in_range(self, log):
+        """log, unchanged when exp(log) is a finite float; OverflowError naming
+        the family otherwise (an infinite or NaN log included)."""
+        if not log <= _LOG_FLOAT_MAX:
+            raise OverflowError(f"weight {self.family} exceeds the float range")
+        return log
 
     def _log_entry(self, x: int, y: int) -> float:
         """The log of a lookup table's entry at (x, y), before the outer power."""
@@ -188,8 +191,7 @@ class Weight(_Value):
         import numpy as np
 
         logs = self._log_grid(x, y)
-        if logs.max() > _LOG_FLOAT_MAX:
-            raise OverflowError(f"weight {self.family} exceeds the float range")
+        self._in_range(logs.max())
         return np.exp(logs)
 
 
@@ -224,10 +226,7 @@ def grs_probe(v: Weight, p, n_max: int) -> GrsReport:
     samples = []
     n = 1
     while n <= n_max:
-        log = v.log_eval((n * x, n * y)) / n
-        if log > _LOG_FLOAT_MAX:
-            raise OverflowError(f"weight {v.family} exceeds the float range")
-        samples.append((n, math.exp(log)))
+        samples.append((n, math.exp(v._in_range(v.log_eval((n * x, n * y)) / n))))
         n *= 2
     tail = [val for _, val in samples[-3:]]
     final = tail[-1]

@@ -1,4 +1,7 @@
-"""Shared fixtures: the invariant registry's lattice matrix and the frozen seed list."""
+"""Shared fixtures: the invariant registry's lattice matrix, the frozen seed
+list and the allocation tracer of the memory pins."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,3 +24,16 @@ def rng():
 @pytest.fixture
 def lattices():
     return matrix_lattices()
+
+
+class traced_memory:
+    """Trace Python allocations in a with block.  On leaving it, `current` is
+    the bytes still allocated at its end and `peak` the most held at once."""
+
+    def __enter__(self):
+        tracemalloc.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.current, self.peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()

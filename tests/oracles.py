@@ -3,12 +3,16 @@
 Each oracle takes one time-frequency shift at a time, built from np.roll and
 a directly evaluated exponential, and shares no code with the library
 routine it checks.  Inputs are library objects; outputs are plain arrays.
+The dense shift matrix and the direct STFT sum have one home, the invariant
+registry: shift_matrix is ncgabor.selftest._shift_matrix and stft_direct is
+ncgabor.selftest._stft_direct.
 """
 import math
 
 import numpy as np
 
 from ncgabor import TFPoint, enumerate_subgroups, lattice_from_generators
+from ncgabor.selftest import _shift_matrix as shift_matrix, _stft_direct as stft_direct
 
 
 def tf_points(lat):
@@ -21,13 +25,6 @@ def shift(k, l, g):
     l t taken mod N so the phases stay exact at large N."""
     n = len(g)
     return np.exp(2j * np.pi * (l * np.arange(n) % n) / n) * np.roll(g, k)
-
-
-def shift_matrix(k, l, n):
-    rows = np.arange(n)
-    mat = np.zeros((n, n), dtype=complex)
-    mat[rows, (rows - k) % n] = np.exp(2j * np.pi * (l * rows % n) / n)
-    return mat
 
 
 def shifted(points, g):
@@ -56,27 +53,6 @@ def frame_power(sys, power):
     eigs, vecs = np.linalg.eigh(frame_operator(sys))
     windows = np.stack([w.values for w in sys.windows])
     return windows @ ((vecs * eigs**power) @ vecs.conj().T).T
-
-
-def frame_operator_direct(sys):
-    """Rank-one terms accumulated in canonical order."""
-    S = np.zeros((sys.n, sys.n), dtype=complex)
-    for w in sys.windows:
-        for k, l in sys.lattice.as_array():
-            col = shift(k, l, w.values)
-            S += np.outer(col, col.conj())
-    return S
-
-
-def stft_direct(f, g):
-    """STFT by direct summation in canonical (k, l, t) order."""
-    n = f.n
-    t = np.arange(n)
-    kernel = np.exp(-2j * np.pi * np.outer(t, t) / n)  # kernel[l, t]
-    out = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        out[k, :] = kernel @ (f.values * np.conj(np.roll(g.values, k)))
-    return out
 
 
 def stft_sample(f, g, k, l):
@@ -116,23 +92,22 @@ def act_right(g, b):
 def right_operator(b):
     n = b.lattice.n
     out = np.zeros((n, n), dtype=complex)
-    for c, (k, l) in zip(b.coeffs, b.lattice.as_array()):
-        out += c * shift_matrix(k, l, n).conj().T
+    for c, p in zip(b.coeffs, tf_points(b.lattice)):
+        out += c * shift_matrix(p).conj().T
     return n / b.lattice.size * out
 
 
 def represent(a):
     n = a.lattice.n
     out = np.zeros((n, n), dtype=complex)
-    for c, (k, l) in zip(a.coeffs, a.lattice.as_array()):
-        out += c * shift_matrix(k, l, n)
+    for c, p in zip(a.coeffs, tf_points(a.lattice)):
+        out += c * shift_matrix(p)
     return out
 
 
 def coefficients_of(mat, lat):
     """a(lam) = trace(A pi(lam)^H) / N, one point at a time."""
-    n = lat.n
-    return np.array([np.vdot(shift_matrix(k, l, n), mat) / n for k, l in lat.as_array()])
+    return np.array([np.vdot(shift_matrix(p), mat) / lat.n for p in tf_points(lat)])
 
 
 def sector_basis(x):

@@ -1,5 +1,4 @@
 """Twisted convolution, involution, representation, inversion, trace, spectrum."""
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -30,7 +29,7 @@ from ncgabor import (
     unit,
     weighted_norm,
 )
-from conftest import SEEDS, matrix_lattices
+from conftest import SEEDS, matrix_lattices, traced_memory
 from oracles import shift_matrix
 
 
@@ -60,16 +59,6 @@ def test_unit_element(rng):
     np.testing.assert_allclose(twisted_conv(unit(lat), a).coeffs, a.coeffs, atol=1e-14)
 
 
-def test_convolution_matches_matrix_product():
-    lat = lattice_from_generators(6, [(2, 0), (0, 2)])
-    for seed in SEEDS:
-        rng = np.random.default_rng(seed)
-        a, b = rand_seq(lat, rng), rand_seq(lat, rng)
-        lhs = represent(twisted_conv(a, b)).entries
-        rhs = represent(a).entries @ represent(b).entries
-        assert np.linalg.norm(lhs - rhs) < 1e-11 * np.linalg.norm(rhs)
-
-
 def test_lattice_mismatch_rejected(rng):
     a = rand_seq(lattice_from_generators(6, [(2, 0)]), rng)
     b = rand_seq(lattice_from_generators(6, [(3, 0)]), rng)
@@ -94,16 +83,6 @@ def test_double_involution_identity(rng):
     lat = lattice_from_generators(12, [(2, 1), (0, 6)])
     a = rand_seq(lat, rng)
     np.testing.assert_allclose(involution(involution(a)).coeffs, a.coeffs, atol=1e-14)
-
-
-def test_involution_isometric(rng):
-    lat = lattice_from_generators(12, [(2, 0), (0, 3)])
-    a = rand_seq(lat, rng)
-    v = Weight.polynomial(1)
-    for s in (0.0, 1.0, 2.0):
-        lhs = weighted_norm(involution(a), v, s)
-        rhs = weighted_norm(a, v, s)
-        assert abs(lhs - rhs) <= 1e-12 * rhs
 
 
 def test_weighted_norm_values():
@@ -176,7 +155,7 @@ def test_coefficients_of_outside_point():
     lat = lattice_from_generators(n, [(2, 0), (0, 2)])
     mu = TFPoint(n, 1, 0)
     assert lat.indices(mu.k, mu.l) == -1
-    seq, residual = coefficients_of(shift_matrix(mu.k, mu.l, n), lat)
+    seq, residual = coefficients_of(shift_matrix(mu), lat)
     assert np.abs(seq.coeffs).max() < 1e-14
     assert residual == pytest.approx(np.sqrt(n), rel=1e-12)
 
@@ -189,13 +168,9 @@ def test_coefficients_of_holds_one_matrix_temporary(rng):
     lat = lattice_from_generators(1024, [(8, 0), (0, 8)])
     a = rand_seq(lat, rng)
     mat = represent(a)
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         seq, residual = coefficients_of(mat, lat)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 28 * 2**20
+    assert memory.peak < 28 * 2**20
     assert np.abs(seq.coeffs - a.coeffs).max() < 1e-12 * np.abs(a.coeffs).max()
     assert residual < 1e-11 * np.linalg.norm(mat.entries)
 
@@ -205,23 +180,18 @@ def test_represent_and_coefficients_of_leave_nothing_behind(rng):
     # matrix and the coefficients are dropped, only O(N + |L|) may remain
     lat = lattice_from_generators(1024, [(1, 0), (0, 64)])
     a = rand_seq(lat, rng)
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         seq, residual = coefficients_of(represent(a), lat)
         assert residual < 1e-9
         del seq
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held < 2**20
+    assert memory.current < 2**20
 
 
 def test_dropped_lattices_leave_no_tables_behind(rng):
     # a lattice keeps its points, involution and sector tables and its adjoint
     # with theirs: once the lattices, elements and systems are dropped, none
     # of it stays (the N=1024 <(2,0),(0,4)> points alone take 2 MiB)
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         lat = lattice_from_generators(1024, [(2, 0), (0, 4)])
         a = rand_seq(lat, rng)
         involution(a)
@@ -229,10 +199,7 @@ def test_dropped_lattices_leave_no_tables_behind(rng):
         frame = lattice_from_generators(1024, [(16, 0), (0, 32)])
         assert frame_bounds(GaborSystem((random_signal(1024, rng),), frame)).is_frame
         del a, lat, frame
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held < 2**19
+    assert memory.current < 2**19
 
 
 def test_a_lattice_builds_each_table_once(monkeypatch, rng):
@@ -266,7 +233,7 @@ def test_trace_orthogonality_exhaustive():
     pts = [TFPoint(n, k, l) for k in range(n) for l in range(n)]
     for p in pts:
         for q in pts:
-            val = np.trace(shift_matrix(p.k, p.l, n) @ shift_matrix(q.k, q.l, n).conj().T)
+            val = np.trace(shift_matrix(p) @ shift_matrix(q).conj().T)
             expect = n if (p.k, p.l) == (q.k, q.l) else 0.0
             assert abs(val - expect) < 1e-12
 

@@ -5,7 +5,6 @@ import os
 import pkgutil
 import subprocess
 import sys
-import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -18,6 +17,7 @@ import ncgabor
 from ncgabor import frames
 from ncgabor.cli import main
 from ncgabor.serialize import lattice_from_dict, signal_from_dict, signal_to_dict
+from conftest import traced_memory
 
 
 def run(capsys, *argv):
@@ -65,15 +65,11 @@ def test_vol_verb(capsys):
 )
 def test_basis_verbs_allocate_no_points(capsys, verb, expect):
     # the full lattice mod 10^6 has 10^12 points; adjoint and vol need only its basis
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         code, out, err = run(capsys, verb, "--n", "1000000", "--gens", "(1,0),(0,1)")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert code == 0 and "Traceback" not in err
     assert json.loads(out) == expect
-    assert peak < 2**20
+    assert memory.peak < 2**20
 
 
 def test_bounds_translation_basis(capsys):
@@ -486,6 +482,9 @@ def test_results_past_the_float_range_exit_three(capsys, argv):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     if argv[0] == "grs":  # the probe names the weight that overflows
         assert err == f"error: weight {json.loads(argv[2])['family']} exceeds the float range\n"
+    elif WIDE not in argv:  # numpy's overflow, named by the verb's quantity
+        quantity = {"figa": "fundamental-identity residual", "modnorm": "modulation norm"}[argv[0]]
+        assert err == f"error: the {quantity} leaves the float range (overflow encountered in multiply)\n"
 
 
 CUSTOM = '{"family":"custom","table":[[0,0,1],[1,0,2]]}'  # no entry at (0,1)

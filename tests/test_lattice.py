@@ -3,7 +3,6 @@ contract of the immutable value types."""
 import copy
 import itertools
 import pickle
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +38,8 @@ from ncgabor import (
 )
 from ncgabor.lattice import _tables
 from ncgabor.selftest import CheckResult
-from oracles import oracle_cases, shift_matrix
+from conftest import traced_memory
+from oracles import oracle_cases, shift_matrix, tf_points
 
 
 def point_pairs(lat):
@@ -104,11 +104,11 @@ def test_bad_order_rejected():
 def brute_force_commutant(lat):
     """Independent oracle: matrix commutation against every lattice shift."""
     n = lat.n
-    mats = [shift_matrix(k, l, n) for k, l in lat.as_array().tolist()]
+    mats = [shift_matrix(p) for p in tf_points(lat)]
     out = []
     for m in range(n):
         for nn in range(n):
-            B = shift_matrix(m, nn, n)
+            B = shift_matrix(TFPoint(n, m, nn))
             if all(np.abs(A @ B - B @ A).max() < 1e-10 for A in mats):
                 out.append((m, nn))
     return out
@@ -365,13 +365,9 @@ def test_adjoint_of_a_large_lattice_is_not_kept():
     # the adjoint of the trivial lattice mod 1024 is the full lattice, whose
     # points take 16 MiB once built: the trivial lattice carries it, so
     # nothing of it outlives the caller's references
-    tracemalloc.start()
-    try:
+    with traced_memory() as memory:
         adjoint_lattice(trivial_lattice(1024)).as_array()
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held < 2**20
+    assert memory.current < 2**20
 
 
 def test_index_of_and_membership():

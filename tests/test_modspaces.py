@@ -1,6 +1,5 @@
 """Mixed weighted STFT norms and window equivalence."""
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from ncgabor import (
 )
 from ncgabor.lattice import _tables
 from ncgabor.modspaces import _lifted_weight_table
-from conftest import SEEDS
+from conftest import SEEDS, traced_memory
 
 
 def mixed_norm_oracle(f, g, p, q, m):
@@ -42,13 +41,6 @@ def test_delta_case_value():
 def test_zero_signal():
     d = Signal.delta(4)
     assert mod_norm(Signal.zero(4), ModNormSpec(1.0, 1.0, Weight.one(), d)) == 0.0
-
-
-def test_moyal_two_two(rng):
-    n = 8
-    f, g = random_signal(n, rng), random_signal(n, rng)
-    val = mod_norm(f, ModNormSpec(2.0, 2.0, Weight.one(), g))
-    assert val**2 == pytest.approx(n * f.norm2() ** 2 * g.norm2() ** 2, rel=1e-10)
 
 
 def test_matches_oracle_all_exponent_shapes(rng):
@@ -105,13 +97,9 @@ def test_stft_and_mod_norm_hold_one_phase_space_array(rng):
     spec = ModNormSpec(1.0, 1.0, Weight.polynomial(2), g)
     for call, bound in ((lambda: stft(f, g), 1.5), (lambda: mod_norm(f, spec), 2.0)):
         call()  # warm
-        tracemalloc.start()
-        try:
+        with traced_memory() as memory:
             call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound * n * n * 16
+        assert memory.peak < bound * n * n * 16
 
 
 def test_zero_window_rejected():
@@ -141,29 +129,6 @@ def test_feichtinger_s_zero_is_plain_l1(rng):
     f, g = random_signal(n, rng), random_signal(n, rng)
     val = feichtinger_norm(f, Weight.polynomial(1), 0.0, g)
     assert val == pytest.approx(float(np.abs(stft(f, g).values).sum()), rel=1e-12)
-
-
-def test_feichtinger_monotone_in_power(rng):
-    n = 8
-    g = random_signal(n, rng)
-    for _ in range(10):
-        f = random_signal(n, rng)
-        vals = [feichtinger_norm(f, Weight.polynomial(1), s, g) for s in (0.0, 1.0, 2.0)]
-        assert vals[0] <= vals[1] * (1 + 1e-12) <= vals[2] * (1 + 1e-12)
-
-
-def test_homogeneity_and_triangle(rng):
-    n = 10
-    g = random_signal(n, rng)
-    for p, q in ((1.0, 1.0), (1.5, 3.0), (2.0, math.inf)):
-        spec = ModNormSpec(p, q, Weight.polynomial(1), g)
-        for _ in range(30):
-            f1, f2 = random_signal(n, rng), random_signal(n, rng)
-            c = complex(rng.standard_normal(), rng.standard_normal())
-            scaled = mod_norm(Signal(n, c * f1.values), spec)
-            assert scaled == pytest.approx(abs(c) * mod_norm(f1, spec), rel=1e-10)
-            total = mod_norm(Signal(n, f1.values + f2.values), spec)
-            assert total <= mod_norm(f1, spec) + mod_norm(f2, spec) + 1e-10
 
 
 def window_ratios(fs, g1, g2, p, q):

@@ -22,7 +22,6 @@ from ncgabor import (
     lattice_from_generators,
     min_windows,
     module_frame_check,
-    multiwindow_parseval_residual,
     random_signal,
     represent,
     tf_shift,
@@ -115,7 +114,7 @@ def test_act_right_dense_matrix_oracle(rng):
     b = CoeffSeq(adj, rng.standard_normal(adj.size) + 1j * rng.standard_normal(adj.size))
     dense = np.zeros((8, 8), dtype=complex)
     for c, q in zip(b.coeffs, tf_points(adj)):
-        dense += c * oracles.shift_matrix(q.k, q.l, 8).conj().T
+        dense += c * oracles.shift_matrix(q).conj().T
     expect = (1.0 / float(volume(lat))) * dense @ g.values
     np.testing.assert_allclose(act_right(g, b).values, expect, atol=1e-11)
 
@@ -256,14 +255,12 @@ def test_module_frame_identity_convolution_form(rng):
 
 
 def test_trace_bridge_parseval(rng):
-    # the origin coefficient of the module identity is the scalar identity
+    # the origin coefficient of the module identity is the scalar identity,
+    # tau(<f, f>_L) = ||f||^2; the Parseval identity itself is a registry entry
     lat = lattice_from_generators(12, [(2, 0), (0, 3)])
-    tight = tight_multiwindow([random_signal(12, rng)], lat)
     for _ in range(4):
         f = random_signal(12, rng)
-        assert multiwindow_parseval_residual(tight, lat, f) < 1e-10
-        lhs = trace_tau(inner_left(f, f, lat))
-        assert lhs == pytest.approx(f.norm2() ** 2, rel=1e-12)
+        assert trace_tau(inner_left(f, f, lat)) == pytest.approx(f.norm2() ** 2, rel=1e-12)
 
 
 def test_tight_multiwindow_idempotent_on_tight(rng):

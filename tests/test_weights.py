@@ -32,12 +32,15 @@ def test_symmetry_and_normalization(x, y):
         assert v((-x, -y)) == v((x, y))
 
 
-def test_power_composition():
-    v1 = Weight.polynomial(1)
-    for s in (0.0, 1.0, 2.0, 3.5):
-        vs = Weight.polynomial(s)
-        for p in ((0, 0), (3, 4), (-7, 2)):
-            assert vs(p) == pytest.approx(v1(p) ** s, rel=1e-12)
+@pytest.mark.parametrize(
+    "weight, point",
+    [(Weight.exponential(1000), (1, 0)), (Weight.polynomial(1e308), (5, 0))],
+    ids=["exponential", "polynomial"],
+)
+def test_a_value_past_the_float_range_names_the_weight(weight, point):
+    # its log is finite, its exponential is not
+    with pytest.raises(OverflowError, match=f"^weight {weight.family} exceeds the float range$"):
+        weight(point)
 
 
 def test_power_method_folds_parameters():
