@@ -20,7 +20,9 @@ block, under np.errstate(over="raise", invalid="raise"), so numpy overflow
 and invalid operations raise; the scope is the block, numpy's global error
 state is left alone.  figa and modnorm report such an error as their
 quantity (the fundamental-identity residual, the modulation norm) leaving
-the float range.  Each verb imports only the modules it computes with.
+the float range, and figa does so too for a non-finite residual, which an
+overflow inside BLAS leaves unflagged.  Each verb imports only the modules
+it computes with.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import serialize
-from .lattice import DimensionMismatch, _check_same_n, adjoint_lattice, lattice_from_generators, volume
+from .lattice import _check_same_n, adjoint_lattice, lattice_from_generators, volume
 
 if TYPE_CHECKING:
     from .frames import GaborSystem
@@ -218,6 +220,9 @@ def _cmd_figa(args) -> int:
             from .frames import figa_check
 
             residual = figa_check(*map(serialize._signal, sigs), lat)
+            if not math.isfinite(residual):  # an overflow inside BLAS sets no numpy flag
+                raise OverflowError("the fundamental-identity residual leaves the float range"
+                                    " (a sum of products overflows inside BLAS)")
             _emit_json(args, {"residual": residual})
         return 0
     if args.trials < 1:
@@ -372,7 +377,7 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
-    except (ValueError, KeyError, DimensionMismatch, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         # a KeyError's str is the repr of its message, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

@@ -26,8 +26,7 @@ core.py (which re-exports the first two), so that this module imports no
 numpy at load time: building a lattice, its adjoint and its covolume touch
 no array, and numpy loads where the tables are built.  Nor does loading
 generate code: the value types are plain classes, not dataclasses, and
-fractions loads only where a covolume is formed or parsed as a rational
-(volume, serialize.fraction_from_str).
+fractions loads only where a covolume is formed (volume).
 
 _tables keeps the tables that are shared across lattices and keyed by plain
 arguments: the bands' flat index by (N, a) (algebra.py) and the lifted

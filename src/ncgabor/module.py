@@ -34,7 +34,6 @@ projective module of rank v over A(L) is generated by ceil(v) Gabor atoms.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 

@@ -9,9 +9,10 @@ signals and coefficients; an entry whose residual is normalized in a way
 its code does not make plain says so in its docstring.  The rng of an entry
 is seeded from (seed, crc32 of its name), so adding, removing or reordering
 entries leaves every other entry's inputs and residual unchanged.  The dense
-N x N shift matrices, frame operators and direct STFT sums the entries
-compare against are private oracles here (_shift_matrix, _frame_operator,
-_stft_direct), not library routes; tests/oracles.py takes them from here.
+oracles live here, not in the library, and tests/oracles.py takes them from
+here: the shift matrix (_shift_matrix), the frame-type operator summed from
+its definition (_frame_type_by_definition), the commutant scanned over Z_N^2
+(_commutant_by_scan) and the direct STFT sum (_stft_direct).
 """
 from __future__ import annotations
 
@@ -100,6 +101,9 @@ LATTICE_MATRIX = (
 # Lattices outside the matrix on which the adjoint-lattice expansion also runs.
 _JANSSEN_EXTRA = ((8, ((1, 1),)), (16, ((4, 0), (0, 4))), (16, ((2, 1), (0, 8))))
 
+# A lattice outside the matrix on which the dual reconstruction also runs.
+_DUAL_EXTRA = ((12, ((3, 0), (0, 2))),)
+
 # Sheared frame lattices on which the sector-copy entry also runs: on both
 # sides the copies of each sector (q' of 2 or 3) carry a phase.
 _COPY_EXTRA = ((8, ((2, 1), (0, 2))), (12, ((2, 2), (0, 4))))
@@ -126,7 +130,8 @@ class CheckResult(_Value):
 
 
 # Each pair's lattice, built once so that every entry shares its tables.
-_BUILT = {p: lattice_from_generators(*p) for p in LATTICE_MATRIX + _JANSSEN_EXTRA + _COPY_EXTRA}
+_BUILT = {p: lattice_from_generators(*p)
+          for p in LATTICE_MATRIX + _JANSSEN_EXTRA + _DUAL_EXTRA + _COPY_EXTRA}
 
 
 def _lattices(pairs=LATTICE_MATRIX):
@@ -474,9 +479,10 @@ def _gaussian(n: int) -> Signal:
 def _check_dual_reconstruction(rng):
     """Relative error, analyzing with the dual and synthesizing with the
     window, and the other way round, for a random window on every frame
-    lattice and the Gaussian on those of covolume below 1 (at covolume 1 it
-    is not a frame on <(4,0),(0,2)> at N = 8 or <(4,0),(0,6)> at N = 24)."""
-    for lat in _frame_lattices():
+    lattice and on _DUAL_EXTRA, and for the Gaussian on those of covolume
+    below 1 (at covolume 1 it is not a frame on <(4,0),(0,2)> at N = 8 or
+    <(4,0),(0,6)> at N = 24)."""
+    for lat in _frame_lattices() + _lattices(_DUAL_EXTRA):
         g, f = random_signal(lat.n, rng), random_signal(lat.n, rng)
         for window in (g, _gaussian(lat.n)) if volume(lat) < 1 else (g,):
             sys = GaborSystem((window,), lat)
@@ -750,7 +756,7 @@ REGISTRY = (
     ("twisted-convolution homomorphism", 1e-11, _check_homomorphism),
     ("involution representation", 1e-12, _check_involution_rep),
     ("weighted-norm submultiplicativity", 1e-12, _check_norm_submult),
-    ("coefficient recovery", 1e-11, _check_coefficient_recovery),
+    ("coefficient recovery", 1e-12, _check_coefficient_recovery),
     ("inversion support preservation", 1e-9, _check_inversion_support),
     ("trace normalization", 1e-12, _check_trace),
     ("hermitian spectrum reality", 1e-10, _check_spectrum),

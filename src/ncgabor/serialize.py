@@ -1,9 +1,10 @@
 """JSON and CSV schemas for every value the toolkit emits or ingests.
 
-Complex numbers serialize as [re, im] pairs and rationals as "p/q" strings,
-so integer and rational data round-trip bit-exactly and floats survive at
-full double precision.  Parsers raise ValueError naming the offending field,
-also when a field has the wrong JSON type or the document is not an object.
+Complex numbers serialize as [re, im] pairs and rationals (emitted, never
+read) as exact "p/q" strings, so integer data round-trip bit-exactly and
+floats survive at full double precision.  Parsers raise ValueError naming
+the offending field, also when a field has the wrong JSON type or the
+document is not an object.
 The module loads without numpy: the parsers that build arrays import it and
 their types when called, so a lattice round-trips without it.  Signal JSON is
 read and checked in full by _signal_parts, as a Signal would check it, before
@@ -40,7 +41,6 @@ __all__ = [
     "bounds_to_dict",
     "module_report_to_dict",
     "fraction_to_str",
-    "fraction_from_str",
     "grs_report_to_csv",
 ]
 
@@ -77,16 +77,6 @@ def _number(mapping, field: str, context: str) -> float:
 
 def fraction_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def fraction_from_str(s: str) -> Fraction:
-    from fractions import Fraction
-
-    try:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    except Exception:
-        raise ValueError(f"malformed rational {s!r}, expected 'p/q'") from None
 
 
 def signal_to_dict(f: Signal) -> dict:

@@ -3,16 +3,23 @@
 Each oracle takes one time-frequency shift at a time, built from np.roll and
 a directly evaluated exponential, and shares no code with the library
 routine it checks.  Inputs are library objects; outputs are plain arrays.
-The dense shift matrix and the direct STFT sum have one home, the invariant
-registry: shift_matrix is ncgabor.selftest._shift_matrix and stft_direct is
-ncgabor.selftest._stft_direct.
+Each dense oracle has one home, the invariant registry, and is imported from
+there: the shift matrix (shift_matrix, ncgabor.selftest._shift_matrix), the
+direct STFT sum (stft_direct, _stft_direct), the frame-type operator summed
+from its definition (frame_type, _frame_type_by_definition) and the
+commutant scanned over Z_N^2 (commutant, _commutant_by_scan).
 """
 import math
 
 import numpy as np
 
 from ncgabor import TFPoint, enumerate_subgroups, lattice_from_generators
-from ncgabor.selftest import _shift_matrix as shift_matrix, _stft_direct as stft_direct
+from ncgabor.selftest import (
+    _commutant_by_scan as commutant,
+    _frame_type_by_definition as frame_type,
+    _shift_matrix as shift_matrix,
+    _stft_direct as stft_direct,
+)
 
 
 def tf_points(lat):
@@ -36,16 +43,9 @@ def is_hermitian(mat, tol=1e-12):
     return bool(np.linalg.norm(mat - mat.conj().T) <= tol * max(np.linalg.norm(mat), 1e-300))
 
 
-def system_columns(sys):
-    return np.stack(
-        [shift(k, l, w.values) for w in sys.windows for k, l in sys.lattice.as_array()], axis=1
-    )
-
-
 def frame_operator(sys):
-    """The dense route: G G^H, the shifted windows as the columns of G."""
-    G = system_columns(sys)
-    return G @ G.conj().T
+    """The dense route: the sum over the windows of their frame operators."""
+    return sum(frame_type(w, w, sys.lattice) for w in sys.windows)
 
 
 def frame_power(sys, power):
@@ -55,13 +55,9 @@ def frame_power(sys, power):
     return windows @ ((vecs * eigs**power) @ vecs.conj().T).T
 
 
-def stft_sample(f, g, k, l):
-    """Single STFT sample <f, pi(k, l) g>."""
-    return complex(np.vdot(shift(k, l, g.values), f.values))
-
-
 def analysis_coefficients(f, g, lat):
-    return np.array([stft_sample(f, g, k, l) for k, l in lat.as_array()])
+    """The STFT samples <f, pi(lam) g> at the lattice's points."""
+    return np.array([np.vdot(shift(k, l, g.values), f.values) for k, l in lat.as_array()])
 
 
 def reconstruct(f, sys, duals):
@@ -86,14 +82,6 @@ def act_right(g, b):
     for c, (k, l) in zip(b.coeffs, b.lattice.as_array()):
         coc = np.exp(-2j * np.pi * ((k * l) % n) / n)
         out += c * coc * shift(-k, -l, g.values)
-    return n / b.lattice.size * out
-
-
-def right_operator(b):
-    n = b.lattice.n
-    out = np.zeros((n, n), dtype=complex)
-    for c, p in zip(b.coeffs, tf_points(b.lattice)):
-        out += c * shift_matrix(p).conj().T
     return n / b.lattice.size * out
 
 

@@ -41,7 +41,7 @@ def test_public_surface_is_the_modules_all():
         "EIGENVALUE_FLOOR_REL", "phase_space_to_csv", "phase_space_from_csv",
         "associativity_residual", "_shifted", "_right_element", "_band_phase",
         "shift_matrix", "frame_operator", "right_operator", "module_frame_identity_residual",
-        "_roots",
+        "_roots", "fraction_from_str",
     }
     for module in (ncgabor, ncgabor.serialize, *(getattr(ncgabor, m) for m in modules)):
         assert not deleted & set(vars(module)), module.__name__

@@ -130,19 +130,6 @@ def test_represent_delta_is_cyclic_shift():
     np.testing.assert_allclose(mat, expect, atol=0)
 
 
-def test_coefficient_round_trip_faithful(lattices):
-    for lat in lattices:
-        if lat.size == lat.n**2:
-            continue  # proper sublattices are the interesting case
-        rng = np.random.default_rng(SEEDS[3])
-        a = rand_seq(lat, rng)
-        recovered, residual = coefficients_of(represent(a), lat)
-        assert np.abs(recovered.coeffs - a.coeffs).max() < 1e-12 * max(
-            1.0, np.abs(a.coeffs).max()
-        )
-        assert residual < 1e-11
-
-
 def test_coefficients_of_identity():
     lat = lattice_from_generators(6, [(2, 0), (0, 2)])
     seq, residual = coefficients_of(np.eye(6), lat)
@@ -295,14 +282,10 @@ def test_invert_singular_raises():
     assert excinfo.value.smallest_singular_value < 1e-12
 
 
-def test_trace_values(rng):
+def test_trace_values():
     lat = lattice_from_generators(12, [(3, 0), (0, 4)])
     assert trace_tau(unit(lat)) == 1.0
     assert trace_tau(delta_seq(lat, TFPoint(12, 3, 4))) == 0.0
-    a = rand_seq(lat, rng)
-    assert trace_tau(a) == pytest.approx(
-        complex(np.trace(represent(a).entries)) / 12, abs=1e-12
-    )
 
 
 def test_spectrum_of_unit_and_shift():

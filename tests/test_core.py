@@ -30,7 +30,7 @@ from ncgabor import (
 from ncgabor.algebra import _band_index
 from ncgabor.lattice import _TableCache, _tables
 from ncgabor.modspaces import _lifted_weight_table
-from oracles import shift_matrix, stft_direct, stft_sample
+from oracles import shift_matrix, stft_direct
 
 
 def test_shift_of_delta_is_translation():
@@ -137,20 +137,9 @@ def test_stft_of_zero_signal(rng):
 
 
 def test_stft_fast_agrees_with_direct(rng):
-    for n in (2, 5, 8, 13):
+    for n in (2, 5, 6, 8, 13):
         f, g = random_signal(n, rng), random_signal(n, rng)
-        fast, direct = stft(f, g).values, stft_direct(f, g)
-        scale = max(1.0, np.abs(direct).max())
-        assert np.abs(fast - direct).max() <= 1e-12 * scale
-
-
-def test_stft_matches_pointwise_samples(rng):
-    n = 6
-    f, g = random_signal(n, rng), random_signal(n, rng)
-    arr = stft(f, g).values
-    for k in range(n):
-        for l in range(n):
-            assert abs(arr[k, l] - stft_sample(f, g, k, l)) < 1e-12
+        assert np.abs(stft(f, g).values - stft_direct(f, g)).max() <= 1e-12
 
 
 def test_signal_validation():

@@ -17,7 +17,6 @@ from ncgabor.serialize import (
     bounds_to_dict,
     coeffseq_from_dict,
     coeffseq_to_dict,
-    fraction_from_str,
     fraction_to_str,
     grs_report_to_csv,
     lattice_from_dict,
@@ -96,9 +95,6 @@ def test_weight_unknown_family():
 
 def test_fraction_round_trip():
     assert fraction_to_str(Fraction(3, 7)) == "3/7"
-    assert fraction_from_str("3/7") == Fraction(3, 7)
-    with pytest.raises(ValueError, match="rational"):
-        fraction_from_str("0.5")
 
 
 def test_bounds_dict():
